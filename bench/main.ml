@@ -572,10 +572,17 @@ let persist_rates ~scale ~min_time =
    ~70% of pool capacity — enough queueing for the tail percentiles to
    mean something without saturating into mass rejection. Every served
    request must install all its translations from the shared store; a
-   single live retranslation fails the run. *)
+   single live retranslation fails the run. Also times the layer most of
+   a request's service is spent in: [Instance.create] of the guest. *)
 let serve_rates ~min_time =
   let payload = "GET /index.html HTTP/1.0\r\nHost: ia32el\r\n\r\n" in
   let workers = 4 in
+  let image =
+    Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1 ~wide:false
+  in
+  let build_ms =
+    1e3 *. seconds_per ~min_time (fun () -> Ia32el.Instance.create image)
+  in
   let tc = Filename.temp_file "ia32el-bench-serve" ".tc" in
   (match Serve.compile_tcache ~path:tc ~scale:1 ~payload () with
   | [] -> ()
@@ -629,7 +636,7 @@ let serve_rates ~min_time =
       misses hits;
     exit 1
   end;
-  (load, rate_hz, workers, hits)
+  (load, rate_hz, workers, hits, build_ms)
 
 let perf ~scale ~min_time ~config () =
   header "Wall-clock throughput of the simulator itself"
@@ -696,7 +703,7 @@ let perf ~scale ~min_time ~config () =
         Float.of_int r.B.cycles)
   in
   let cold_s, warm_s, aot_s, elim_frac = persist_rates ~scale ~min_time in
-  let serve_load, serve_rate_hz, serve_workers, serve_hits =
+  let serve_load, serve_rate_hz, serve_workers, serve_hits, build_ms =
     serve_rates ~min_time
   in
   let mach_speedup = mach_pre /. mach_int in
@@ -750,6 +757,7 @@ let perf ~scale ~min_time ~config () =
     "  latency p50/p95/p99       : %.2f / %.2f / %.2f ms (mean %.2f)\n"
     serve_load.Serve.lat_p50_ms serve_load.Serve.lat_p95_ms
     serve_load.Serve.lat_p99_ms serve_load.Serve.lat_mean_ms;
+  Printf.printf "  instance build            : %8.3f ms\n" build_ms;
   Printf.printf
     "  served %d of %d offered, %d rejected; %d AOT installs, 0 live \
      translations\n\n"
@@ -797,6 +805,22 @@ let perf ~scale ~min_time ~config () =
                  fork-server landed: the denominator of the >= 3x
                  fork-server acceptance multiple *)
               ("lockstep_programs_per_s", Float 131.35338357638003);
+              (* the serve row before fresh guest pages became
+                 demand-zero; its instance_build_ms is the median of
+                 three runs of this harness at that commit, on the host
+                 that measured the live row below *)
+              ( "serve",
+                Obj
+                  [
+                    ("rev", Str "58fb716");
+                    ("offered_rate_hz", Float 17.189588078873577);
+                    ("guests_per_s", Float 17.754152441410568);
+                    ("lat_p50_ms", Float 14.317989349365234);
+                    ("lat_p95_ms", Float 27.350187301635742);
+                    ("lat_p99_ms", Float 44.392108917236328);
+                    ("lat_mean_ms", Float 16.86708927154541);
+                    ("instance_build_ms", Float 4.805);
+                  ] );
             ] );
         ( "machine",
           Obj
@@ -872,6 +896,7 @@ let perf ~scale ~min_time ~config () =
               ("lat_mean_ms", Float serve_load.Serve.lat_mean_ms);
               ("tc_hits", Int serve_hits);
               ("tc_misses", Int 0);
+              ("instance_build_ms", Float build_ms);
             ] );
       ]
   in

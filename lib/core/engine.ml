@@ -58,6 +58,7 @@ type t = {
   interp_only_pages : (int, unit) Hashtbl.t;
   retrans_counts : (int, int) Hashtbl.t; (* entry -> churn count *)
   smc_page_hits : (int, int * int) Hashtbl.t; (* page -> window start, hits *)
+  icache : Ia32.Icache.t; (* shared by every state the engine interprets *)
   (* snapshot / rewind ---------------------------------------------------- *)
   mutable snapshots : epoch list; (* innermost first *)
   mutable snap_next_id : int;
@@ -273,6 +274,7 @@ let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
       interp_only_pages = Hashtbl.create 8;
       retrans_counts = Hashtbl.create 16;
       smc_page_hits = Hashtbl.create 16;
+      icache = Ia32.Icache.create ();
       snapshots = [];
       snap_next_id = 0;
       max_cycles = None;
@@ -934,10 +936,13 @@ let reconstruct_at t block ~bundle =
 (* Interpret forward from [st] until leaving [lo,hi) or a fault/syscall, or
    at most [max_steps]. Returns the stop condition. *)
 (* Honour [enable_decode_cache] on any state the engine is about to drive
-   through the interpreter. *)
+   through the interpreter. Such states are fresh from [Reconstruct.extract],
+   one per interpreted block; they all read [t.mem], so they share the
+   engine's decode cache (entries validate against that memory's page
+   generations) rather than each starting cold. *)
 let sync_icache t (st : Ia32.State.t) =
-  Ia32.Icache.set_enabled st.Ia32.State.icache
-    t.config.Config.enable_decode_cache
+  st.Ia32.State.icache <- t.icache;
+  Ia32.Icache.set_enabled t.icache t.config.Config.enable_decode_cache
 
 let rollforward t st ~lo ~hi ~max_steps =
   (* the interpreter writes guest memory directly: clear [running_block] so

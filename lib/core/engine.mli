@@ -67,6 +67,8 @@ type t = {
       (** per-entry invalidation-driven retranslation counts *)
   smc_page_hits : (int, int * int) Hashtbl.t;
       (** per-page SMC-storm window: window start (in dispatches), hits *)
+  icache : Ia32.Icache.t;
+      (** decode cache every engine-side interpretation shares *)
   mutable snapshots : epoch list;
       (** open snapshot epochs, innermost first; see {!snapshot} *)
   mutable snap_next_id : int;

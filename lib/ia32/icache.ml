@@ -7,7 +7,10 @@
    self-modifying code behaves identically with the cache on or off.
 
    Entries live in parallel int arrays (plus one array of instructions) and
-   are mutated in place; a hit performs no allocation. *)
+   are mutated in place; a hit performs no allocation. The arrays are
+   allocated on the first [fill]: the engine builds a fresh state, and so a
+   fresh cache, at every exit from translated code, and most of those
+   states never interpret an instruction. *)
 
 let bits = 12
 let size = 1 lsl bits (* 4096 direct-mapped entries *)
@@ -15,28 +18,31 @@ let mask = size - 1
 
 type t = {
   mutable enabled : bool;
-  eips : int array; (* -1 = empty slot *)
-  insns : Insn.insn array;
-  lens : int array;
-  g1s : int array; (* generation of the page holding the first byte *)
-  g2s : int array; (* generation of the straddled page; 0 = no straddle *)
+  mutable eips : int array; (* -1 = empty slot *)
+  mutable insns : Insn.insn array;
+  mutable lens : int array;
+  mutable g1s : int array; (* generation of the page holding byte 0 *)
+  mutable g2s : int array; (* generation of the straddled page; 0 = none *)
 }
+
+(* Shared by every cache that was never filled: all slots empty, so [find]
+   misses without reading the other (still empty) arrays. Never written. *)
+let no_eips = Array.make size (-1)
 
 let create () =
   {
     enabled = true;
-    eips = Array.make size (-1);
-    insns = Array.make size Insn.Nop;
-    lens = Array.make size 0;
-    g1s = Array.make size 0;
-    g2s = Array.make size 0;
+    eips = no_eips;
+    insns = [||];
+    lens = [||];
+    g1s = [||];
+    g2s = [||];
   }
 
 let set_enabled t b = t.enabled <- b
 let enabled t = t.enabled
 
-let clear t =
-  Array.fill t.eips 0 size (-1)
+let clear t = if t.eips != no_eips then Array.fill t.eips 0 size (-1)
 
 (* Slot index on hit, -1 on miss. Valid generations are >= 1 and never
    reused, so comparing against a stored 0 (empty) or a stale generation
@@ -65,6 +71,13 @@ let len t i = Array.unsafe_get t.lens i
    so both source pages exist and are fetchable at this instant. *)
 let fill t mem eip insn len =
   if t.enabled then begin
+    if t.eips == no_eips then begin
+      t.eips <- Array.make size (-1);
+      t.insns <- Array.make size Insn.Nop;
+      t.lens <- Array.make size 0;
+      t.g1s <- Array.make size 0;
+      t.g2s <- Array.make size 0
+    end;
     let i = eip land mask in
     let last = Word.mask32 (eip + len - 1) in
     t.eips.(i) <- eip;

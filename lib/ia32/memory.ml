@@ -17,8 +17,24 @@ let prot_rwx = { read = true; write = true; exec = true }
    change, loader write). Consumers that cache per-address derived data
    (the interpreter's decode cache) validate entries with one compare;
    because the counter is global and never reused, an unmap/remap cycle
-   can never resurrect a stale generation (no ABA). *)
-type page = { data : Bytes.t; mutable prot : prot; mutable gen : int }
+   can never resurrect a stale generation (no ABA).
+   [data] is [zero_page] until the page's first store (demand-zero). *)
+type page = { mutable data : Bytes.t; mutable prot : prot; mutable gen : int }
+
+(* The one shared, never-written buffer every fresh page reads from, as
+   the host OS backs fresh mappings with a demand-zero page. Mapping,
+   copying and journalling a never-written page therefore cost no page
+   allocation. Only [own_data] replaces it, and nothing ever stores into
+   it, so memories in different domains may share it. *)
+let zero_page = Bytes.make page_size '\000'
+
+(* Give [pg] its own buffer before its first store. The generation is
+   not bumped here: the store that follows does that. *)
+let own_data pg =
+  if pg.data == zero_page then pg.data <- Bytes.make page_size '\000'
+
+(* Snapshot of a page's bytes that may outlive later stores to it. *)
+let copy_data d = if d == zero_page then d else Bytes.copy d
 
 (* First-touch pre-image of a page within one journal epoch: either the
    page did not exist when the epoch opened, or a full copy of its bytes
@@ -86,7 +102,7 @@ let record_pre e t no =
       (match Hashtbl.find_opt t.pages no with
       | None -> Pre_absent
       | Some pg ->
-        Pre_page { data = Bytes.copy pg.data; prot = pg.prot; gen = pg.gen });
+        Pre_page { data = copy_data pg.data; prot = pg.prot; gen = pg.gen });
   e.last_no <- no
 
 let journal_touch t no =
@@ -98,7 +114,7 @@ let journal_touch t no =
 let record_pre_pg e no (pg : page) =
   if not (Hashtbl.mem e.pre_images no) then
     Hashtbl.replace e.pre_images no
-      (Pre_page { data = Bytes.copy pg.data; prot = pg.prot; gen = pg.gen });
+      (Pre_page { data = copy_data pg.data; prot = pg.prot; gen = pg.gen });
   e.last_no <- no
 
 let journal_touch_pg t no pg =
@@ -115,7 +131,7 @@ let map t ~addr ~len ~prot =
     | None ->
       t.gen_counter <- t.gen_counter + 1;
       Hashtbl.replace t.pages p
-        { data = Bytes.make page_size '\000'; prot; gen = t.gen_counter }
+        { data = zero_page; prot; gen = t.gen_counter }
     | Some pg ->
       pg.prot <- prot;
       bump_gen t pg
@@ -200,6 +216,7 @@ let fetch8 t addr =
 let write8_nowatch t addr v =
   let pg = find_page t addr Fault.Write in
   journal_touch_pg t (page_of addr) pg;
+  own_data pg;
   Bytes.set pg.data (offset_of addr) (Char.chr (Word.mask8 v));
   bump_gen t pg
 
@@ -241,6 +258,7 @@ let write_n t addr n v =
   (if offset_of addr + n <= page_size then begin
      let pg = find_page t addr Fault.Write in
      journal_touch_pg t (page_of addr) pg;
+     own_data pg;
      wr_le pg.data (offset_of addr) v 0 n;
      bump_gen t pg
    end
@@ -270,28 +288,55 @@ let write_f32 t addr f = write32 t addr (Int32.to_int (Int32.bits_of_float f) la
 let read_f64 t addr = Int64.float_of_bits (read64 t addr)
 let write_f64 t addr f = write64 t addr (Int64.bits_of_float f)
 
-(* Loader path: ignores page protections (the "OS" writing the image). *)
+(* Bytes of [addr, addr + len) that lie in the page holding [addr]. *)
+let chunk_len addr len = min len (page_size - offset_of addr)
+
+(* Loader path: ignores page protections (the "OS" writing the image).
+   Page-granular: one lookup, journal touch, blit and generation bump per
+   page. Pages before an unmapped one are written in full, so the fault
+   names the first unmapped byte, as a byte-wise store loop would. *)
 let load_bytes t addr s =
-  for i = 0 to String.length s - 1 do
-    let a = addr + i in
-    match Hashtbl.find_opt t.pages (page_of a) with
-    | Some pg ->
-      journal_touch_pg t (page_of a) pg;
-      Bytes.set pg.data (offset_of a) s.[i];
-      bump_gen t pg
-    | None -> raise (Fault.Fault (Fault.Page_fault (Word.mask32 a, Fault.Write)))
-  done
+  let len = String.length s in
+  let rec go i =
+    if i < len then begin
+      let a = addr + i in
+      let n = chunk_len a (len - i) in
+      match Hashtbl.find t.pages (page_of a) with
+      | pg ->
+        journal_touch_pg t (page_of a) pg;
+        own_data pg;
+        Bytes.blit_string s i pg.data (offset_of a) n;
+        bump_gen t pg;
+        go (i + n)
+      | exception Not_found ->
+        raise (Fault.Fault (Fault.Page_fault (Word.mask32 a, Fault.Write)))
+    end
+  in
+  go 0
 
+(* Page-granular read with [read8]'s faults: the first byte of an
+   unmapped or unreadable page is the address reported. *)
 let dump_bytes t addr len =
-  String.init len (fun i -> Char.chr (read8 t (addr + i)))
+  let out = Bytes.create len in
+  let rec go i =
+    if i < len then begin
+      let a = addr + i in
+      let n = chunk_len a (len - i) in
+      Bytes.blit (find_page t a Fault.Read).data (offset_of a) out i n;
+      go (i + n)
+    end
+  in
+  go 0;
+  Bytes.unsafe_to_string out
 
-(* Deep copy, for differential testing (golden model vs translator). *)
+(* Deep copy, for differential testing (golden model vs translator).
+   Never-written pages keep sharing [zero_page]. *)
 let copy t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
     (fun k pg ->
       Hashtbl.replace pages k
-        { data = Bytes.copy pg.data; prot = pg.prot; gen = pg.gen })
+        { data = copy_data pg.data; prot = pg.prot; gen = pg.gen })
     t.pages;
   {
     pages;
@@ -315,7 +360,8 @@ let set_watched_pages t nos =
    protection and ORIGINAL write generation: a generation value only ever
    recurs together with the exact content it stamped (the global counter
    is never reused), so decode caches validated against [page_gen] stay
-   warm across a revert instead of being flushed. *)
+   warm across a revert instead of being flushed. A never-written page's
+   pre-image is [zero_page] itself, so recording it copies nothing. *)
 module Journal = struct
   let fresh_epoch () = { pre_images = Hashtbl.create 32; last_no = -1 }
 
@@ -359,14 +405,17 @@ module Journal = struct
             match pre with
             | Pre_absent -> Hashtbl.remove t.pages no
             | Pre_page { data; prot; gen } -> (
+              (* The popped epoch's pre-images are referenced nowhere
+                 else, so they may be adopted instead of copied; a blit
+                 never targets [zero_page]. *)
               match Hashtbl.find_opt t.pages no with
               | Some pg ->
-                Bytes.blit data 0 pg.data 0 page_size;
+                if data == zero_page || pg.data == zero_page then
+                  pg.data <- data
+                else Bytes.blit data 0 pg.data 0 page_size;
                 pg.prot <- prot;
                 pg.gen <- gen
-              | None ->
-                Hashtbl.replace t.pages no
-                  { data = Bytes.copy data; prot; gen }))
+              | None -> Hashtbl.replace t.pages no { data; prot; gen }))
           e.pre_images;
         t.memo_no <- -1;
         t.memo_pg <- dummy_page;

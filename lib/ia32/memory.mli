@@ -3,7 +3,14 @@
     Unmapped or permission-violating accesses raise
     [Fault.Fault (Page_fault _)]. A write-watch callback fires on writes to
     watched pages — the hook the translator uses to detect self-modifying
-    code on pages it has translated from. *)
+    code on pages it has translated from.
+
+    Fresh pages are demand-zero: every page [map] creates reads one
+    shared, never-written zero buffer until its first store (byte store
+    or {!load_bytes}) gives it a private one. Mapping a large region
+    therefore costs a page record per page, not a zeroed 4 KiB buffer;
+    taking that private buffer does not bump the page's write
+    generation (the store itself does, once). *)
 
 val page_bits : int
 val page_size : int
@@ -19,6 +26,10 @@ type t
 val create : unit -> t
 
 val map : t -> addr:int -> len:int -> prot:prot -> unit
+(** Map the pages covering [addr, addr + len) with [prot]. New pages are
+    demand-zero (they read zero and share one buffer until written);
+    already-mapped pages keep their bytes and only change protection. *)
+
 val unmap : t -> addr:int -> len:int -> unit
 val is_mapped : t -> int -> bool
 val protect : t -> addr:int -> len:int -> prot:prot -> unit
@@ -78,11 +89,19 @@ val write_f32 : t -> int -> float -> unit
 val read_f64 : t -> int -> float
 val write_f64 : t -> int -> float -> unit
 
-(** Bulk initialisation that bypasses the write watch. *)
+(** Bulk initialisation that bypasses the write watch and ignores page
+    protections. Page-granular: one lookup, journal touch, blit and
+    generation bump per page. Raises [Page_fault (a, Write)] at the first
+    unmapped byte [a], after writing every byte before it. *)
 val load_bytes : t -> int -> string -> unit
 
+(** [dump_bytes t addr len] reads [len] bytes, one page at a time. Raises
+    [Page_fault (a, Read)] where {!read8} would: at the first byte [a] of
+    the first unmapped or unreadable page. *)
 val dump_bytes : t -> int -> int -> string
 
+(** Deep copy. Pages never written share the zero buffer with the
+    original instead of being copied. *)
 val copy : t -> t
 
 val equal : ?skip:(int -> bool) -> t -> t -> bool
@@ -99,7 +118,9 @@ val first_diff : ?skip:(int -> bool) -> t -> t -> int option
     stores, loader writes) records a full pre-image of each page at its
     first touch within the innermost open epoch, so an epoch's overhead
     and its [revert] both cost O(pages touched), independent of the size
-    of the address space.
+    of the address space. The pre-image of a never-written page is the
+    shared zero buffer itself, recorded for free; [revert] restores such a
+    page by pointing it back at that buffer, never by writing into it.
 
     [revert] restores each touched page's bytes, protection {e and
     original write generation}. Generations are drawn from the memory's

@@ -17,7 +17,7 @@ type t = {
   xmm_lo : int64 array; (* 8 registers x 128 bits *)
   xmm_hi : int64 array;
   mem : Memory.t;
-  icache : Icache.t; (* interpreter decode cache; private to this state *)
+  mutable icache : Icache.t; (* interpreter decode cache *)
 }
 
 let create mem =

@@ -15,9 +15,10 @@ type t = {
   xmm_lo : int64 array;
   xmm_hi : int64 array;
   mem : Memory.t;
-  icache : Icache.t;
-      (** interpreter decode cache; private to this state — {!copy} gives
-          the copy a fresh one *)
+  mutable icache : Icache.t;
+      (** interpreter decode cache — {!copy} gives the copy a fresh one.
+          States over the same memory may share one: entries validate
+          against that memory's page generations. *)
 }
 
 val create : Memory.t -> t

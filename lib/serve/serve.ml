@@ -175,7 +175,6 @@ type wslot = {
   w_in : in_channel; (* responses from the child *)
   w_in_fd : Unix.file_descr;
   mutable w_busy : int option; (* job id in flight *)
-  mutable w_arrival : float; (* host arrival time of that job *)
 }
 
 (* A worker holds at most one outstanding response (it only gets the
@@ -212,7 +211,6 @@ let spawn_worker p ~image ~store idx =
       w_in = Unix.in_channel_of_descr rsp_r;
       w_in_fd = rsp_r;
       w_busy = None;
-      w_arrival = 0.;
     }
 
 let dispatch slot id j =
@@ -252,9 +250,7 @@ let reap_one slots pending responses on_reap =
       on_reap ~id ~slot:s;
       s.w_busy <- None;
       (match Queue.take_opt pending with
-      | Some (id', j') ->
-        s.w_arrival <- Unix.gettimeofday ();
-        dispatch s id' j'
+      | Some (id', j') -> dispatch s id' j'
       | None -> ())
     | [], _, _ -> ())
 
@@ -372,7 +368,10 @@ let run_batch ?(drain_between = true) p jobs =
 (* Arrivals at a fixed rate, independent of completions (open loop): a
    request that finds workers and queue full is REJECTED, never delays
    the arrival process. Latency is completion - arrival, queueing
-   included. Forked backend only: open-loop needs real concurrency. *)
+   included, where a request arrives when it is DUE (t0 + id / rate),
+   not when the generator gets round to sending it: a stalled generator
+   would otherwise hide the queueing it causes (coordinated omission).
+   Forked backend only: open-loop needs real concurrency. *)
 
 type load_summary = {
   offered : int;
@@ -400,7 +399,8 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
   let slots = Array.init p.workers (spawn_worker p ~image ~store) in
   let job = { payload; max_cycles } in
   let pending : (int * job) Queue.t = Queue.create () in
-  let arrivals = Array.make n 0. in
+  let t0 = Unix.gettimeofday () in
+  let due id = t0 +. (float_of_int id /. rate_hz) in
   let latencies = ref [] in
   let served = ref 0 in
   let rejected = ref 0 in
@@ -417,7 +417,7 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
             let id, (r : result) = Marshal.from_channel s.w_in in
             responses.(id) <- { rejected = None; result = Some r };
             latencies :=
-              ((Unix.gettimeofday () -. arrivals.(id)) *. 1e3) :: !latencies;
+              ((Unix.gettimeofday () -. due id) *. 1e3) :: !latencies;
             incr served;
             s.w_busy <- None;
             match Queue.take_opt pending with
@@ -427,7 +427,6 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
     end
     else if timeout > 0. then ignore (Unix.select [] [] [] timeout)
   in
-  let t0 = Unix.gettimeofday () in
   let next = ref 0 in
   (try
      while
@@ -436,10 +435,9 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
        || Array.exists (fun s -> s.w_busy <> None) slots
      do
        let now = Unix.gettimeofday () in
-       if !next < n && now >= t0 +. (float_of_int !next /. rate_hz) then begin
+       if !next < n && now >= due !next then begin
          let id = !next in
          incr next;
-         arrivals.(id) <- now;
          match free_slot slots with
          | Some s -> dispatch s id job
          | None ->
@@ -451,9 +449,7 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
        end
        else begin
          let timeout =
-           if !next < n then
-             max 0. (t0 +. (float_of_int !next /. rate_hz) -. now)
-           else 0.05
+           if !next < n then max 0. (due !next -. now) else 0.05
          in
          reap_ready timeout
        end

@@ -99,7 +99,8 @@ type load_summary = {
   load_rejected : int;
   load_wall_s : float;
   guests_per_s : float;
-  lat_p50_ms : float;  (** completion - arrival, queueing included *)
+  lat_p50_ms : float;
+      (** completion - due arrival time, queueing included *)
   lat_p95_ms : float;
   lat_p99_ms : float;
   lat_mean_ms : float;
@@ -115,7 +116,9 @@ val run_open_loop :
   load_summary * response list
 (** Fixed-rate arrivals independent of completions (open loop): an
     arrival that finds workers and queue full is rejected, never
-    delayed. Latency is completion - arrival. Forked backend only.
+    delayed. Latency is completion minus the time the request was due
+    ([t0 + id / rate_hz]), so generator stalls count as queueing rather
+    than being omitted. Forked backend only.
     @raise Invalid_argument on other backends. *)
 
 val percentile : float array -> float -> float

@@ -219,6 +219,48 @@ let test_interp_alloc_budget () =
        is allocating"
       per_insn
 
+(* Major-heap words of one serve-echo [Instance.create]. Fresh guest pages
+   are demand-zero: the 16 MiB profile arena maps to one shared zero
+   buffer, so building an instance costs page records, not 4 KiB of
+   zeroed bytes per page (over 2 M words when each page got its own). *)
+let test_instance_build_major_budget () =
+  let image =
+    Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1 ~wide:false
+  in
+  ignore (Ia32el.Instance.create image);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let inst = Ia32el.Instance.create image in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  ignore (Sys.opaque_identity inst);
+  Printf.eprintf "[alloc] Instance.create: %.0f major words\n%!" words;
+  if words > 131_072. then
+    Alcotest.failf
+      "Instance.create allocates %.0f major-heap words (budget 128 k); \
+       fresh pages are no longer demand-zero"
+      words
+
+(* Major-heap words of a chaos-injected gzip run. Injected SMC storms
+   degrade pages to block-by-block interpretation, each block on a fresh
+   reconstructed state; those states share the engine's decode cache, and
+   a state that never interprets allocates none. When each state carried
+   its own 4096-entry cache this run allocated ~590 M words. *)
+let test_interp_states_major_budget () =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  let r = Harness.Resilience.run_plain ~seed:0 Workloads.Spec_int.gzip ~scale:1 in
+  let words = (Gc.quick_stat ()).Gc.major_words -. before in
+  (match r.Harness.Resilience.outcome with
+  | E.Exited _ -> ()
+  | _ -> Alcotest.fail "gzip should exit under injection");
+  Printf.eprintf "[alloc] injected gzip: %.0f major words\n%!" words;
+  if words > 16e6 then
+    Alcotest.failf
+      "an injected gzip run allocates %.0f major-heap words (budget 16 M, \
+       measured ~0.6 M at commit time); reconstructed states are \
+       allocating decode caches again"
+      words
+
 (* ---------------- pre-decode cache mechanics ---------------- *)
 
 (* The lowering cache re-lowers only what the tcache actually changed:
@@ -259,6 +301,10 @@ let () =
         [
           Alcotest.test_case "machine-budget" `Quick test_machine_alloc_budget;
           Alcotest.test_case "interp-budget" `Quick test_interp_alloc_budget;
+          Alcotest.test_case "instance-build-major-budget" `Quick
+            test_instance_build_major_budget;
+          Alcotest.test_case "interp-states-major-budget" `Quick
+            test_interp_states_major_budget;
         ] );
       ( "predecode",
         [

@@ -116,6 +116,171 @@ let mem_tests =
         check (Alcotest.option int) "diff addr" (Some 0x20) (first_diff m m2));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Demand-zero pages: every fresh page reads one shared zero buffer     *)
+(* until its first store gives it its own                                *)
+(* ------------------------------------------------------------------ *)
+
+let zeros n = String.make n '\000'
+
+(* A page mapped in a brand-new memory reads the shared zero buffer, so
+   this fails if anything ever stored into it. *)
+let check_zero_buffer_clean msg =
+  let m = Memory.create () in
+  Memory.map m ~addr:0x1000 ~len:Memory.page_size ~prot:Memory.prot_rw;
+  check Alcotest.string msg (zeros Memory.page_size)
+    (Memory.dump_bytes m 0x1000 Memory.page_size)
+
+let demand_zero_tests =
+  let open Memory in
+  [
+    Alcotest.test_case "fresh pages read zero" `Quick (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x3000 ~prot:prot_rw;
+        check Alcotest.string "all three pages" (zeros 0x3000)
+          (dump_bytes m 0x1000 0x3000);
+        check int "read32 straddling" 0 (read32 m 0x1FFE));
+    Alcotest.test_case "first write is private to its memory" `Quick
+      (fun () ->
+        let a = create () and b = create () in
+        map a ~addr:0x1000 ~len:0x1000 ~prot:prot_rw;
+        map b ~addr:0x1000 ~len:0x1000 ~prot:prot_rw;
+        let c = copy a in
+        write8 a 0x1234 0x5A;
+        check int "A sees it" 0x5A (read8 a 0x1234);
+        check int "B does not" 0 (read8 b 0x1234);
+        check int "copy A does not" 0 (read8 c 0x1234);
+        write32 c 0x1000 0xCAFE;
+        check int "nor does A see the copy's write" 0 (read32 a 0x1000);
+        check int "a later copy shares A's bytes" 0x5A
+          (read8 (copy a) 0x1234);
+        check_zero_buffer_clean "zero buffer untouched");
+    Alcotest.test_case "first write bumps the generation once" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x2000 ~prot:prot_rw;
+        let g1 = page_gen m 0x1000 and g2 = page_gen m 0x2000 in
+        check int "map draws one per page" (g1 + 1) g2;
+        write8 m 0x1000 1;
+        check int "write8" (g2 + 1) (page_gen m 0x1000);
+        write32 m 0x2000 1;
+        check int "write32" (g2 + 2) (page_gen m 0x2000);
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x2000 ~prot:prot_rw;
+        let g2 = page_gen m 0x2000 in
+        load_bytes m 0x1FFE "abcd";
+        check int "load_bytes: first page once" (g2 + 1) (page_gen m 0x1000);
+        check int "load_bytes: second page once" (g2 + 2) (page_gen m 0x2000));
+    Alcotest.test_case "revert across the first write restores zero" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x2000 ~prot:prot_rw;
+        let g1 = page_gen m 0x1000 and g2 = page_gen m 0x2000 in
+        Journal.push m;
+        write32 m 0x1000 0xDEADBEEF;
+        load_bytes m 0x2000 "xyz";
+        unmap m ~addr:0x2000 ~len:0x1000;
+        ignore (Journal.revert m);
+        check Alcotest.string "bytes back to zero" (zeros 0x2000)
+          (dump_bytes m 0x1000 0x2000);
+        check int "first page generation" g1 (page_gen m 0x1000);
+        check int "unmapped page generation" g2 (page_gen m 0x2000);
+        (* the reverted pages write privately again *)
+        Journal.push m;
+        write8 m 0x1000 7;
+        write8 m 0x2000 9;
+        check int "rewritten" 7 (read8 m 0x1000);
+        ignore (Journal.revert m);
+        check int "reverted again" 0 (read8 m 0x2000);
+        check_zero_buffer_clean "revert never writes the zero buffer");
+    Alcotest.test_case "revert to a written page after a fresh remap" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x1000 ~prot:prot_rw;
+        write32 m 0x1000 0x1111;
+        Journal.push m;
+        unmap m ~addr:0x1000 ~len:0x1000;
+        map m ~addr:0x1000 ~len:0x1000 ~prot:prot_rw;
+        check int "remap reads zero" 0 (read32 m 0x1000);
+        ignore (Journal.revert m);
+        check int "pre-image back" 0x1111 (read32 m 0x1000);
+        check_zero_buffer_clean "zero buffer untouched");
+    Alcotest.test_case "negative sbrk unmap then remap reads zero" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x10000 ~prot:prot_rw;
+        let st = State.create m in
+        State.set32 st Insn.Esp 0x10000;
+        let vos = Btlib.Vos.create m in
+        let sbrk n =
+          match Btlib.Vos.perform vos st (Btlib.Syscall.Sbrk n) with
+          | Btlib.Syscall.Ret v -> v
+          | _ -> Alcotest.fail "sbrk"
+        in
+        let base = sbrk 8192 in
+        let top = base + 4096 in
+        write32 m top 0xFEEDFACE;
+        load_bytes m (top + 8) "dirty";
+        ignore (sbrk (-4096));
+        check bool "freed page unmapped" false (is_mapped m top);
+        ignore (sbrk 4096);
+        check Alcotest.string "regrown page reads zero" (zeros page_size)
+          (dump_bytes m top page_size));
+    Alcotest.test_case "load_bytes faults at the first unmapped byte" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x1000 ~prot:prot_rx;
+        Alcotest.check_raises "fault names the next page"
+          (Fault.Fault (Fault.Page_fault (0x2000, Fault.Write)))
+          (fun () -> load_bytes m 0x1FFE "abcd");
+        check Alcotest.string "mapped prefix written despite rx" "ab"
+          (dump_bytes m 0x1FFE 2);
+        Alcotest.check_raises "unmapped start"
+          (Fault.Fault (Fault.Page_fault (0x3005, Fault.Write)))
+          (fun () -> load_bytes m 0x3005 "x");
+        load_bytes m 0x1000 "";
+        check int "empty load is a no-op" 0 (read8 m 0x1000));
+    Alcotest.test_case "dump_bytes spans pages and faults like read8" `Quick
+      (fun () ->
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x3000 ~prot:prot_rw;
+        let s = String.init 0x2000 (fun i -> Char.chr (i land 0xFF)) in
+        load_bytes m 0x1F80 s;
+        check Alcotest.string "round trip over three pages" s
+          (dump_bytes m 0x1F80 0x2000);
+        check Alcotest.string "empty" "" (dump_bytes m 0x5000 0);
+        Alcotest.check_raises "unmapped tail"
+          (Fault.Fault (Fault.Page_fault (0x4000, Fault.Read)))
+          (fun () -> ignore (dump_bytes m 0x3FF0 0x20));
+        protect m ~addr:0x2000 ~len:0x1000
+          ~prot:{ read = false; write = true; exec = false };
+        Alcotest.check_raises "unreadable middle page"
+          (Fault.Fault (Fault.Page_fault (0x2000, Fault.Read)))
+          (fun () -> ignore (dump_bytes m 0x1FF0 0x20)));
+    Alcotest.test_case "zero buffer still zero after workload runs" `Quick
+      (fun () ->
+        let run (w : Workloads.Common.t) ?request () =
+          let image = w.Workloads.Common.build ~scale:1 ~wide:false in
+          let inst = Ia32el.Instance.create image in
+          ignore (Ia32el.Instance.run ?request inst)
+        in
+        run Workloads.Spec_int.gzip ();
+        run Workloads.Sysmark.office ();
+        run Workloads.Serve_echo.workload
+          ~request:(String.init 256 (fun i -> Char.chr (i * 7 land 0xFF)))
+          ();
+        (* fork-server inputs: copy, journal epochs and reverts *)
+        let srv =
+          Harness.Fuzz.server_start
+            (Harness.Fuzz.generate ~rng:(Harness.Fuzz.Rng.create 5)
+               ~max_insns:40 0)
+        in
+        for i = 0 to 7 do
+          ignore (Harness.Fuzz.server_run srv [ (i * 13, 0xFF - i) ])
+        done;
+        check_zero_buffer_clean "fresh page after the runs");
+  ]
+
 (* ---------------------------------------------------------------- *)
 (* FPU                                                               *)
 (* ---------------------------------------------------------------- *)
@@ -1247,6 +1412,7 @@ let () =
       ("word", word_tests);
       ("memory", mem_tests);
       ("journal", journal_tests);
+      ("demand-zero", demand_zero_tests);
       ("fpu", fpu_tests);
       ("fpconv", fpconv_tests);
       ("encode-vectors", encode_vector_tests);

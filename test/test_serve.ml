@@ -250,6 +250,32 @@ let test_budget_exhaustion () =
       "budget_exhausted" r.Serve.r_stop
   | _ -> Alcotest.fail "expected one served response"
 
+(* One worker and a rate far above its capacity: every request is due
+   within a millisecond, so the last one waits for all the service ahead
+   of it. Latency runs from the due time, so p99 (the maximum of 12
+   samples) must cover that whole queue, however late the generator got
+   round to sending it. *)
+let test_open_loop_counts_queueing () =
+  let n = 12 and rate_hz = 100_000. in
+  let p = Serve.pool ~backend:Serve.Forked ~workers:1 ~queue:n () in
+  let load, responses = Serve.run_open_loop p ~rate_hz ~n ~payload () in
+  Alcotest.(check int) "all served" n load.Serve.served;
+  Alcotest.(check int) "none rejected" 0 load.Serve.load_rejected;
+  let service_ms =
+    List.fold_left
+      (fun acc r ->
+        match r.Serve.result with
+        | Some r -> acc +. (r.Serve.r_service_us /. 1e3)
+        | None -> Alcotest.fail "request not served")
+      0. responses
+  in
+  let last_due_ms = float_of_int (n - 1) /. rate_hz *. 1e3 in
+  if load.Serve.lat_p99_ms < service_ms -. last_due_ms then
+    Alcotest.failf
+      "p99 %.2f ms is below the %.2f ms of service queued ahead of the \
+       last request"
+      load.Serve.lat_p99_ms (service_ms -. last_due_ms)
+
 (* ---- shared read-only AOT tcache ------------------------------------- *)
 
 let test_warm_batch_no_retranslation () =
@@ -317,6 +343,12 @@ let () =
           Alcotest.test_case "memory generations independent" `Quick
             test_memory_generations_independent;
           Alcotest.test_case "arena per instance" `Quick test_arena_per_instance;
+        ] );
+      (* before the domains test: no fork once a domain has run *)
+      ( "open-loop",
+        [
+          Alcotest.test_case "latency counts queueing" `Quick
+            test_open_loop_counts_queueing;
         ] );
       ( "determinism",
         [
