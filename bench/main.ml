@@ -350,12 +350,12 @@ let virtual_file = "BENCH_virtual.json"
    committed baseline at tolerance 0 (`ia32el-report --diff
    --fail-on-regression`). Wall-clock numbers live in BENCH_wallclock.json
    and are deliberately absent here. *)
-let virtual_report ~scale ~config () =
+let virtual_report ~scale () =
   let m = Obs.Metrics.make ~schema:"ia32el-virtual/1" in
   Obs.Metrics.section m "meta" [ ("scale", Obs.Metrics.Int scale) ];
   List.iter
     (fun w ->
-      let r = B.run_el ~config w ~scale in
+      let r = B.run_el w ~scale in
       let i n = Obs.Metrics.Int n in
       let fields =
         [ ("cycles", i r.B.cycles); ("exit_code", i r.B.exit_code) ]
@@ -638,34 +638,16 @@ let serve_rates ~min_time =
   end;
   (load, rate_hz, workers, hits, build_ms)
 
-let perf ~scale ~min_time ~config () =
+let perf ~scale ~min_time () =
   header "Wall-clock throughput of the simulator itself"
     "host-dependent; committed snapshot makes fast-path regressions visible\n\
      as ratios (pre-decoded core vs interpretive loop, decode cache on/off)";
+  let config = Ia32el.Config.default in
   let mach_pre = machine_rate ~scale ~min_time config in
-  (* fusion is a pure host-speed switch (virtual cycles are bit-identical
-     either way), so the fused-vs-unfused delta is a wall-clock ratio *)
-  let mach_unfused =
-    machine_rate ~scale ~min_time
-      { config with Ia32el.Config.enable_fusion = false }
-  in
   let mach_int =
     machine_rate ~scale ~min_time
       { config with Ia32el.Config.enable_predecode = false }
   in
-  (* macro-op fusion diagnostics from one representative run (host-side
-     counters, outside the metrics JSON by design) *)
-  (let r = B.run_el ~config Workloads.Spec_int.gzip ~scale in
-   match r.B.engine with
-   | Some e ->
-     let compiled, hits = Ipf.Exec.fusion_stats e.Ia32el.Engine.exec in
-     let names = Ipf.Exec.fuse_class_names in
-     Printf.printf "macro-op fusion             : %d pairs lowered; hits %s\n"
-       compiled
-       (String.concat ", "
-          (List.init (Array.length names) (fun i ->
-               Printf.sprintf "%s=%d" names.(i) hits.(i))))
-   | None -> ());
   let interp_cached = interp_rate ~scale ~min_time ~cache:true in
   let interp_uncached = interp_rate ~scale ~min_time ~cache:false in
   let el_s =
@@ -711,10 +693,6 @@ let perf ~scale ~min_time ~config () =
   let lock_factor = lock_s /. el_s in
   Printf.printf "machine core, pre-decoded   : %8.2f Mslots/s\n"
     (mach_pre /. 1e6);
-  Printf.printf "machine core, fusion off    : %8.2f Mslots/s\n"
-    (mach_unfused /. 1e6);
-  Printf.printf "  fused / unfused           : %8.2fx\n"
-    (mach_pre /. mach_unfused);
   Printf.printf "machine core, interpretive  : %8.2f Mslots/s\n"
     (mach_int /. 1e6);
   Printf.printf "  pre-decode speedup        : %8.2fx\n" mach_speedup;
@@ -788,11 +766,11 @@ let perf ~scale ~min_time ~config () =
   let report =
     Obj
       [
-        ("schema", Str "ia32el-wallclock/4");
+        ("schema", Str "ia32el-wallclock/5");
         ("scale", Int scale);
         ("host_dependent", Str "true");
-        (* measured once when the current fast-path generation landed
-           (hot counters + macro-op fusion), same host and methodology,
+        (* measured once before the hot-counter fast-path generation
+           landed, same host and methodology,
            for the before/after record; current-tree A/B ratios above
            are the live regression guard *)
         ( "pre_change_baseline",
@@ -826,8 +804,6 @@ let perf ~scale ~min_time ~config () =
           Obj
             [
               ("predecode_slots_per_s", Float mach_pre);
-              ("predecode_unfused_slots_per_s", Float mach_unfused);
-              ("fused_over_unfused", Float (mach_pre /. mach_unfused));
               ("interp_loop_slots_per_s", Float mach_int);
               ("speedup", Float mach_speedup);
             ] );
@@ -995,8 +971,6 @@ let () =
   let scale = ref 1 in
   let json = ref false in
   let min_time = ref 0.3 in
-  let no_fusion = ref false in
-  let no_hot_counters = ref false in
   let rec parse = function
     | "--scale" :: n :: rest ->
       scale := int_of_string n;
@@ -1007,25 +981,12 @@ let () =
     | "--min-time" :: t :: rest ->
       min_time := float_of_string t;
       parse rest
-    | "--no-fusion" :: rest ->
-      no_fusion := true;
-      parse rest
-    | "--no-hot-counters" :: rest ->
-      no_hot_counters := true;
-      parse rest
     | x :: rest -> x :: parse rest
     | [] -> []
   in
   let cmds = parse args in
   let scale = !scale in
   let min_time = !min_time in
-  let config =
-    {
-      Ia32el.Config.default with
-      Ia32el.Config.enable_fusion = not !no_fusion;
-      Ia32el.Config.enable_hot_counters = not !no_hot_counters;
-    }
-  in
   let all () =
     table1 ();
     fig5 ~scale ();
@@ -1052,8 +1013,8 @@ let () =
         | "stats" -> stats ~scale ()
         | "circuitry" -> circuitry ~scale ()
         | "ablations" -> ablations ~scale ()
-        | "perf" -> perf ~scale ~min_time ~config ()
-        | "virtual" -> virtual_report ~scale ~config ()
+        | "perf" -> perf ~scale ~min_time ()
+        | "virtual" -> virtual_report ~scale ()
         | "all" -> all ()
         | other -> Printf.eprintf "unknown command %S\n" other)
       cmds);

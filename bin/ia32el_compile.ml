@@ -32,16 +32,13 @@ let print_diags diags =
   List.iter (fun d -> Fmt.epr "tcache: %a@." Ia32el.Bt_error.pp d) diags
 
 let compile_cmd name scale tcache_file train train_payload no_predecode
-    no_decode_cache threads =
+    threads =
   let config =
     {
       Ia32el.Config.default with
       Ia32el.Config.enable_predecode =
         Ia32el.Config.default.Ia32el.Config.enable_predecode
         && not no_predecode;
-      Ia32el.Config.enable_decode_cache =
-        Ia32el.Config.default.Ia32el.Config.enable_decode_cache
-        && not no_decode_cache;
     }
   in
   match find_workload ~threads name with
@@ -156,15 +153,6 @@ let no_predecode_arg =
            pre-decoded core (must match the run's setting — the \
            configuration fingerprint enforces this).")
 
-let no_decode_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-decode-cache" ]
-        ~doc:
-          "Compile for a run without the reference interpreter's \
-           decoded-instruction cache (fingerprint-enforced, like \
-           $(b,--no-predecode)).")
-
 let threads_arg =
   Arg.(
     value
@@ -180,7 +168,6 @@ let main =
           translation cache.")
     Term.(
       const compile_cmd $ workload_arg $ scale_arg $ tcache_file_arg
-      $ train_arg $ train_payload_arg $ no_predecode_arg $ no_decode_cache_arg
-      $ threads_arg)
+      $ train_arg $ train_payload_arg $ no_predecode_arg $ threads_arg)
 
 let () = exit (Cmd.eval main)

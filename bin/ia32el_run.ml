@@ -370,9 +370,8 @@ let replay_cmd file =
 
 let run_cmd name model scale stats lockstep inject trace_file trace_stderr
     profile_top metrics_file sample_interval flame_file host_timers
-    no_predecode no_decode_cache no_fusion no_hot_counters threads quantum
-    max_cycles snap_every capsule replay sabotage tcache_file tcache_readonly
-    no_tcache_verify =
+    no_predecode threads quantum max_cycles snap_every capsule replay sabotage
+    tcache_file tcache_readonly no_tcache_verify =
   (match replay with
   | Some file -> replay_cmd file; exit 0
   | None -> ());
@@ -411,7 +410,7 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
       tc_no_verify = no_tcache_verify;
     }
   in
-  (* host-speed escape hatches; simulated results are bit-identical *)
+  (* host-speed escape hatch; simulated results are bit-identical *)
   let model =
     match model with
     | M_el (c, d) ->
@@ -420,12 +419,6 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
             c with
             Ia32el.Config.enable_predecode =
               c.Ia32el.Config.enable_predecode && not no_predecode;
-            Ia32el.Config.enable_decode_cache =
-              c.Ia32el.Config.enable_decode_cache && not no_decode_cache;
-            Ia32el.Config.enable_fusion =
-              c.Ia32el.Config.enable_fusion && not no_fusion;
-            Ia32el.Config.enable_hot_counters =
-              c.Ia32el.Config.enable_hot_counters && not no_hot_counters;
             Ia32el.Config.quantum =
               Option.value quantum ~default:c.Ia32el.Config.quantum;
           },
@@ -692,36 +685,6 @@ let no_predecode_arg =
            host-speed switch: simulated cycles and statistics are \
            bit-identical either way (escape hatch / A-B check).")
 
-let no_decode_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-decode-cache" ]
-        ~doc:
-          "Disable the reference interpreter's decoded-instruction cache \
-           (every step re-decodes from guest bytes). Purely a host-speed \
-           switch: results are bit-identical either way.")
-
-let no_fusion_arg =
-  Arg.(
-    value & flag
-    & info [ "no-fusion" ]
-        ~doc:
-          "Disable macro-op fusion in the pre-decoded machine core \
-           (every uop dispatches individually). Purely a host-speed \
-           switch: simulated cycles and statistics are bit-identical \
-           either way (escape hatch / A-B check).")
-
-let no_hot_counters_arg =
-  Arg.(
-    value & flag
-    & info [ "no-hot-counters" ]
-        ~doc:
-          "Profile cold blocks with the original per-block stub \
-           instrumentation instead of hash-indexed hot/edge counter \
-           pseudo-ops. A $(i,policy) switch: virtual cycles legitimately \
-           differ between the two settings, and warm caches / capsules \
-           recorded under one refuse to load under the other.")
-
 let threads_arg =
   Arg.(
     value
@@ -849,9 +812,7 @@ let run_t =
     const run_cmd $ workload_arg $ model_arg $ scale_arg $ stats_arg
     $ lockstep_arg $ inject_arg $ trace_arg $ trace_stderr_arg $ profile_arg
     $ metrics_arg $ sample_arg $ flame_arg $ host_timers_arg
-    $ no_predecode_arg $ no_decode_cache_arg $ no_fusion_arg
-    $ no_hot_counters_arg $ threads_arg
-    $ quantum_arg $ max_cycles_arg $ snapshot_every_arg $ capsule_arg
+    $ no_predecode_arg $ threads_arg $ quantum_arg $ max_cycles_arg $ snapshot_every_arg $ capsule_arg
     $ replay_arg $ sabotage_arg $ tcache_file_arg $ tcache_readonly_arg
     $ no_tcache_verify_arg)
 

@@ -42,16 +42,13 @@ let read_jobs_file path =
 
 let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
     tcache_readonly max_cycles requests payload jobs_file reject require_warm
-    check_standalone allow_failures out no_predecode no_decode_cache =
+    check_standalone allow_failures out no_predecode =
   let config =
     {
       Ia32el.Config.default with
       Ia32el.Config.enable_predecode =
         Ia32el.Config.default.Ia32el.Config.enable_predecode
         && not no_predecode;
-      Ia32el.Config.enable_decode_cache =
-        Ia32el.Config.default.Ia32el.Config.enable_decode_cache
-        && not no_decode_cache;
     }
   in
   let backend =
@@ -304,12 +301,6 @@ let no_predecode_arg =
     value & flag
     & info [ "no-predecode" ] ~doc:"Disable the pre-decoded fast path.")
 
-let no_decode_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-decode-cache" ]
-        ~doc:"Disable the reference interpreter's decode cache.")
-
 let main =
   Cmd.v
     (Cmd.info "ia32el-serve" ~version:"1.0.0"
@@ -320,7 +311,6 @@ let main =
       const serve_cmd $ workload_arg $ scale_arg $ workers_arg $ queue_arg
       $ backend_arg $ tcache_file_arg $ tcache_readonly_arg $ max_cycles_arg
       $ requests_arg $ payload_arg $ jobs_arg $ reject_arg $ require_warm_arg
-      $ check_standalone_arg $ allow_failures_arg $ out_arg $ no_predecode_arg
-      $ no_decode_cache_arg)
+      $ check_standalone_arg $ allow_failures_arg $ out_arg $ no_predecode_arg)
 
 let () = exit (Cmd.eval main)

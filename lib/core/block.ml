@@ -71,8 +71,6 @@ type t = {
   insns : (int * Ia32.Insn.insn) array;
   code_end : int; (* address after the last source instruction *)
   (* profile arena slots *)
-  ctr_addr : int; (* use counter *)
-  edge_addr : int; (* taken-edge counter *)
   ma_base : int; (* first per-access misalignment slot *)
   n_accesses : int;
   (* precise-exception metadata *)

@@ -51,9 +51,9 @@ type t = {
   mutable tlen : int;
   insns : (int * Ia32.Insn.insn) array;  (** source instructions *)
   code_end : int;  (** address after the last source instruction *)
-  ctr_addr : int;  (** profile arena: use counter *)
-  edge_addr : int;  (** taken-edge counter *)
-  ma_base : int;  (** first per-access misalignment slot *)
+  ma_base : int;
+      (** profile arena: first per-access misalignment slot (cold blocks;
+          hot blocks own no arena slots) *)
   n_accesses : int;
   entry_tos : int;  (** speculated x87 TOS at entry *)
   sse_entry : int array;  (** required XMM entry formats (-1 = none) *)

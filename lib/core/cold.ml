@@ -41,8 +41,7 @@ let fusable_consumer insns k =
     | _ -> None
 
 (* Build a cold-translation context over a Cgen buffer. *)
-let make_ctx env cg ~block_id ~entry_tos ~stage2 ~ma_base ~edge_addr ~edge_slot
-    ~is_cond =
+let make_ctx env cg ~block_id ~entry_tos ~stage2 ~ma_base ~edge_slot ~is_cond =
   let scratch = ref Regs.hot_pool_first in
   let fscratch = ref Regs.cold_fscratch_first in
   let pscratch = ref Regs.pr_scratch1 in
@@ -97,24 +96,11 @@ let make_ctx env cg ~block_id ~entry_tos ~stage2 ~ma_base ~edge_addr ~edge_slot
           stop ctx);
       goto_if =
         (fun ctx ~pr target ->
-          (* taken-edge counter, bumped under the taken predicate *)
-          (if is_cond && env.config.two_phase then
-             if env.config.enable_hot_counters then
-               (* one saturating counter slot, hashed from the block entry
-                  (the address the hot-phase profile queries for taken
-                  bias) *)
-               emitp ctx pr (I.Edgec edge_slot)
-             else begin
-               let t = imm ctx edge_addr in
-               stop ctx;
-               let v = ctx.fresh () in
-               emitp ctx pr (I.Ld (4, I.Ld_none, v, t));
-               stop ctx;
-               let v' = ctx.fresh () in
-               emitp ctx pr (I.Addi (v', 1, v));
-               stop ctx;
-               emitp ctx pr (I.St (4, t, v'))
-             end);
+          (* taken-edge counter, bumped under the taken predicate: one
+             saturating slot hashed from the block entry (the address the
+             hot-phase profile queries for taken bias) *)
+          if is_cond && env.config.two_phase then
+            emitp ctx pr (I.Edgec edge_slot);
           emit_fp_exit_update ~qp:pr ctx;
           emit_sse_exit_update ~qp:pr ctx;
           emitp ctx pr (I.Br (I.Out (I.Dispatch target)));
@@ -186,8 +172,6 @@ let translate env ~entry ~entry_tos ~stage2 =
   in
   let live_out = Discover.flags_liveness region in
   let id = Block.fresh_id env.cache in
-  let ctr_addr = Block.alloc_arena env.cache 2 in
-  let edge_addr = ctr_addr + 4 in
   let n_acc =
     Array.fold_left
       (fun a (_, i) -> a + List.length (Ia32.Insn.mem_refs i))
@@ -197,7 +181,7 @@ let translate env ~entry ~entry_tos ~stage2 =
   let is_cond = match bb.Discover.term with Discover.T_jcc _ -> true | _ -> false in
   let cg = Cgen.create () in
   let ctx, reset_scratch =
-    make_ctx env cg ~block_id:id ~entry_tos ~stage2 ~ma_base ~edge_addr
+    make_ctx env cg ~block_id:id ~entry_tos ~stage2 ~ma_base
       ~edge_slot:(Ipf.Machine.counter_slot entry) ~is_cond
   in
   let fp_recovery = Hashtbl.create 8 in
@@ -283,7 +267,7 @@ let translate env ~entry ~entry_tos ~stage2 =
   (* block head: entry checks + instrumentation, prepended *)
   let head = Cgen.create () in
   let hctx, _ = make_ctx env head ~block_id:id ~entry_tos ~stage2 ~ma_base
-      ~edge_addr ~edge_slot:(Ipf.Machine.counter_slot entry) ~is_cond in
+      ~edge_slot:(Ipf.Machine.counter_slot entry) ~is_cond in
   (* speculation checks use the body's accumulated requirements *)
   let hctx =
     { hctx with
@@ -311,33 +295,13 @@ let translate env ~entry ~entry_tos ~stage2 =
   (* use counter + heat trigger — also in interpret-first mode, where cold
      blocks exist only as fallbacks for failed hot translations and must
      still be able to re-heat *)
-  if env.config.two_phase then
-    if env.config.enable_hot_counters then begin
-      (* one saturating counter slot replaces the 9-slot load/add/store/
-         compare/branch stub: the Hotc uop bumps the hashed slot and
-         leaves with [Heat id] at the threshold *)
-      emit hctx
-        (I.Hotc
-           (Ipf.Machine.counter_slot entry, env.config.heat_threshold, id));
-      stop hctx
-    end
-    else begin
-      let t = imm hctx ctr_addr in
-      stop hctx;
-      let v = hctx.fresh () in
-      emit hctx (I.Ld (4, I.Ld_none, v, t));
-      stop hctx;
-      let v' = hctx.fresh () in
-      emit hctx (I.Addi (v', 1, v));
-      stop hctx;
-      emit hctx (I.St (4, t, v'));
-      let p_hot = hctx.pfresh () and p_cold = hctx.pfresh () in
-      emit hctx
-        (I.Cmpi (I.Ceq, I.Cnorm, p_hot, p_cold, env.config.heat_threshold, v'));
-      stop hctx;
-      emitp hctx p_hot (I.Br (I.Out (I.Heat id)));
-      stop hctx
-    end;
+  if env.config.two_phase then begin
+    (* one saturating counter slot: the Hotc uop bumps the hashed slot and
+       leaves with [Heat id] at the threshold *)
+    emit hctx
+      (I.Hotc (Ipf.Machine.counter_slot entry, env.config.heat_threshold, id));
+    stop hctx
+  end;
   Cgen.prepend cg head;
   let tstart, tlen, _tags = Cgen.lower cg env.tcache in
   let block =
@@ -349,8 +313,6 @@ let translate env ~entry ~entry_tos ~stage2 =
       tlen;
       insns;
       code_end = bb.Discover.next;
-      ctr_addr;
-      edge_addr;
       ma_base;
       n_accesses = n_acc;
       entry_tos;

@@ -60,23 +60,10 @@ type t = {
   enable_predecode : bool;
       (* run translated code through the pre-decoded direct-threaded core
          (Ipf.Exec) instead of the interpretive Machine.run loop; results
-         are bit-identical, this is purely a host-speed switch *)
-  enable_decode_cache : bool;
-      (* cache decoded IA-32 instructions per (eip, page generation) in
-         the reference interpreter *)
-  (* hot-path generation *)
-  enable_hot_counters : bool;
-      (* detect heat with single-slot saturating counter uops over a
-         hash-indexed array owned by the machine, instead of the original
-         load/add/store instrumentation stubs in guest memory. A policy
-         switch: the instrumentation itself gets cheaper, so virtual
-         cycles change. false = the original stub path (escape hatch) *)
-  enable_fusion : bool;
-      (* fuse recurring uop pairs (cmp+jcc, st/st, ld+op, op+st) into
-         single pre-decoded macro-ops in Ipf.Exec: one dispatch, one
-         trap-frame check, accounting replayed pair-exactly so every
-         observable — virtual cycles included — is bit-identical. A pure
-         host-speed switch like enable_predecode *)
+         are bit-identical, this is purely a host-speed switch. The engine
+         always caches decoded IA-32 instructions for the code it
+         interprets, and always detects heat with hash-indexed counter
+         uops (DESIGN.md §15) *)
   (* guest threads *)
   quantum : int;
       (* virtual cycles per scheduling slice; rescheduling happens only at
@@ -116,9 +103,6 @@ let default =
     smc_storm_window = 512;
     smc_storm_limit = 16;
     enable_predecode = true;
-    enable_decode_cache = true;
-    enable_hot_counters = true;
-    enable_fusion = true;
     quantum = 20_000;
   }
 

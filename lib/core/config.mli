@@ -67,21 +67,10 @@ type t = {
   enable_predecode : bool;
       (** run translated code through the pre-decoded direct-threaded core
           ({!Ipf.Exec}) instead of the interpretive [Machine.run] loop;
-          bit-identical results, purely a host-speed switch *)
-  enable_decode_cache : bool;
-      (** cache decoded IA-32 instructions per (eip, page generation) in
-          the reference interpreter *)
-  enable_hot_counters : bool;
-      (** detect heat with single-slot saturating counter uops over a
-          hash-indexed machine-owned table instead of the original
-          load/add/store instrumentation stubs. A policy switch: the
-          instrumentation gets cheaper, so virtual cycles change.
-          [false] = the original stub path (escape hatch) *)
-  enable_fusion : bool;
-      (** fuse recurring uop pairs into single pre-decoded macro-ops in
-          {!Ipf.Exec} with one dispatch each; accounting is replayed
-          pair-exactly, so this is a pure host-speed switch like
-          [enable_predecode] *)
+          bit-identical results, purely a host-speed switch. There is no
+          switch for the engine's IA-32 decode cache (always on) or its
+          heat detection (always the hash-indexed [Hotc]/[Edgec] counter
+          uops) *)
   quantum : int;
       (** virtual cycles per guest-thread scheduling slice; rescheduling
           happens only at syscall commit points, so preemption is

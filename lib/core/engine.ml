@@ -288,7 +288,6 @@ let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
       translate_filter = None;
     }
   in
-  Ipf.Exec.set_fusion t.exec config.Config.enable_fusion;
   (* Profile-arena traffic is translator instrumentation, not guest
      memory: keep it out of the dcache model so a block's cycles do not
      depend on which arena slots it was handed (required for installing
@@ -372,14 +371,11 @@ let flush_smc_pending t =
 
 let hot_profile t =
   let m = t.machine in
-  let hc = t.config.Config.enable_hot_counters in
   {
     Hot.use_count =
       (fun entry ->
         match Block.find_entry t.cache entry with
-        | Some b ->
-          if hc then m.M.hotc.(M.counter_slot entry)
-          else Ia32.Memory.read32 t.mem b.Block.ctr_addr
+        | Some _ -> m.M.hotc.(M.counter_slot entry)
         | None -> (
           match Hashtbl.find_opt t.if_counts entry with
           | Some r -> !r
@@ -387,9 +383,7 @@ let hot_profile t =
     Hot.taken_count =
       (fun entry ->
         match Block.find_entry t.cache entry with
-        | Some b ->
-          if hc then m.M.edgec.(M.counter_slot entry)
-          else Ia32.Memory.read32 t.mem b.Block.edge_addr
+        | Some _ -> m.M.edgec.(M.counter_slot entry)
         | None -> (
           match Hashtbl.find_opt t.if_taken entry with
           | Some r -> !r
@@ -883,10 +877,8 @@ let on_heat t id =
   match Block.find_by_id t.cache id with
   | None -> None
   | Some b ->
-    (* reset the counter so the trigger can fire again (the Hotc uop
-       already reset its hashed slot in the counter-table path) *)
-    if not t.config.Config.enable_hot_counters then
-      Ia32.Memory.write32 t.mem b.Block.ctr_addr 0;
+    (* the Hotc uop already reset its hashed slot, so the trigger can
+       fire again *)
     if b.Block.registered = 0 then
       t.acct.Account.heated_blocks <- t.acct.Account.heated_blocks + 1;
     b.Block.registered <- b.Block.registered + 1;
@@ -935,14 +927,12 @@ let reconstruct_at t block ~bundle =
 
 (* Interpret forward from [st] until leaving [lo,hi) or a fault/syscall, or
    at most [max_steps]. Returns the stop condition. *)
-(* Honour [enable_decode_cache] on any state the engine is about to drive
+(* Install the engine's decode cache on any state it is about to drive
    through the interpreter. Such states are fresh from [Reconstruct.extract],
    one per interpreted block; they all read [t.mem], so they share the
    engine's decode cache (entries validate against that memory's page
    generations) rather than each starting cold. *)
-let sync_icache t (st : Ia32.State.t) =
-  st.Ia32.State.icache <- t.icache;
-  Ia32.Icache.set_enabled t.icache t.config.Config.enable_decode_cache
+let sync_icache t (st : Ia32.State.t) = st.Ia32.State.icache <- t.icache
 
 let rollforward t st ~lo ~hi ~max_steps =
   (* the interpreter writes guest memory directly: clear [running_block] so
@@ -1295,24 +1285,19 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
         | None -> t.fuel
         | Some _ -> min t.fuel watchdog_chunk
       in
+      let exec () =
+        if t.config.Config.enable_predecode then Ipf.Exec.run ~fuel:mfuel t.exec
+        else M.run ~fuel:mfuel t.machine
+      in
       let stop =
         try
           match t.timers with
-          | None ->
-            if t.config.Config.enable_predecode then begin
-              Ipf.Exec.run ~fuel:mfuel t.exec
-            end
-            else M.run ~fuel:mfuel t.machine
-          | Some tm ->
-            Obs.Timers.time tm Obs.Timers.Execute (fun () ->
-                if t.config.Config.enable_predecode then
-                  Ipf.Exec.run ~fuel:mfuel t.exec
-                else M.run ~fuel:mfuel t.machine)
+          | None -> exec ()
+          | Some tm -> Obs.Timers.time tm Obs.Timers.Execute exec
         with Smc_abort ->
           (* self-modifying store: memory effect is committed; restart the
              current IA-32 instruction from its precise state *)
           let b = Option.get t.running_block in
-          t.acct.Account.smc_invalidations <- t.acct.Account.smc_invalidations + 0;
           let st = reconstruct_at t b ~bundle:t.machine.M.ip in
           flush_smc_pending t;
           Reconstruct.inject t.machine st;

@@ -688,7 +688,6 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
   if nsteps = 0 then raise Give_up;
   let live_out = flags_live_out config steps in
   let id = Block.fresh_id env.Cold.cache in
-  let ctr_addr = Block.alloc_arena env.Cold.cache 2 in
   let hs =
     {
       cur = [];
@@ -1307,9 +1306,7 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
       tlen;
       insns = Array.of_list (List.rev !src_insns);
       code_end;
-      ctr_addr;
-      edge_addr = ctr_addr + 4;
-      ma_base = ctr_addr;
+      ma_base = 0;
       n_accesses = 0;
       entry_tos;
       sse_entry = Array.copy ctx.xmm_entry;

@@ -18,7 +18,7 @@ module E = Ia32el.Engine
 module L = Ia32el.Lockstep
 module Memory = Ia32.Memory
 
-let magic = "IA32EL-CAPSULE/2"
+let magic = "IA32EL-CAPSULE/3"
 let log_cap = 65536
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
@@ -317,6 +317,14 @@ let load file =
       in
       let n = String.length magic in
       let header = try really_input_string ic n with End_of_file -> bad "" in
+      (* an older capsule version marshals a different [t]: refuse it
+         before [Marshal] runs *)
+      if String.starts_with ~prefix:"IA32EL-CAPSULE/" header && header <> magic
+      then
+        Ia32el.Bt_error.fail ~component:"capsule"
+          ~detail:(Printf.sprintf "file %S, build %S" header magic)
+          "capsule format version mismatch: recorded by an incompatible \
+           build, refusing to replay";
       if header <> magic then bad header;
       let c =
         try (Marshal.from_channel ic : t)

@@ -15,7 +15,7 @@
     time-travel anchor into the run's {!Obs.Trace} stream. *)
 
 val magic : string
-(** File format tag, ["IA32EL-CAPSULE/2"]: version 2 adds the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. *)
+(** File format tag, ["IA32EL-CAPSULE/3"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Version 3 marks the shrunken {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
 
 val log_cap : int
 (** Commit points retained in a capsule's log (the total count is kept
@@ -101,7 +101,8 @@ val save : string -> t -> unit
 
 val load : string -> t
 (** @raise Invalid_argument when the file is not a capsule.
-    @raise Ia32el.Bt_error.Error (component ["capsule"]) when the
+    @raise Ia32el.Bt_error.Error (component ["capsule"]) when the file
+    carries another capsule format version, or when the
     recorded configuration fingerprint does not match what this build
     computes for the same configuration — the capsule came from a build
     with different translation semantics and replaying it would not

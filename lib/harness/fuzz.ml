@@ -938,13 +938,13 @@ let pool_smc c =
   in
   [ block "smc" items ]
 
-(* Fusable-pair pool: back-to-back sequences the pre-decoded core's
-   macro-op fuser recognizes once lowered (cmp+jcc, test+jcc, push/push,
-   load+op, op+store), with the memory halves aimed at page-straddling
-   offsets and at SMC patch targets. Fusion must be observation-free, so
-   the differential harness catches any pair whose fused dispatch
-   diverges from slot-at-a-time execution — faulting second halves and
-   pairs invalidated mid-flight included. *)
+(* Adjacent-pair pool (named "fusion" for the macro-op fuser it once
+   stressed; kept byte-stable because its programs make up fixed corpora):
+   back-to-back cmp+jcc, test+jcc, st+st (push/push), ld+op and op+st
+   sequences, with the memory halves aimed at page-straddling offsets and
+   at SMC patch targets. Plain differential cases: the lockstep harness
+   checks each against the reference interpreter — faulting second halves
+   and pairs rewritten mid-flight included. *)
 let pool_fusion c =
   let rng = c.rng in
   let pair _ =
@@ -1000,8 +1000,8 @@ let pool_fusion c =
                R (Rng.choose rng sregs) ));
       ]
     | _ ->
-      (* SMC aimed at the second half of a candidate pair: the patch
-         invalidates the partner bundle after the head was examined *)
+      (* SMC aimed at the second half of a cmp+mov pair: the patch
+         rewrites the mov's immediate, invalidating its translation *)
       let lab = fresh_label c "fusmc" in
       [
         fi (Alu (Cmp, S32, R (Rng.choose rng wregs), I 1));

@@ -34,28 +34,6 @@ let enc = function
   | Insn.Rbr b -> 320 + b
   | Insn.Rmem -> 328
 
-(* A fused macro-op overlaid on the FIRST slot of a recognized pair:
-   [frun] executes and accounts both halves with one step-loop dispatch,
-   replaying the exact per-uop sequence (account / run / commit / retire /
-   advance, including the intra-pair RAW split, the padding nops between
-   the halves and every stop-bit flush) so every simulated observable —
-   cycles included — is bit-identical to unfused execution. Returns
-   0 = keep stepping (falls, jumps and the second half's branch penalties
-   are already applied), 1 = left the cache with [fexit].
-
-   A pair may span a bundle boundary (generated code rarely packs a
-   dependent pair into one bundle — stops end bundles): [fnext]/[fstamp]
-   then pin the partner bundle's tcache stamp, and the step loop refuses
-   the fused path the moment the partner is rewritten (chain patching,
-   SMC invalidation), falling back to slot-by-slot dispatch. *)
-type fused = {
-  frun : unit -> int;
-  fexit : Insn.exit_reason option;
-  fneed : int; (* fuel units the pair consumes (1 per slot spanned) *)
-  fnext : int; (* partner bundle index if the pair crosses bundles, -1 *)
-  fstamp : int; (* partner's stamp at fuse time *)
-}
-
 (* One pre-decoded slot. [run] executes the semantic action and encodes
    control flow as an int — no [flow] variant to allocate:
    -1 = fall through, -2 = leave the cache ([exit_] has the reason),
@@ -77,10 +55,6 @@ type uop = {
          ready cycles, so the source-scan skips predicates/memory *)
   writes : int array;
   exit_ : Insn.exit_reason option; (* reason when [run] returns -2 *)
-  mutable fuse : fused option;
-      (* set when this slot heads a fusable pair *)
-  mutable fuse_done : bool;
-      (* pairing already examined (or fusion off): skip re-examination *)
 }
 
 type dbundle = {
@@ -109,19 +83,7 @@ type t = {
   mutable gsrcs : int;
   mutable gextra : int;
   mutable stall_before : int;
-  (* macro-op fusion (Config.enable_fusion, plumbed in by the engine).
-     Stats are host-side diagnostics — they intentionally live outside
-     the metrics JSON, which must stay bit-identical across execution
-     cores that cannot fuse at all. *)
-  mutable fusion : bool;
-  mutable fuse_compiled : int; (* pairs recognized *)
-  fuse_hits : int array; (* dynamic fused-pair executions per class *)
 }
-
-(* Fusion pair classes, indexing [fuse_hits]. *)
-let fuse_class_names = [| "cmp+jcc"; "test+jcc"; "st+st"; "ld+op"; "op+st" |]
-
-let set_fusion t on = t.fusion <- on
 
 let empty_dbundle = { uops = [||]; stops = [||]; nrun = [||] }
 
@@ -140,9 +102,6 @@ let create m =
     gsrcs = 0;
     gextra = 0;
     stall_before = 0;
-    fusion = false;
-    fuse_compiled = 0;
-    fuse_hits = Array.make (Array.length fuse_class_names) 0;
   }
 
 (* ---- lowering ---------------------------------------------------------- *)
@@ -788,8 +747,6 @@ let compile_uop m (insn : Insn.t) =
         Some r
       | Insn.Hotc (_, _, id) -> Some (Insn.Heat id)
       | _ -> None);
-    fuse = None;
-    fuse_done = false;
   }
 
 let compile_bundle m (b : Bundle.t) =
@@ -891,44 +848,6 @@ let[@inline] commit_timing t u =
     t.wlat.(rid) <- u.latency
   done
 
-(* ---- macro-op fusion ---------------------------------------------------- *)
-
-(* Fusion legality (DESIGN.md §15). A pair fuses only when:
-   - the first op is unpredicated and can neither branch nor leave the
-     cache (its [run] always falls through; it may still fault — the raise
-     unwinds before the pair advances, so fault ip/slot are exact);
-   - the pair spans fall-through only: within one bundle, or into the
-     first real slot of the NEXT bundle, whose tcache stamp is pinned
-     ([fstamp]) so chain patching and SMC invalidation drop the overlay;
-     heads never branch, so a pair cannot straddle a block's exit;
-   - neither bundle is under an IPF_WATCH watchpoint (the debug hook
-     prints between dispatches, which fusion would elide).
-   The second op may be predicated, branch, exit or fault: [frun] replays
-   its full dispatch sequence with the machine ip/slot already advanced
-   past the first half, so every outcome is bit-identical. *)
-
-let is_alu_sem = function
-  | Insn.Add _ | Insn.Sub _ | Insn.Addi _ | Insn.Subi _ | Insn.And _
-  | Insn.Or _ | Insn.Xor _ | Insn.Andcm _ | Insn.Andi _ | Insn.Ori _
-  | Insn.Xori _ | Insn.Shl _ | Insn.Shli _ | Insn.Shru _ | Insn.Shrui _
-  | Insn.Shrs _ | Insn.Shrsi _ | Insn.Dep _ | Insn.Depz _ | Insn.Extr _
-  | Insn.Extru _ | Insn.Sxt _ | Insn.Zxt _ | Insn.Mov _ | Insn.Movi _
-  | Insn.Mix _ | Insn.Popcnt _ ->
-    true
-  | _ -> false
-
-(* Class index into [fuse_hits] / [fuse_class_names], or -1. *)
-let fuse_class (i1 : Insn.t) (i2 : Insn.t) =
-  if i1.Insn.qp <> None then -1
-  else
-    match (i1.Insn.sem, i2.Insn.sem) with
-    | (Insn.Cmp _ | Insn.Cmpi _), Insn.Br _ -> 0
-    | Insn.Tbit _, Insn.Br _ -> 1
-    | (Insn.St _ | Insn.Stf _), (Insn.St _ | Insn.Stf _) -> 2
-    | (Insn.Ld _ | Insn.Ldf _), s2 when is_alu_sem s2 -> 3
-    | s1, (Insn.St _ | Insn.Stf _) when is_alu_sem s1 -> 4
-    | _ -> -1
-
 (* Validated lookup: one stamp compare on the hit path; a miss lowers the
    bundle and records the stamp (out-of-range indices raise through
    [Tcache.get], exactly like the interpretive loop). *)
@@ -940,136 +859,9 @@ let dbundle_at t i =
     let b = Tcache.get t.tc i in
     ensure t i;
     let db = compile_bundle t.m b in
-    if not t.fusion then
-      Array.iter (fun u -> u.fuse_done <- true) db.uops;
     t.dec.(i) <- db;
     t.dstamp.(i) <- s;
     db
-  end
-
-(* Build the fused closure for a recognized pair. The body is the step
-   loop's per-uop sequence inlined — first half, padding-nop bridge,
-   second half — minus the intermediate dispatches. [bridge] packs each
-   padding slot as [weight*2 lor stop]. *)
-let fuse_pair t u1 u2 ~bridge ~stop1 ~stop2 ~fneed ~fnext ~fstamp k =
-  let m = t.m in
-  let stats = m.M.stats in
-  let frun () =
-    (* first half: unpredicated, never branches, never exits *)
-    account t u1;
-    let r1 = u1.run () in
-    ignore r1;
-    commit_timing t u1;
-    stats.M.slots_retired <- stats.M.slots_retired + 1;
-    advance_slot t stop1;
-    t.fuse_hits.(k) <- t.fuse_hits.(k) + 1;
-    (* padding nops between the halves: weight and stop flushes only *)
-    for x = 0 to Array.length bridge - 1 do
-      let ws = Array.unsafe_get bridge x in
-      t.gweight <- t.gweight + (ws lsr 1);
-      advance_slot t (ws land 1 = 1)
-    done;
-    (* second half: full dispatch sequence *)
-    if u2.spec_check then stats.M.spec_checks <- stats.M.spec_checks + 1;
-    let enabled = u2.qp < 0 || pget m u2.qp in
-    account t u2;
-    if not enabled then begin
-      commit_timing t u2;
-      if u2.nonnop then stats.M.slots_retired <- stats.M.slots_retired + 1;
-      advance_slot t stop2;
-      0
-    end
-    else
-      match u2.run () with
-      | -1 ->
-        commit_timing t u2;
-        if u2.nonnop then stats.M.slots_retired <- stats.M.slots_retired + 1;
-        advance_slot t stop2;
-        0
-      | -2 ->
-        commit_timing t u2;
-        stats.M.slots_retired <- stats.M.slots_retired + 1;
-        flush_group t;
-        m.M.last_exit <- (m.M.ip, m.M.slot);
-        advance_slot t stop2;
-        1
-      | n ->
-        commit_timing t u2;
-        stats.M.slots_retired <- stats.M.slots_retired + 1;
-        flush_group t;
-        M.charge m m.M.cost.Cost.taken_branch_penalty;
-        if u2.is_br_ind then M.charge m m.M.cost.Cost.indirect_branch_penalty;
-        m.M.ip <- n;
-        m.M.slot <- 0;
-        0
-  in
-  { frun; fexit = u2.exit_; fneed; fnext; fstamp }
-
-(* First non-nop slot of [db] at or after [s], or -1. *)
-let rec first_real (db : dbundle) s =
-  if s >= Array.length db.uops then -1
-  else if db.uops.(s).fast_nop then first_real db (s + 1)
-  else s
-
-let pack_bridge (db1 : dbundle) s1 e1 (db2 : dbundle) e2 =
-  Array.init
-    (e1 - s1 + e2)
-    (fun x ->
-      let u, stp =
-        if x < e1 - s1 then (db1.uops.(s1 + x), db1.stops.(s1 + x))
-        else (db2.uops.(x - (e1 - s1)), db2.stops.(x - (e1 - s1)))
-      in
-      (u.weight * 2) lor Bool.to_int stp)
-
-(* Examine the pair headed by the uop the step loop is about to dispatch
-   (bundle [ip], slot [m.slot]) and overlay a fused macro-op if legal.
-   Runs once per uop — [fuse_done] — the first time it is dispatched, so
-   partner bundles are lowered on demand without recursive lowering. *)
-let try_fuse t ip (db : dbundle) u1 =
-  u1.fuse_done <- true;
-  let m = t.m in
-  let s1 = m.M.slot in
-  let watched b = match m.M.watch with Some (w, _) -> w = b | None -> false in
-  if not (watched ip) then begin
-    let i1 = (Tcache.get t.tc ip).Bundle.slots.(s1) in
-    match first_real db (s1 + 1) with
-    | k2 when k2 >= 0 ->
-      (* partner inside the same bundle *)
-      let i2 = (Tcache.get t.tc ip).Bundle.slots.(k2) in
-      let k = fuse_class i1 i2 in
-      if k >= 0 then begin
-        let bridge = pack_bridge db (s1 + 1) k2 db 0 in
-        u1.fuse <-
-          Some
-            (fuse_pair t u1 db.uops.(k2) ~bridge ~stop1:db.stops.(s1)
-               ~stop2:db.stops.(k2)
-               ~fneed:(k2 - s1 + 1)
-               ~fnext:(-1) ~fstamp:0 k);
-        t.fuse_compiled <- t.fuse_compiled + 1
-      end
-    | _ ->
-      (* the rest of this bundle is padding: try the next bundle's first
-         real op, pinning its stamp *)
-      let j = ip + 1 in
-      if j < Tcache.length t.tc && not (watched j) then begin
-        let db2 = dbundle_at t j in
-        match first_real db2 0 with
-        | k2 when k2 >= 0 -> (
-          let i2 = (Tcache.get t.tc j).Bundle.slots.(k2) in
-          let k = fuse_class i1 i2 in
-          if k >= 0 then begin
-            let nslots = Array.length db.uops in
-            let bridge = pack_bridge db (s1 + 1) nslots db2 k2 in
-            u1.fuse <-
-              Some
-                (fuse_pair t u1 db2.uops.(k2) ~bridge ~stop1:db.stops.(s1)
-                   ~stop2:db2.stops.(k2)
-                   ~fneed:(nslots - s1 + k2 + 1)
-                   ~fnext:j ~fstamp:(Tcache.stamp t.tc j) k);
-            t.fuse_compiled <- t.fuse_compiled + 1
-          end)
-        | _ -> ()
-      end
   end
 
 let run ?(fuel = max_int) t =
@@ -1136,61 +928,40 @@ let run ?(fuel = max_int) t =
         step cur_ip db
       end
       else begin
-        (* drop a fused pair whose partner bundle was rewritten since the
-           pair was built; re-examination happens just below *)
-        (match u.fuse with
-        | Some f when f.fnext >= 0 && Tcache.stamp t.tc f.fnext <> f.fstamp
-          ->
-          u.fuse <- None;
-          u.fuse_done <- false
-        | _ -> ());
-        if (not u.fuse_done) && t.fusion then try_fuse t m.M.ip db u;
-        match u.fuse with
-        | Some f when !fuel_left >= f.fneed ->
-          (* fused pair: one dispatch for both halves. Requires the whole
-             span's fuel so a fuel stop inside the pair (which the unfused
-             loop could take) stays reachable bit-identically *)
-          fuel_left := !fuel_left - f.fneed;
-          if f.frun () = 0 then step cur_ip db
-          else
-            M.Exited
-              (match f.fexit with Some r -> r | None -> assert false)
-        | _ -> begin
-      decr fuel_left;
-      if u.spec_check then stats.M.spec_checks <- stats.M.spec_checks + 1;
-      let enabled = u.qp < 0 || pget m u.qp in
-      account t u;
-      if not enabled then begin
-        commit_timing t u;
-        if u.nonnop then stats.M.slots_retired <- stats.M.slots_retired + 1;
-        advance_slot t stop_after;
-        step cur_ip db
-      end
-      else
-        match u.run () with
-        | -1 ->
+        decr fuel_left;
+        if u.spec_check then stats.M.spec_checks <- stats.M.spec_checks + 1;
+        let enabled = u.qp < 0 || pget m u.qp in
+        account t u;
+        if not enabled then begin
           commit_timing t u;
           if u.nonnop then stats.M.slots_retired <- stats.M.slots_retired + 1;
           advance_slot t stop_after;
           step cur_ip db
-        | -2 ->
-          commit_timing t u;
-          stats.M.slots_retired <- stats.M.slots_retired + 1;
-          flush_group t;
-          m.M.last_exit <- (m.M.ip, m.M.slot);
-          (* advance past the exit so a resume continues after it *)
-          advance_slot t stop_after;
-          M.Exited (match u.exit_ with Some r -> r | None -> assert false)
-        | n ->
-          commit_timing t u;
-          stats.M.slots_retired <- stats.M.slots_retired + 1;
-          flush_group t;
-          M.charge m m.M.cost.Cost.taken_branch_penalty;
-          if u.is_br_ind then M.charge m m.M.cost.Cost.indirect_branch_penalty;
-          m.M.ip <- n;
-          m.M.slot <- 0;
-          step cur_ip db
         end
+        else
+          match u.run () with
+          | -1 ->
+            commit_timing t u;
+            if u.nonnop then stats.M.slots_retired <- stats.M.slots_retired + 1;
+            advance_slot t stop_after;
+            step cur_ip db
+          | -2 ->
+            commit_timing t u;
+            stats.M.slots_retired <- stats.M.slots_retired + 1;
+            flush_group t;
+            m.M.last_exit <- (m.M.ip, m.M.slot);
+            (* advance past the exit so a resume continues after it *)
+            advance_slot t stop_after;
+            M.Exited (match u.exit_ with Some r -> r | None -> assert false)
+          | n ->
+            commit_timing t u;
+            stats.M.slots_retired <- stats.M.slots_retired + 1;
+            flush_group t;
+            M.charge m m.M.cost.Cost.taken_branch_penalty;
+            if u.is_br_ind then M.charge m m.M.cost.Cost.indirect_branch_penalty;
+            m.M.ip <- n;
+            m.M.slot <- 0;
+            step cur_ip db
       end
     end
   in
@@ -1209,9 +980,3 @@ let cached_bundles t =
     if t.dstamp.(i) <> 0 then incr n
   done;
   !n
-
-(* Host-side fusion diagnostics: (pairs recognized at lowering, dynamic
-   executions per class — see [fuse_class_names]). Deliberately NOT part
-   of the metrics JSON: the interpretive core cannot fuse, and metrics
-   must stay bit-identical across execution cores. *)
-let fusion_stats t = (t.fuse_compiled, Array.copy t.fuse_hits)

@@ -19,23 +19,6 @@ val create : Machine.t -> t
 (** Attach a pre-decode cache to a machine. The machine (and its tcache)
     stay the single source of truth; [t] only holds derived state. *)
 
-val set_fusion : t -> bool -> unit
-(** Enable macro-op fusion ([Config.enable_fusion]): recognized uop pairs
-    (cmp+jcc, test+jcc, st+st, ld+op, op+st) lower into single macro-ops
-    with one dispatch. Accounting is replayed pair-exactly, so every
-    simulated observable stays bit-identical; this is purely a host-speed
-    switch. Takes effect for bundles lowered after the call (the engine
-    sets it before any execution). *)
-
-val fuse_class_names : string array
-(** Names of the fusion pair classes, indexing the second component of
-    {!fusion_stats}. *)
-
-val fusion_stats : t -> int * int array
-(** [(pairs recognized at lowering, dynamic fused executions per class)].
-    Host-side diagnostics only — deliberately excluded from the metrics
-    JSON, which must stay bit-identical across execution cores. *)
-
 val run : ?fuel:int -> t -> Machine.stop
 (** Execute from the machine's current [ip] until an exit branch leaves
     the translation cache, a fault is raised, or [fuel] slots are spent.

@@ -642,8 +642,7 @@ let exec_sem m insn =
   | Hotc (s, threshold, id) ->
     let c = m.hotc.(s) + 1 in
     if c >= threshold then begin
-      (* reset the slot before leaving, like the stub path resets the
-         arena counter at heat time, so a re-dispatch restarts cold *)
+      (* reset the slot before leaving, so a re-dispatch restarts cold *)
       m.hotc.(s) <- 0;
       m.stats.taken_branches <- m.stats.taken_branches + 1;
       Leave (Heat id)

@@ -14,7 +14,7 @@ module B = Ia32el.Block
 module A = Ia32el.Account
 module Err = Ia32el.Bt_error
 
-let format_version = 1
+let format_version = 2
 
 (* ---- checksums and fingerprints ---------------------------------------- *)
 
@@ -436,13 +436,10 @@ let phase_code = function Obs.Trace.Cold -> 0 | Obs.Trace.Hot -> 1
    the source span in a matched run; a mismatched run virtually always
    diverges here first. *)
 let profile_seeds (eng : E.t) entry =
-  let hc = eng.E.config.Ia32el.Config.enable_hot_counters in
   let m = eng.E.machine in
   let use =
     match B.find_entry eng.E.cache entry with
-    | Some b ->
-      if hc then m.Ipf.Machine.hotc.(Ipf.Machine.counter_slot entry)
-      else Ia32.Memory.read32 eng.E.mem b.B.ctr_addr
+    | Some _ -> m.Ipf.Machine.hotc.(Ipf.Machine.counter_slot entry)
     | None -> (
       match Hashtbl.find_opt eng.E.if_counts entry with
       | Some r -> !r
@@ -450,9 +447,7 @@ let profile_seeds (eng : E.t) entry =
   in
   let taken =
     match B.find_entry eng.E.cache entry with
-    | Some b ->
-      if hc then m.Ipf.Machine.edgec.(Ipf.Machine.counter_slot entry)
-      else Ia32.Memory.read32 eng.E.mem b.B.edge_addr
+    | Some _ -> m.Ipf.Machine.edgec.(Ipf.Machine.counter_slot entry)
     | None -> (
       match Hashtbl.find_opt eng.E.if_taken entry with
       | Some r -> !r
@@ -461,13 +456,11 @@ let profile_seeds (eng : E.t) entry =
   (use, taken)
 
 (* Profile-arena byte ranges a block's instrumentation occupies, from the
-   translators' allocation discipline: cold allocates (ctr, edge) then
-   the per-access misalignment slots; hot allocates one (ctr, edge) pair
-   and aliases ma_base to it. *)
+   translators' allocation discipline: cold allocates its per-access
+   misalignment slots; hot allocates nothing. *)
 let arena_ranges (b : B.t) =
-  if b.B.kind = B.Cold then
-    [ (b.B.ctr_addr, 8); (b.B.ma_base, 4 * max 1 b.B.n_accesses) ]
-  else [ (b.B.ctr_addr, 8) ]
+  if b.B.kind = B.Cold then [ (b.B.ma_base, 4 * max 1 b.B.n_accesses) ]
+  else []
 
 (* Semantic validation: would the live translator reproduce this entry
    here? Any mismatch is a reject — the caller falls back to live

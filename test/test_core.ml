@@ -879,39 +879,26 @@ let mechanism_tests =
           @ epilogue
         in
         let image = Asm.build ~code ~data:dump_space () in
-        (* both counter schemes must see the loop block run ~50 times:
-           the hashed machine table when hot counters are on, the arena
-           word through the original stub path when off *)
-        List.iter
-          (fun hc ->
-            let mem = Memory.create () in
-            let st = Asm.load image mem in
-            let eng =
-              Engine.create
-                ~config:
-                  { Config.default with
-                    Config.heat_threshold = 1000;
-                    Config.enable_hot_counters = hc }
-                ~btlib:(module Btlib.Linuxsim) mem
-            in
-            (match Engine.run ~fuel:10_000_000 eng st with
-            | Engine.Exited (0, _) -> ()
-            | _ -> Alcotest.fail "exit");
-            (* find the loop block's counter: it ran 50 times *)
-            let found = ref false in
-            Hashtbl.iter
-              (fun _ b ->
-                let c =
-                  if hc then
-                    eng.Engine.machine.Ipf.Machine.hotc.(Ipf.Machine
-                                                         .counter_slot
-                                                           b.Block.entry)
-                  else Memory.read32 mem b.Block.ctr_addr
-                in
-                if c >= 49 then found := true)
-              eng.Engine.cache.Block.by_id;
-            check bool "a block executed ~50 times" true !found)
-          [ true; false ]);
+        (* the hashed machine table must see the loop block run ~50 times *)
+        let mem = Memory.create () in
+        let st = Asm.load image mem in
+        let eng =
+          Engine.create
+            ~config:{ Config.default with Config.heat_threshold = 1000 }
+            ~btlib:(module Btlib.Linuxsim) mem
+        in
+        (match Engine.run ~fuel:10_000_000 eng st with
+        | Engine.Exited (0, _) -> ()
+        | _ -> Alcotest.fail "exit");
+        (* find the loop block's counter: it ran 50 times *)
+        let hotc = eng.Engine.machine.Ipf.Machine.hotc in
+        let found = ref false in
+        Hashtbl.iter
+          (fun _ b ->
+            if hotc.(Ipf.Machine.counter_slot b.Block.entry) >= 49 then
+              found := true)
+          eng.Engine.cache.Block.by_id;
+        check bool "a block executed ~50 times" true !found);
     Alcotest.test_case "heat trigger fires and registers" `Quick (fun () ->
         let code =
           [ label "start";
@@ -980,7 +967,7 @@ let mechanism_tests =
         let la = List.assoc "loop" image.Asm.labels
         and da = List.assoc "dead" image.Asm.labels in
         check bool "constructed a slot collision" true (slot la = slot da);
-        let run (pre, dc) =
+        let run pre =
           let mem = Memory.create () in
           let st = Asm.load image mem in
           let eng =
@@ -988,9 +975,7 @@ let mechanism_tests =
               ~config:
                 { Config.default with
                   Config.heat_threshold = 40;
-                  Config.enable_hot_counters = true;
-                  Config.enable_predecode = pre;
-                  Config.enable_decode_cache = dc }
+                  Config.enable_predecode = pre }
               ~btlib:(module Btlib.Linuxsim) mem
           in
           (match Engine.run ~fuel:10_000_000 eng st with
@@ -1009,21 +994,17 @@ let mechanism_tests =
             Array.copy eng.Engine.machine.Ipf.Machine.hotc,
             Array.copy eng.Engine.machine.Ipf.Machine.edgec )
         in
-        (* counters are virtual-clock state: bit-identical across the
-           predecode x decode-cache matrix *)
-        let base = run (true, true) in
-        List.iter
-          (fun cfg ->
-            check bool "matrix counters identical" true (run cfg = base))
-          [ (true, false); (false, true); (false, false) ]);
+        (* counters are virtual-clock state: bit-identical with and
+           without predecode *)
+        check bool "predecode counters identical" true (run false = run true));
     Alcotest.test_case "edge counters saturate at the ceiling" `Quick
       (fun () ->
         (* Instrumentation lives only in cold translations, so keep the
            block cold (threshold above the trip count): 70k taken
            back-edges then push the edge counter past its 0xFFFF ceiling
            and it must pin there, not wrap, while the hot counter keeps
-           the exact execution count. Deterministic across the same
-           config matrix. *)
+           the exact execution count. Deterministic with and without
+           predecode. *)
         let code =
           [ label "start";
             a32 (Mov (S32, R Eax, I 0));
@@ -1037,7 +1018,7 @@ let mechanism_tests =
         let image = Asm.build ~code ~data:dump_space () in
         let la = List.assoc "loop" image.Asm.labels in
         let s = Ipf.Machine.counter_slot la in
-        let run (pre, dc) =
+        let run pre =
           let mem = Memory.create () in
           let st = Asm.load image mem in
           let eng =
@@ -1045,9 +1026,7 @@ let mechanism_tests =
               ~config:
                 { Config.default with
                   Config.heat_threshold = 100_000;
-                  Config.enable_hot_counters = true;
-                  Config.enable_predecode = pre;
-                  Config.enable_decode_cache = dc }
+                  Config.enable_predecode = pre }
               ~btlib:(module Btlib.Linuxsim) mem
           in
           (match Engine.run ~fuel:20_000_000 eng st with
@@ -1064,11 +1043,7 @@ let mechanism_tests =
             Array.copy m.Ipf.Machine.hotc,
             Array.copy m.Ipf.Machine.edgec )
         in
-        let base = run (true, true) in
-        List.iter
-          (fun cfg ->
-            check bool "matrix counters identical" true (run cfg = base))
-          [ (true, false); (false, true); (false, false) ]);
+        check bool "predecode counters identical" true (run false = run true));
     Alcotest.test_case "misalignment stages: detect then avoid" `Quick (fun () ->
         let code =
           [ label "start";

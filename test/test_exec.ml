@@ -1,10 +1,11 @@
 (* Direct-threaded execution core tests.
 
-   The pre-decoded machine core ({!Ipf.Exec}) and the interpreter's
-   decode cache ({!Ia32.Icache}) are host-speed switches: every simulated
-   observable — cycle counts, bucket splits, the full metrics snapshot —
-   must be bit-identical with them on or off. These tests pin that, the
-   SMC behaviour of the decode cache, and the allocation budget of both
+   The pre-decoded machine core ({!Ipf.Exec}) is a host-speed switch:
+   every simulated observable — cycle counts, bucket splits, the full
+   metrics snapshot — must be bit-identical with it on or off, against
+   the interpretive [Machine.run] reference. These tests pin that, the
+   SMC behaviour of the interpreter's decode cache ({!Ia32.Icache},
+   against the uncached interpreter), and the allocation budget of both
    inner loops (the direct-threaded design only pays off if the hot paths
    stay off the minor heap). *)
 
@@ -17,12 +18,7 @@ let check = Alcotest.check
 let checki = check Alcotest.int
 let checks = check Alcotest.string
 
-let cfg ~pre ~dc =
-  {
-    Ia32el.Config.default with
-    Ia32el.Config.enable_predecode = pre;
-    Ia32el.Config.enable_decode_cache = dc;
-  }
+let cfg ~pre = { Ia32el.Config.default with Ia32el.Config.enable_predecode = pre }
 
 (* One workload run reduced to everything observable: final cycle count,
    the bucket distribution, and the whole metrics JSON. *)
@@ -53,26 +49,21 @@ let test_workload_determinism () =
     (fun w ->
       let name = w.Workloads.Common.name in
       let base_cycles, base_dist, base_metrics =
-        observables (cfg ~pre:true ~dc:true) w
+        observables (cfg ~pre:true) w
       in
-      List.iter
-        (fun (pre, dc) ->
-          let c, d, m = observables (cfg ~pre ~dc) w in
-          let tag =
-            Printf.sprintf "%s pre=%b dc=%b" name pre dc
-          in
-          checki (tag ^ " cycles") base_cycles c;
-          checks (tag ^ " distribution") base_dist d;
-          checks (tag ^ " metrics") base_metrics m)
-        [ (true, false); (false, true); (false, false) ])
+      let c, d, m = observables (cfg ~pre:false) w in
+      let tag = name ^ " pre=false" in
+      checki (tag ^ " cycles") base_cycles c;
+      checks (tag ^ " distribution") base_dist d;
+      checks (tag ^ " metrics") base_metrics m)
     ws
 
 (* Run the same workload twice under the same config: the metrics snapshot
    itself must be reproducible (guards hidden wall-clock or hash-order
    nondeterminism in anything [metrics] reports). *)
 let test_repeat_determinism () =
-  let a = observables (cfg ~pre:true ~dc:true) Workloads.Spec_int.gzip in
-  let b = observables (cfg ~pre:true ~dc:true) Workloads.Spec_int.gzip in
+  let a = observables (cfg ~pre:true) Workloads.Spec_int.gzip in
+  let b = observables (cfg ~pre:true) Workloads.Spec_int.gzip in
   checks "repeat run metrics"
     (let _, _, m = a in m)
     (let _, _, m = b in m)
@@ -80,8 +71,8 @@ let test_repeat_determinism () =
 (* ---------------- determinism: fuzz corpus ---------------- *)
 
 (* A small generated corpus (including SMC patch atoms) through lockstep
-   under all four switch settings: same result class, no divergence, and
-   the engine-side metrics bit-identical across settings. *)
+   with predecode on and off: same result class, no divergence, and the
+   engine-side metrics bit-identical across both. *)
 let test_fuzz_determinism () =
   let rng = F.Rng.create 0x5eed in
   for seed = 1 to 12 do
@@ -104,17 +95,14 @@ let test_fuzz_determinism () =
       in
       (cls, metrics)
     in
-    let base_cls, base_metrics = run (cfg ~pre:true ~dc:true) in
+    let base_cls, base_metrics = run (cfg ~pre:true) in
     (match String.index_opt base_cls 'D' with
     | Some 0 -> Alcotest.failf "seed %d diverged: %s" seed base_cls
     | _ -> ());
-    List.iter
-      (fun (pre, dc) ->
-        let cls, metrics = run (cfg ~pre ~dc) in
-        let tag = Printf.sprintf "seed %d pre=%b dc=%b" seed pre dc in
-        checks (tag ^ " class") base_cls cls;
-        checks (tag ^ " metrics") base_metrics metrics)
-      [ (true, false); (false, true); (false, false) ]
+    let cls, metrics = run (cfg ~pre:false) in
+    let tag = Printf.sprintf "seed %d pre=false" seed in
+    checks (tag ^ " class") base_cls cls;
+    checks (tag ^ " metrics") base_metrics metrics
   done
 
 (* ---------------- decode cache vs self-modifying code ---------------- *)
@@ -169,14 +157,14 @@ let test_smc_invalidates_icache () =
    slot on top). *)
 let test_machine_alloc_budget () =
   (* warm up: translations, lowering and caches allocate freely *)
-  ignore (B.run_el ~config:(cfg ~pre:true ~dc:true) Workloads.Spec_int.gzip ~scale:1);
+  ignore (B.run_el ~config:(cfg ~pre:true) Workloads.Spec_int.gzip ~scale:1);
   let slots_of r =
     match r.B.engine with
     | Some e -> e.E.machine.Ipf.Machine.stats.Ipf.Machine.slots_retired
     | None -> 0
   in
   let before = Gc.minor_words () in
-  let r = B.run_el ~config:(cfg ~pre:true ~dc:true) Workloads.Spec_int.gzip ~scale:1 in
+  let r = B.run_el ~config:(cfg ~pre:true) Workloads.Spec_int.gzip ~scale:1 in
   let words = Gc.minor_words () -. before in
   let slots = slots_of r in
   let per_slot = words /. float_of_int (max 1 slots) in
@@ -285,11 +273,11 @@ let () =
     [
       ( "determinism",
         [
-          Alcotest.test_case "workloads-4-switch-settings" `Quick
+          Alcotest.test_case "workloads-predecode-on-off" `Quick
             test_workload_determinism;
           Alcotest.test_case "repeat-run-metrics" `Quick
             test_repeat_determinism;
-          Alcotest.test_case "fuzz-corpus-4-switch-settings" `Slow
+          Alcotest.test_case "fuzz-corpus-predecode-on-off" `Slow
             test_fuzz_determinism;
         ] );
       ( "decode-cache",

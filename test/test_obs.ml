@@ -466,8 +466,7 @@ let test_engine_metrics_shape () =
 
 (* Acceptance criterion: attaching the sampler (and the histogram set)
    must leave every deterministic observable bit-identical — cycles and
-   all Account counters — across the predecode x decode-cache config
-   matrix. And because sampling is driven by the virtual clock, two
+   all Account counters — with predecode on and off. And because sampling is driven by the virtual clock, two
    sampled runs of the same config produce byte-identical folded
    flamegraph output. *)
 let test_sampler_is_free () =
@@ -487,13 +486,9 @@ let test_sampler_is_free () =
     (r.B.cycles, Ia32el.Account.counters eng.E.acct, s)
   in
   List.iter
-    (fun (pre, dc) ->
-      let config =
-        { Ia32el.Config.default with
-          enable_predecode = pre;
-          enable_decode_cache = dc }
-      in
-      let tag = Printf.sprintf "predecode=%b decode_cache=%b" pre dc in
+    (fun pre ->
+      let config = { Ia32el.Config.default with enable_predecode = pre } in
+      let tag = Printf.sprintf "predecode=%b" pre in
       let plain = B.run_el ~config gzip ~scale:1 in
       let plain_eng =
         match plain.B.engine with Some e -> e | None -> assert false
@@ -506,7 +501,7 @@ let test_sampler_is_free () =
         (Ia32el.Account.counters plain_eng.E.acct)
         counters;
       checkb (tag ^ ": sampler saw samples") true (S.samples s > 0))
-    [ (true, true); (true, false); (false, true); (false, false) ];
+    [ true; false ];
   (* determinism of the artifact itself: two sampled runs, same bytes *)
   let _, _, s1 = sampled_run Ia32el.Config.default in
   let _, _, s2 = sampled_run Ia32el.Config.default in

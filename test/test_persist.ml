@@ -3,12 +3,13 @@
    The tentpole property: a warm start from a saved cache — and an AOT
    pre-translated one — is bit-identical in every observable (exit code,
    cycle counts, the full metrics snapshot) to the same run translating
-   everything live, across the predecode x decode-cache configuration
-   matrix, with real cache hits doing the work. On top: the robustness
-   ladder — every disk-fault mode (bit flip, truncation, partial write,
-   stale fingerprint, held lock) must degrade to retranslation with a
-   structured diagnostic, never a crash, never a behaviour change; a
-   single corrupt entry drops only itself. *)
+   everything live, with predecode on and off and with a translation
+   cache small enough to flush mid-run, with real cache hits doing the
+   work. On top: the robustness ladder — every disk-fault mode (bit
+   flip, truncation, partial write, stale fingerprint, held lock, older
+   format version) must degrade to retranslation with a structured
+   diagnostic, never a crash, never a behaviour change; a single corrupt
+   entry drops only itself. *)
 
 module B = Workloads.Baselines
 module C = Workloads.Common
@@ -20,18 +21,18 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
+(* predecode on/off x translation-cache size: the small cache flushes
+   wholesale mid-run, so the warm run must hit the store again for every
+   block retranslated after a flush *)
 let configs =
   let d = Ia32el.Config.default in
+  let f = { d with Ia32el.Config.tcache_limit = 100 } in
   [
     ("default", d);
     ("no-predecode", { d with Ia32el.Config.enable_predecode = false });
-    ("no-decode-cache", { d with Ia32el.Config.enable_decode_cache = false });
-    ( "neither",
-      {
-        d with
-        Ia32el.Config.enable_predecode = false;
-        Ia32el.Config.enable_decode_cache = false;
-      } );
+    ("tcache-flush", f);
+    ( "tcache-flush-no-predecode",
+      { f with Ia32el.Config.enable_predecode = false } );
   ]
 
 let workload name =
@@ -41,6 +42,9 @@ let workload name =
 
 (* the three cheapest real workloads; gzip heats into the hot phase *)
 let matrix_workloads = [ "gzip"; "mgrid"; "art" ]
+
+(* wholesale translation-cache flushes of the engine [run_with] last ran *)
+let last_flushes = ref 0
 
 (* One engine run of a workload with a persist session attached over
    [store]; returns (exit code, full metrics snapshot, session). *)
@@ -53,7 +57,9 @@ let run_with ~config ?(verify = true) ?(readonly = false) w store =
   in
   let m =
     match r.B.engine with
-    | Some e -> Obs.Metrics.to_string (E.metrics e)
+    | Some e ->
+      last_flushes := e.E.acct.Ia32el.Account.cache_flushes;
+      Obs.Metrics.to_string (E.metrics e)
     | None -> Alcotest.fail "run_el returned no engine"
   in
   (r.B.exit_code, m, Option.get !sref)
@@ -104,6 +110,10 @@ let warm_case wname =
           let code_c, m_cold, se_c = run_with ~config w store in
           check int "cold run recorded" (Persist.entry_count store)
             (Persist.stats se_c).Persist.recorded;
+          check bool "small cache flushes mid-run"
+            (config.Ia32el.Config.tcache_limit
+            < Ia32el.Config.default.Ia32el.Config.tcache_limit)
+            (!last_flushes > 0);
           (* save / load round trip *)
           save_ok store;
           let image_hash, config_fp = keys ~config w in
@@ -245,10 +255,10 @@ let stale_image =
       check bool "staleness diagnosed" true (diags <> []);
       check int "no entry survives" 0 (Persist.entry_count store2))
 
-(* The perf flags are part of the config fingerprint: a cache recorded
-   with one fusion / hot-counter setting must be rejected whole when
-   loaded under the flipped flag, and the run must fall back to fresh
-   translation with the same observables. *)
+(* Every policy field is part of the config fingerprint: a cache recorded
+   under one setting must be rejected whole when loaded under the flipped
+   one, and the run must fall back to fresh translation with the same
+   exit code. *)
 let flag_mismatch (fname, flip) =
   Alcotest.test_case
     (Printf.sprintf "%s flip rejects the whole cache" fname)
@@ -270,7 +280,7 @@ let flag_mismatch (fname, flip) =
       in
       check bool "mismatch surfaced a diagnostic" true (diags <> []);
       check int "no entry survives the flip" 0 (Persist.entry_count store2);
-      (* fresh fallback still runs; the flags don't change observables *)
+      (* the fresh fallback still runs the guest to the same exit *)
       let code_w, _, se_w = run_with ~config:flipped w store2 in
       check int "same exit code from the fresh fallback" code_c code_w;
       check int "nothing hits the rejected cache" 0
@@ -278,18 +288,56 @@ let flag_mismatch (fname, flip) =
 
 let flag_flips =
   [
-    ( "enable_fusion",
-      fun c ->
-        { c with Ia32el.Config.enable_fusion = not c.Ia32el.Config.enable_fusion }
-    );
-    ( "enable_hot_counters",
+    ( "heat_threshold",
       fun c ->
         {
           c with
-          Ia32el.Config.enable_hot_counters =
-            not c.Ia32el.Config.enable_hot_counters;
+          Ia32el.Config.heat_threshold = 2 * c.Ia32el.Config.heat_threshold;
+        } );
+    ( "enable_scheduling",
+      fun c ->
+        {
+          c with
+          Ia32el.Config.enable_scheduling =
+            not c.Ia32el.Config.enable_scheduling;
         } );
   ]
+
+(* A file from an older format (whose entries marshal an older Config.t)
+   is refused on its header, before any entry is unmarshalled, with one
+   structured diagnostic; the run translates afresh to the same exit and
+   the same observables. *)
+let old_format_version =
+  Alcotest.test_case "older format version is rejected whole" `Quick
+    (fun () ->
+      let w = workload "mgrid" in
+      let config = Ia32el.Config.default in
+      let store = fresh_store ~config w in
+      let code_c, m_cold, _ = run_with ~config w store in
+      save_ok store;
+      (* rewrite the version word, keeping the header checksum valid so
+         the load fails on the version, not on corruption *)
+      let b = Bytes.of_string (read_file tmp) in
+      Bytes.set_int32_be b 16 (Int32.of_int (Persist.format_version - 1));
+      Bytes.set_int32_be b 36
+        (Int32.of_int (Persist.crc32 (Bytes.sub_string b 16 20)));
+      write_file tmp (Bytes.to_string b);
+      let image_hash, config_fp = keys ~config w in
+      let store2, diags = Persist.load ~path:tmp ~image_hash ~config_fp in
+      check
+        Alcotest.(list (pair string string))
+        "one structured version diagnostic"
+        [ ("persist", "cache format version mismatch") ]
+        (List.map
+           (fun d -> (d.Ia32el.Bt_error.component, d.Ia32el.Bt_error.what))
+           diags);
+      check int "no entry survives" 0 (Persist.entry_count store2);
+      let code_w, m_warm, se_w = run_with ~config w store2 in
+      check int "same exit code from the fresh fallback" code_c code_w;
+      check string "bit-identical metrics from the fresh fallback" m_cold
+        m_warm;
+      check int "nothing hits the rejected cache" 0
+        (Persist.stats se_w).Persist.hits)
 
 let () =
   Alcotest.run "persist"
@@ -299,6 +347,6 @@ let () =
         @ [ aot_case "gzip"; readonly_case ] );
       ( "robustness",
         List.map fault_case I.all_disk_faults
-        @ [ one_bad_entry; stale_image ]
+        @ [ one_bad_entry; stale_image; old_format_version ]
         @ List.map flag_mismatch flag_flips );
     ]

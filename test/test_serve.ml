@@ -6,8 +6,8 @@
      independently, arenas don't leak across Vos instances;
    - standalone vs served determinism: a guest run alone and the same
      guest run inside a multi-worker batch yield bit-identical
-     observables (metrics JSON, exit code, output, response) across the
-     predecode × decode-cache config matrix;
+     observables (metrics JSON, exit code, output, response) with
+     predecode on and off;
    - admission control (bounded-queue rejection) and per-request budget
      exhaustion;
    - shared read-only AOT tcache: a warm batch retranslates nothing. *)
@@ -96,18 +96,9 @@ let test_arena_per_instance () =
 
 let config_matrix =
   [
-    ("pre+dc", Ia32el.Config.default);
+    ("pre", Ia32el.Config.default);
     ( "nopre",
       { Ia32el.Config.default with Ia32el.Config.enable_predecode = false } );
-    ( "nodc",
-      { Ia32el.Config.default with Ia32el.Config.enable_decode_cache = false }
-    );
-    ( "neither",
-      {
-        Ia32el.Config.default with
-        Ia32el.Config.enable_predecode = false;
-        enable_decode_cache = false;
-      } );
   ]
 
 let observables ?config ~request () =

@@ -2,9 +2,9 @@
 
    The tentpole property: a guest reverted to a snapshot and rerun is
    bit-identical — same virtual cycle count, same trace-event stream,
-   same exit code and console output — to a fresh run, across the
-   predecode x decode-cache configuration matrix, including a
-   multithreaded guest whose run crosses a cross-thread SMC shootdown.
+   same exit code and console output — to a fresh run, with predecode
+   on and off under both first phases, including a multithreaded guest
+   whose run crosses a cross-thread SMC shootdown.
    On top: crash-capsule round trips (watchdog and seeded-divergence
    capsules must replay to the same failure with every commit point
    matching) and fork-server equivalence (a snapshotted/reverted session
@@ -25,18 +25,18 @@ let bool = Alcotest.bool
 (* Configuration matrix                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* predecode on/off x first phase: interpret-first runs cold code in the
+   engine's interpreter, so revert+rerun also crosses its heat counts and
+   its shared decode cache, not only translated code *)
 let configs =
   let d = Ia32el.Config.default in
+  let i = { d with Ia32el.Config.first_phase = Ia32el.Config.Interpret_first } in
   [
     ("default", d);
     ("no-predecode", { d with Ia32el.Config.enable_predecode = false });
-    ("no-decode-cache", { d with Ia32el.Config.enable_decode_cache = false });
-    ( "neither",
-      {
-        d with
-        Ia32el.Config.enable_predecode = false;
-        Ia32el.Config.enable_decode_cache = false;
-      } );
+    ("interpret-first", i);
+    ( "interpret-first-no-predecode",
+      { i with Ia32el.Config.enable_predecode = false } );
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -390,11 +390,11 @@ let capsule_tests =
           check string "structured component" "capsule"
             e.Ia32el.Bt_error.component);
         Sys.remove file);
-    Alcotest.test_case "load rejects a perf-flag config mismatch" `Quick
+    Alcotest.test_case "load rejects a policy-field config mismatch" `Quick
       (fun () ->
-        (* a capsule recorded under one fusion / hot-counter setting must
-           not replay against the flipped flag: the fingerprint embedded
-           in the capsule covers both switches *)
+        (* a capsule recorded under one policy setting must not replay
+           against the flipped one: the fingerprint embedded in the
+           capsule covers every configuration field *)
         let file = tmp_capsule "ia32el-test-perf-fp.capsule" in
         let w =
           Workloads.Threads.producer_consumer
@@ -415,15 +415,42 @@ let capsule_tests =
               check string "structured component" "capsule"
                 e.Ia32el.Bt_error.component)
           [
-            ( "fusion",
+            ( "heat-threshold",
               { d with
-                Ia32el.Config.enable_fusion =
-                  not d.Ia32el.Config.enable_fusion } );
-            ( "hot-counter",
+                Ia32el.Config.heat_threshold =
+                  2 * d.Ia32el.Config.heat_threshold } );
+            ( "scheduling",
               { d with
-                Ia32el.Config.enable_hot_counters =
-                  not d.Ia32el.Config.enable_hot_counters } );
+                Ia32el.Config.enable_scheduling =
+                  not d.Ia32el.Config.enable_scheduling } );
           ];
+        Sys.remove file);
+    Alcotest.test_case "load rejects an older capsule format" `Quick
+      (fun () ->
+        (* an older format marshals an older Config.t: the version tag
+           must be refused with a structured error before anything is
+           unmarshalled *)
+        let file = tmp_capsule "ia32el-test-old-format.capsule" in
+        let w =
+          Workloads.Threads.producer_consumer
+            ~workers:Workloads.Threads.default_workers
+        in
+        (try ignore (R.run_plain ~max_cycles:30_000 ~capsule:file w ~scale:1)
+         with Ia32el.Bt_error.Error _ -> ());
+        let ic = open_in_bin file in
+        let body = really_input_string ic (in_channel_length ic) in
+        close_in ic;
+        let n = String.length Cap.magic in
+        let old = "IA32EL-CAPSULE/2" in
+        check int "same tag width" n (String.length old);
+        let oc = open_out_bin file in
+        output_string oc (old ^ String.sub body n (String.length body - n));
+        close_out oc;
+        (match Cap.load file with
+        | _ -> Alcotest.fail "older-format capsule accepted"
+        | exception Ia32el.Bt_error.Error e ->
+          check string "structured component" "capsule"
+            e.Ia32el.Bt_error.component);
         Sys.remove file);
   ]
 

@@ -19,12 +19,7 @@ let check = Alcotest.check
 let checki = check Alcotest.int
 let checks = check Alcotest.string
 
-let cfg ~pre ~dc =
-  {
-    Ia32el.Config.default with
-    Ia32el.Config.enable_predecode = pre;
-    Ia32el.Config.enable_decode_cache = dc;
-  }
+let cfg ~pre = { Ia32el.Config.default with Ia32el.Config.enable_predecode = pre }
 
 let observables config w =
   let r = B.run_el ~config w ~scale:1 in
@@ -41,21 +36,16 @@ let test_schedule_replay () =
   List.iter
     (fun w ->
       let name = w.Workloads.Common.name in
-      let base_cycles, base_metrics = observables (cfg ~pre:true ~dc:true) w in
+      let base_cycles, base_metrics = observables (cfg ~pre:true) w in
       (* repeat run: bit-identical *)
-      let again_cycles, again_metrics =
-        observables (cfg ~pre:true ~dc:true) w
-      in
+      let again_cycles, again_metrics = observables (cfg ~pre:true) w in
       checki (name ^ " repeat cycles") base_cycles again_cycles;
       checks (name ^ " repeat metrics") base_metrics again_metrics;
-      (* host-speed switch matrix: bit-identical *)
-      List.iter
-        (fun (pre, dc) ->
-          let c, m = observables (cfg ~pre ~dc) w in
-          let tag = Printf.sprintf "%s pre=%b dc=%b" name pre dc in
-          checki (tag ^ " cycles") base_cycles c;
-          checks (tag ^ " metrics") base_metrics m)
-        [ (true, false); (false, true); (false, false) ])
+      (* host-speed switch: bit-identical *)
+      let c, m = observables (cfg ~pre:false) w in
+      let tag = name ^ " pre=false" in
+      checki (tag ^ " cycles") base_cycles c;
+      checks (tag ^ " metrics") base_metrics m)
     (Workloads.Threads.all ~workers:3)
 
 (* A different quantum gives a different (but still deterministic)
@@ -159,9 +149,9 @@ let run_smc config =
 let test_cross_thread_smc () =
   let base = ref None in
   List.iter
-    (fun (pre, dc) ->
-      let report, eng = run_smc (cfg ~pre ~dc) in
-      let tag = Printf.sprintf "pre=%b dc=%b" pre dc in
+    (fun pre ->
+      let report, eng = run_smc (cfg ~pre) in
+      let tag = Printf.sprintf "pre=%b" pre in
       (match report.Ia32el.Lockstep.divergence with
       | Some d ->
         Alcotest.failf "smc %s diverged: %s" tag
@@ -183,7 +173,7 @@ let test_cross_thread_smc () =
       match !base with
       | None -> base := Some cycles
       | Some b -> checki (tag ^ " cycles identical") b cycles)
-    [ (true, true); (true, false); (false, true); (false, false) ]
+    [ true; false ]
 
 (* ---------------- eviction storm under 4 threads ---------------- *)
 
