@@ -79,8 +79,6 @@ type t = {
           bypass the dcache model — the translator's profile arena, so
           instrumentation traffic never perturbs modeled guest cycles *)
   mutable dc_skip_hi : int;
-  watch : (int * int list) option;
-      (** IPF_WATCH debug hook, parsed once from the environment *)
   hotc : int array;
       (** hot-counter table bumped by {!Insn.Hotc} pseudo-ops; machine-
           owned so counter traffic never touches the modeled dcache *)
@@ -161,6 +159,3 @@ val slot_weight : Insn.t -> int
 
 val close_group : t -> srcs_ready:int -> weight:int -> extra:int -> int
 (** Charge one closing instruction group and return its issue cycle. *)
-
-val watch_spec : (int * int list) option Lazy.t
-(** The process-wide IPF_WATCH parse backing [t.watch]. *)
