@@ -20,7 +20,9 @@ val create :
   unit ->
   t
 (** Defaults: 16 KiB 4-way 64-byte L1; 256 KiB 8-way 128-byte L2;
-    7-cycle L2 penalty; 80-cycle memory penalty. *)
+    7-cycle L2 penalty; 80-cycle memory penalty. Each level's set count
+    ([size / (assoc * line)]) must be a power of two.
+    @raise Invalid_argument otherwise. *)
 
 val access : t -> int -> int
 (** [access t addr] simulates one access and returns the extra stall

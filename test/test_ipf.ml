@@ -407,6 +407,11 @@ let timing_tests =
         ignore (Dcache.access d (2 * stride));
         let again = Dcache.access d 0 in
         check bool "evicted" true (again > 0));
+    Alcotest.test_case "dcache rejects non-power-of-two sets" `Quick (fun () ->
+        (* 3 KiB, 2-way, 64-byte lines: 24 sets *)
+        match Dcache.create ~l1_size:3072 ~l1_assoc:2 ~l1_line:64 () with
+        | _ -> Alcotest.fail "24 sets accepted"
+        | exception Invalid_argument _ -> ());
   ]
 
 let () =
