@@ -808,6 +808,22 @@ let perf ~scale ~min_time () =
                     ("rev", Str "d1ac50b");
                     ("predecode_slots_per_s", Float 16575303.439340279);
                   ] );
+              (* the lockstep and fuzz rows before the reference side
+                 kept its reproducer window as decoded insns and
+                 compared memory a page at a time: medians of five runs
+                 of this harness (--min-time 1) at that commit,
+                 alternated with runs of the live rows below on one
+                 host *)
+              ( "lockstep",
+                Obj
+                  [
+                    ("rev", Str "916b9b3");
+                    ("plain_s_per_run", Float 0.085026227510892421);
+                    ("lockstep_s_per_run", Float 0.59463846683502197);
+                    ("overhead_factor", Float 6.8043563998138135);
+                    ("lockstep_programs_per_s", Float 213.06654302492478);
+                    ("forkserver_programs_per_s", Float 558.67414416527242);
+                  ] );
             ] );
         ( "machine",
           Obj

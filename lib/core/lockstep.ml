@@ -161,13 +161,20 @@ let reference_vos s = s.ref_vos
 let run_in ?(fuel = max_int) ?(max_gap = 1_000_000_000) s =
   let module L = (val s.btlib : Btlib.Btos.S) in
   let engine = s.engine in
-  let ref_mem = s.ref_mem in
   let ref_vos = s.ref_vos in
   let cur = ref s.rst0 in
   let commits = ref 0 in
   let ref_exited = ref None in
-  (* reproducer ring buffer: reference insns since the last good commit *)
-  let window = Array.make window_cap "" in
+  (* Reproducer ring buffer: the reference instructions since the last
+     good commit, kept as (eip, decoded insn) and rendered to text only
+     when a divergence is raised. The insn comes from the reference
+     state's decode cache, so the [Interp.step] that follows hits the
+     same entry: each step decodes at most once, and a hit allocates
+     nothing. [wfetched.(i)] is false where the EIP could not be
+     decoded. *)
+  let weip = Array.make window_cap 0 in
+  let winsn = Array.make window_cap Ia32.Insn.Nop in
+  let wfetched = Array.make window_cap false in
   let wlen = ref 0 and wnext = ref 0 in
   let wreset () =
     wlen := 0;
@@ -175,19 +182,32 @@ let run_in ?(fuel = max_int) ?(max_gap = 1_000_000_000) s =
   in
   let wpush () =
     let rst = !cur in
-    let s =
-      match Ia32.Decode.decode ref_mem rst.Ia32.State.eip with
-      | insn, _ ->
-        Printf.sprintf "%#x: %s" rst.Ia32.State.eip (Ia32.Insn.to_string insn)
-      | exception _ -> Printf.sprintf "%#x: <unfetchable>" rst.Ia32.State.eip
-    in
-    window.(!wnext) <- s;
-    wnext := (!wnext + 1) mod window_cap;
+    let eip = rst.Ia32.State.eip in
+    let ic = rst.Ia32.State.icache and mem = rst.Ia32.State.mem in
+    let i = !wnext in
+    let slot = Ia32.Icache.find ic mem eip in
+    weip.(i) <- eip;
+    wfetched.(i) <-
+      (if slot >= 0 then begin
+         winsn.(i) <- Ia32.Icache.insn ic slot;
+         true
+       end
+       else
+         match Ia32.Decode.decode mem eip with
+         | insn, len ->
+           Ia32.Icache.fill ic mem eip insn len;
+           winsn.(i) <- insn;
+           true
+         | exception _ -> false);
+    wnext := (i + 1) mod window_cap;
     if !wlen < window_cap then incr wlen
   in
   let wcontents () =
-    List.init !wlen (fun i ->
-        window.((!wnext - !wlen + i + window_cap) mod window_cap))
+    List.init !wlen (fun k ->
+        let i = (!wnext - !wlen + k + window_cap) mod window_cap in
+        if wfetched.(i) then
+          Printf.sprintf "%#x: %s" weip.(i) (Ia32.Insn.to_string winsn.(i))
+        else Printf.sprintf "%#x: <unfetchable>" weip.(i))
   in
   let diverge event diffs est =
     raise

@@ -23,7 +23,9 @@ type divergence = {
   reference_state : Ia32.State.t;
   window : string list;
       (** minimized reproducer: the reference instructions executed since
-          the previous matched commit point *)
+          the previous matched commit point, the last 32 at most, oldest
+          first, each as ["0x…: insn"] with the bytes as executed, or
+          ["0x…: <unfetchable>"] *)
 }
 
 type report = {

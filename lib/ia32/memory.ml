@@ -444,37 +444,40 @@ end
 let mapped_pages t =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.pages [])
 
-let equal ?(skip = fun _ -> false) a b =
-  let pages_of t =
-    Hashtbl.fold
-      (fun k pg acc -> if skip k then acc else (k, Bytes.to_string pg.data) :: acc)
-      t.pages []
-    |> List.sort compare
-  in
-  pages_of a = pages_of b
+exception Found of int
 
-(* First differing byte between two equal-shaped memories, for test
-   diagnostics. [skip] excludes page numbers (runtime-private regions such
+(* Address of the first differing byte between two memories, or [None]
+   when they hold the same pages with the same bytes. The lockstep vehicle
+   calls this at every commit point, so a page is settled cheaply first:
+   a shared buffer (both pages still demand-zero) or [Bytes.equal]
+   content skips it, and only a page that differs is scanned byte by
+   byte. Pages are visited in [a]'s table order, then [b]'s pages missing
+   from [a]. [skip] excludes page numbers (runtime-private regions such
    as the translator's profile arena) from the comparison. *)
 let first_diff ?(skip = fun _ -> false) a b =
-  let result = ref None in
   let check k pg =
-    if !result = None && not (skip k) then
-      match Hashtbl.find_opt b.pages k with
-      | None -> result := Some (k * page_size)
-      | Some pg' ->
-        let rec scan i =
-          if i < page_size then
-            if Bytes.get pg.data i <> Bytes.get pg'.data i then
-              result := Some ((k * page_size) + i)
-            else scan (i + 1)
-        in
-        scan 0
+    if not (skip k) then
+      match Hashtbl.find b.pages k with
+      | exception Not_found -> raise (Found (k * page_size))
+      | pg' ->
+        let d = pg.data and d' = pg'.data in
+        if d != d' && not (Bytes.equal d d') then begin
+          let i = ref 0 in
+          while Bytes.get d !i = Bytes.get d' !i do
+            incr i
+          done;
+          raise (Found ((k * page_size) + !i))
+        end
   in
-  Hashtbl.iter check a.pages;
-  Hashtbl.iter
-    (fun k _ ->
-      if !result = None && (not (skip k)) && not (Hashtbl.mem a.pages k) then
-        result := Some (k * page_size))
-    b.pages;
-  !result
+  match
+    Hashtbl.iter check a.pages;
+    Hashtbl.iter
+      (fun k _ ->
+        if (not (skip k)) && not (Hashtbl.mem a.pages k) then
+          raise (Found (k * page_size)))
+      b.pages
+  with
+  | () -> None
+  | exception Found addr -> Some addr
+
+let equal ?skip a b = first_diff ?skip a b = None

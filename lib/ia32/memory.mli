@@ -104,13 +104,18 @@ val dump_bytes : t -> int -> int -> string
     original instead of being copied. *)
 val copy : t -> t
 
-val equal : ?skip:(int -> bool) -> t -> t -> bool
-(** Page-wise content equality. [skip] excludes page numbers
-    (runtime-private regions such as the translator's profile arena). *)
-
-(** Address of the first differing byte, if any — for test diagnostics.
-    [skip] as for {!equal}. *)
 val first_diff : ?skip:(int -> bool) -> t -> t -> int option
+(** [first_diff a b] is the address of the first differing byte, or
+    [None] when both memories map the same pages with the same bytes
+    (protections are not compared). Pages are visited in [a]'s table
+    order, then [b]'s pages missing from [a]; a page mapped on one side
+    only reports its first byte. [skip] excludes page numbers
+    (runtime-private regions such as the translator's profile arena).
+    The lockstep vehicle calls this at every commit point: pages sharing
+    one buffer or holding equal bytes are settled without a byte scan. *)
+
+val equal : ?skip:(int -> bool) -> t -> t -> bool
+(** [equal ?skip a b] is [first_diff ?skip a b = None]. *)
 
 (** Nested copy-on-write journal over page mutations.
 

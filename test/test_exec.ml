@@ -216,6 +216,58 @@ let test_interp_alloc_budget () =
        is allocating"
       per_insn
 
+(* Minor words per reference step of a lockstep gzip run, net of a plain
+   engine run of the same guest. The reference side steps the interpreter
+   through its decode cache, keeps the reproducer window as (eip, insn)
+   pairs rendered only on divergence, and settles equal memory pages
+   without a byte scan. A per-step decode, [Insn.to_string] or [sprintf]
+   costs tens of words per step; the budget catches any of them. *)
+let test_lockstep_alloc_budget () =
+  let image =
+    Workloads.Spec_int.gzip.Workloads.Common.build ~scale:1 ~wide:false
+  in
+  let btlib = (module Btlib.Linuxsim : Btlib.Btos.S) in
+  let load () =
+    let mem = Ia32.Memory.create () in
+    (mem, Ia32.Asm.load image mem)
+  in
+  let words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let plain () =
+    let mem, st = load () in
+    match E.run (E.create ~btlib mem) st with
+    | E.Exited (0, _) -> ()
+    | _ -> Alcotest.fail "plain gzip run should exit 0"
+  in
+  let lockstep () =
+    let mem, st = load () in
+    let r = Ia32el.Lockstep.run ~btlib mem st in
+    match (r.Ia32el.Lockstep.divergence, r.Ia32el.Lockstep.outcome) with
+    | None, Some (E.Exited (0, _)) -> ()
+    | _ -> Alcotest.fail "lockstep gzip run should agree and exit 0"
+  in
+  let steps =
+    let mem, st = load () in
+    snd (Ia32el.Refvehicle.run ~btlib (Btlib.Vos.create mem) st)
+  in
+  plain ();
+  lockstep ();
+  let per_step =
+    (words lockstep -. words plain) /. float_of_int (max 1 steps)
+  in
+  Printf.eprintf
+    "[alloc] lockstep: %.2f minor words/reference step (%d steps)\n%!"
+    per_step steps;
+  if per_step > 1.0 then
+    Alcotest.failf
+      "the lockstep reference allocates %.2f minor words per step (budget \
+       1, measured ~0.05 at commit time and ~500 with a rendered window); \
+       a per-step decode, to_string or sprintf crept back in"
+      per_step
+
 (* Major-heap words of one serve-echo [Instance.create]. Fresh guest pages
    are demand-zero: the 16 MiB profile arena maps to one shared zero
    buffer, so building an instance costs page records, not 4 KiB of
@@ -564,6 +616,7 @@ let () =
         [
           Alcotest.test_case "machine-budget" `Quick test_machine_alloc_budget;
           Alcotest.test_case "interp-budget" `Quick test_interp_alloc_budget;
+          Alcotest.test_case "lockstep-budget" `Quick test_lockstep_alloc_budget;
           Alcotest.test_case "instance-build-major-budget" `Quick
             test_instance_build_major_budget;
           Alcotest.test_case "interp-states-major-budget" `Quick

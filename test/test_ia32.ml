@@ -894,6 +894,131 @@ let qcheck_roundtrip =
       decoded = insn && len = String.length bytes)
 
 (* ---------------------------------------------------------------- *)
+(* Memory.first_diff against a naive byte-by-byte scan               *)
+(* ---------------------------------------------------------------- *)
+
+(* How one page of [b] (a copy of [a], then edited) relates to [a]. *)
+type page_case =
+  | Shared_zero (* mapped, never written: both share the zero buffer *)
+  | Equal_private (* written in [a]; the copy holds equal bytes *)
+  | Private_zeros (* [a] wrote zeros privately; [b] remapped it fresh *)
+  | Differ of int (* equal, then [b] changes the byte at this offset *)
+  | Only_a
+  | Only_b
+
+let gen_page_case =
+  let open QCheck.Gen in
+  frequency
+    [
+      (2, return Shared_zero);
+      (2, return Equal_private);
+      (1, return Private_zeros);
+      (1, return (Differ 0));
+      (1, return (Differ (Memory.page_size - 1)));
+      (2, map (fun o -> Differ o) (int_bound (Memory.page_size - 1)));
+      (1, return Only_a);
+      (1, return Only_b);
+    ]
+
+let show_page_case = function
+  | Shared_zero -> "shared-zero"
+  | Equal_private -> "equal-private"
+  | Private_zeros -> "private-zeros"
+  | Differ o -> Printf.sprintf "differ@%d" o
+  | Only_a -> "only-a"
+  | Only_b -> "only-b"
+
+(* Pages 0x10.. in order, each with its case and a fill seed; [skip]
+   excludes page numbers [p] with [p mod 3 = r]. *)
+let arbitrary_mem_pair =
+  let open QCheck.Gen in
+  QCheck.make
+    ~print:(fun (cases, skip) ->
+      Printf.sprintf "[%s] skip=%s"
+        (String.concat "; "
+           (List.map
+              (fun (c, seed) -> Printf.sprintf "%s/%d" (show_page_case c) seed)
+              cases))
+        (match skip with Some r -> string_of_int r | None -> "none"))
+    (pair
+       (list_size (int_range 0 10) (pair gen_page_case (int_bound 255)))
+       (opt (int_bound 2)))
+
+let build_mem_pair cases =
+  let open Memory in
+  let a = create () in
+  let base k = (0x10 + k) * page_size in
+  List.iteri
+    (fun k (c, seed) ->
+      if c <> Only_b then map a ~addr:(base k) ~len:page_size ~prot:prot_rw;
+      match c with
+      | Equal_private | Differ _ ->
+        for j = 0 to 7 do
+          let off = ((seed * 613) + (j * 509)) mod page_size in
+          write8 a (base k + off) (seed + j)
+        done
+      | Private_zeros -> write8 a (base k + seed) 0
+      | Shared_zero | Only_a | Only_b -> ())
+    cases;
+  let b = copy a in
+  List.iteri
+    (fun k (c, _) ->
+      match c with
+      | Differ o -> write8 b (base k + o) (read8 a (base k + o) lxor 0x5A)
+      | Private_zeros ->
+        unmap b ~addr:(base k) ~len:page_size;
+        map b ~addr:(base k) ~len:page_size ~prot:prot_rw
+      | Only_a -> unmap b ~addr:(base k) ~len:page_size
+      | Only_b -> map b ~addr:(base k) ~len:page_size ~prot:prot_rw
+      | Shared_zero | Equal_private -> ())
+    cases;
+  (a, b)
+
+(* Every page's first differing address, by reading both memories a
+   byte at a time; a page mapped on one side only differs at its first
+   byte. *)
+let naive_page_diffs ~skip a b =
+  let pages =
+    List.sort_uniq compare (Memory.mapped_pages a @ Memory.mapped_pages b)
+  in
+  List.filter_map
+    (fun p ->
+      let addr = p * Memory.page_size in
+      if skip p then None
+      else if not (Memory.is_mapped a addr && Memory.is_mapped b addr) then
+        Some addr
+      else
+        let rec scan i =
+          if i = Memory.page_size then None
+          else if Memory.read8 a (addr + i) <> Memory.read8 b (addr + i) then
+            Some (addr + i)
+          else scan (i + 1)
+        in
+        scan 0)
+    pages
+
+let qcheck_first_diff =
+  QCheck.Test.make ~name:"first_diff agrees with a byte-by-byte scan"
+    ~count:500 arbitrary_mem_pair (fun (cases, skip_r) ->
+      let a, b = build_mem_pair cases in
+      let skip p = match skip_r with Some r -> p mod 3 = r | None -> false in
+      let expected = naive_page_diffs ~skip a b in
+      let got =
+        match skip_r with
+        | Some _ -> Memory.first_diff ~skip a b
+        | None -> Memory.first_diff a b
+      in
+      (match (got, expected) with
+      | None, [] -> ()
+      | Some addr, [ only ] when addr = only -> ()
+      | Some addr, _ :: _ :: _ when List.mem addr expected -> ()
+      | _ ->
+        QCheck.Test.fail_reportf "first_diff %s, naive [%s]"
+          (match got with Some a -> Printf.sprintf "%#x" a | None -> "None")
+          (String.concat "; " (List.map (Printf.sprintf "%#x") expected)));
+      Memory.equal ~skip a b = (expected = []))
+
+(* ---------------------------------------------------------------- *)
 (* Interpreter                                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -1418,6 +1543,7 @@ let () =
       ("encode-vectors", encode_vector_tests);
       ("roundtrip-unit", roundtrip_unit_tests);
       ("roundtrip-qcheck", [ QCheck_alcotest.to_alcotest qcheck_roundtrip ]);
+      ("first-diff", [ QCheck_alcotest.to_alcotest qcheck_first_diff ]);
       ("roundtrip-fuzzgen", fuzzgen_roundtrip_tests);
       ("interp", interp_tests);
       ("asm", asm_tests);

@@ -172,6 +172,27 @@ let degradation_test =
 (* A deliberately seeded translator bug must be caught by lockstep      *)
 (* ------------------------------------------------------------------ *)
 
+(* Run [code] under lockstep with [sabotage] on the engine's dispatch
+   hook; the run must diverge. [sabotage machine lookup target] sees
+   every dispatch target. *)
+let diverge_with ?(writable_code = false) ~code sabotage =
+  let image = Asm.build ~code ~data:[] () in
+  let mem = Memory.create () in
+  let st = Asm.load ~writable_code image mem in
+  let attach (e : E.t) =
+    e.E.on_dispatch <-
+      Some (fun target -> sabotage e.E.machine image.Asm.lookup target)
+  in
+  let report =
+    L.run ~fuel:10_000_000 ~attach ~btlib:(module Btlib.Linuxsim) mem st
+  in
+  match report.L.divergence with
+  | None -> Alcotest.fail "sabotage was NOT caught by lockstep"
+  | Some d -> d
+
+let set_reg m reg v = Ipf.Machine.set32 m (Ia32el.Regs.gr_of_reg reg) v
+let strings = Alcotest.(list string)
+
 let seeded_bug_test =
   Alcotest.test_case "lockstep catches a seeded translator bug" `Quick
     (fun () ->
@@ -180,8 +201,9 @@ let seeded_bug_test =
          "bug": at the 10th block-boundary event we silently corrupt the
          machine's canonical ESI — exactly the kind of wrong-but-running
          state a translator bug produces. Lockstep must flag the first
-         commit point after the corruption, name the field, and carry a
-         reproducer window. *)
+         commit point after the corruption, name the field, and carry the
+         reproducer window. The spin loop puts 34 reference steps between
+         commit points, so the 32-entry window has wrapped. *)
       let open Insn in
       let code =
         Asm.(
@@ -192,35 +214,132 @@ let seeded_bug_test =
             label "loop";
           ]
           @ C.kernel_work 5
-          @ [ i (Dec (S32, R Ecx)); jcc Ne "loop" ]
+          @ [
+              i (Mov (S32, R Edx, I 12));
+              label "spin";
+              i (Dec (S32, R Edx));
+              jcc Ne "spin";
+              i (Dec (S32, R Ecx));
+              jcc Ne "loop";
+            ]
           @ exit0)
       in
-      let image = Asm.build ~code ~data:[] () in
-      let mem = Memory.create () in
-      let st = Asm.load image mem in
       let events = ref 0 in
-      let attach (e : E.t) =
-        e.E.on_dispatch <-
-          Some
-            (fun _ ->
-              incr events;
-              if !events = 10 then
-                Ipf.Machine.set32 e.E.machine
-                  (Ia32el.Regs.gr_of_reg Insn.Esi)
-                  0xBEEF)
+      let d =
+        diverge_with ~code (fun m _ _ ->
+            incr events;
+            if !events = 10 then set_reg m Esi 0xBEEF)
       in
-      let report =
-        L.run ~fuel:10_000_000 ~attach ~btlib:(module Btlib.Linuxsim) mem st
+      check bool "diagnosis names the first diverging commit point" true
+        (d.L.commit_index >= 1);
+      check bool "diagnosis names the corrupted field" true
+        (List.exists (fun s -> contains s "esi") d.L.diffs);
+      (* the last 32 of the 34 reference steps since the previous
+         commit, oldest first: the ring has wrapped past the two pops *)
+      let spin =
+        List.concat
+          (List.init 12 (fun _ ->
+               [ "0x40001f: dec edx"; "0x400021: jne 0x40001f" ]))
       in
-      match report.L.divergence with
-      | None -> Alcotest.fail "seeded bug was NOT caught by lockstep"
-      | Some d ->
-        check bool "diagnosis names the first diverging commit point" true
-          (d.L.commit_index >= 1);
-        check bool "diagnosis names the corrupted field" true
-          (List.exists (fun s -> contains s "esi") d.L.diffs);
-        check bool "diagnosis carries a reproducer window" true
-          (d.L.window <> []))
+      check strings "reproducer window"
+        ([ "0x40001a: mov edx, 0xc" ]
+        @ spin
+        @ [
+            "0x400027: dec ecx";
+            "0x400029: jne 0x40000a";
+            "0x40000a: push eax";
+            "0x40000b: push ebx";
+            "0x40000c: mov eax, 0xc8";
+            "0x400011: mov ebx, 0x5";
+            "0x400016: int 0x80";
+          ])
+        d.L.window)
+
+(* The window shows each instruction as it was executed: a store that
+   rewrites an instruction between two of its executions leaves both
+   versions in one window. *)
+let smc_window_test =
+  Alcotest.test_case "reproducer window shows SMC-rewritten bytes" `Quick
+    (fun () ->
+      let open Insn in
+      let code =
+        Asm.(
+          [
+            label "start";
+            i (Mov (S32, R Ecx, I 2));
+            label "loop";
+            label "target";
+            i (Mov (S32, R Edx, I 111));
+            with_lab "target" (fun a ->
+                Mov (S32, M (Insn.mem_abs (a + 1)), I 777));
+            i (Dec (S32, R Ecx));
+            jcc Ne "loop";
+          ]
+          @ exit0)
+      in
+      (* corrupt the never-used ESI at every dispatch: the exit syscall
+         is the first commit point, so the window covers the whole run *)
+      let d =
+        diverge_with ~writable_code:true ~code (fun m _ _ ->
+            set_reg m Esi 0xBEEF)
+      in
+      check int "first commit point" 0 d.L.commit_index;
+      check strings "reproducer window"
+        [
+          "0x400000: mov ecx, 0x2";
+          "0x400005: mov edx, 0x6f";
+          "0x40000a: mov [0x400006], 0x309";
+          "0x400014: dec ecx";
+          "0x400016: jne 0x400005";
+          "0x400005: mov edx, 0x309";
+          "0x40000a: mov [0x400006], 0x309";
+          "0x400014: dec ecx";
+          "0x400016: jne 0x400005";
+          "0x40001c: mov eax, 0x1";
+          "0x400021: mov ebx, 0x0";
+          "0x400026: int 0x80";
+        ]
+        d.L.window)
+
+(* A reference step that cannot fetch its instruction ends the window
+   with an [<unfetchable>] entry. The guest jumps through EBX to an
+   unmapped page; the engine's copy of EBX is sabotaged to point at the
+   exit sequence, so the engine reaches the exit syscall while the
+   reference faults on the fetch. *)
+let unfetchable_window_test =
+  Alcotest.test_case "reproducer window ends <unfetchable>" `Quick
+    (fun () ->
+      let open Insn in
+      let code =
+        Asm.(
+          [
+            label "start";
+            i (Mov (S32, R Ebx, I 0x7ff00000));
+            jmp "hop";
+            label "hop";
+            i (Jmp_ind (R Ebx));
+            label "exit";
+          ]
+          @ exit0)
+      in
+      let d =
+        diverge_with ~code (fun m lookup target ->
+            if target = lookup "hop" then set_reg m Ebx (lookup "exit"))
+      in
+      check strings "diffs"
+        [
+          "event: engine reached syscall 128, reference fault #PF(fetch \n\
+           0x7ff00000)";
+        ]
+        d.L.diffs;
+      check strings "reproducer window"
+        [
+          "0x400000: mov ebx, 0x7ff00000";
+          "0x400005: jmp 0x40000a";
+          "0x40000a: jmp ebx";
+          "0x7ff00000: <unfetchable>";
+        ]
+        d.L.window)
 
 (* ------------------------------------------------------------------ *)
 (* Vos robustness: atomic Write, Sbrk unmap, transient retry            *)
@@ -306,6 +425,13 @@ let () =
   Alcotest.run "ia32el-resilience"
     [
       ("vos", vos_tests);
-      ("engine", [ smc_abort_test; degradation_test; seeded_bug_test ]);
+      ( "engine",
+        [
+          smc_abort_test;
+          degradation_test;
+          seeded_bug_test;
+          smc_window_test;
+          unfetchable_window_test;
+        ] );
       ("lockstep", lockstep_tests);
     ]
