@@ -389,11 +389,11 @@ let virtual_report ~scale () =
 
 (* Unlike everything above (which reports *simulated* cycles), this
    measures host wall-clock throughput of the simulator itself: the
-   pre-decoded machine core vs the interpretive loop, the reference
-   interpreter with and without its decode cache, the lockstep tax and
-   the fuzzer's program rate. Numbers are host-dependent by nature; the
-   JSON snapshot records them so a regression in either fast path shows
-   up as a ratio, not an absolute. *)
+   machine core, the reference interpreter with and without its decode
+   cache, the lockstep tax and the fuzzer's program rate. Numbers are
+   host-dependent by nature; the JSON snapshot records them next to
+   pre-change baselines so a regression shows up as a ratio, not an
+   absolute. *)
 
 let wallclock_file = "BENCH_wallclock.json"
 
@@ -641,13 +641,9 @@ let serve_rates ~min_time =
 let perf ~scale ~min_time () =
   header "Wall-clock throughput of the simulator itself"
     "host-dependent; committed snapshot makes fast-path regressions visible\n\
-     as ratios (pre-decoded core vs interpretive loop, decode cache on/off)";
+     as ratios (decode cache on/off) and against pre-change baselines";
   let config = Ia32el.Config.default in
   let mach_pre = machine_rate ~scale ~min_time config in
-  let mach_int =
-    machine_rate ~scale ~min_time
-      { config with Ia32el.Config.enable_predecode = false }
-  in
   let interp_cached = interp_rate ~scale ~min_time ~cache:true in
   let interp_uncached = interp_rate ~scale ~min_time ~cache:false in
   let el_s =
@@ -688,14 +684,10 @@ let perf ~scale ~min_time () =
   let serve_load, serve_rate_hz, serve_workers, serve_hits, build_ms =
     serve_rates ~min_time
   in
-  let mach_speedup = mach_pre /. mach_int in
   let interp_speedup = interp_cached /. interp_uncached in
   let lock_factor = lock_s /. el_s in
-  Printf.printf "machine core, pre-decoded   : %8.2f Mslots/s\n"
+  Printf.printf "machine core               : %8.2f Mslots/s\n"
     (mach_pre /. 1e6);
-  Printf.printf "machine core, interpretive  : %8.2f Mslots/s\n"
-    (mach_int /. 1e6);
-  Printf.printf "  pre-decode speedup        : %8.2fx\n" mach_speedup;
   Printf.printf "interpreter, decode cache   : %8.2f Minsns/s\n"
     (interp_cached /. 1e6);
   Printf.printf "interpreter, re-decoding    : %8.2f Minsns/s\n"
@@ -746,7 +738,7 @@ let perf ~scale ~min_time () =
     not
       (List.for_all finite
          [
-           mach_pre; mach_int; interp_cached; interp_uncached; lock_factor;
+           mach_pre; interp_cached; interp_uncached; lock_factor;
            fuzz_ps; forkserver_ps; threads_cps; futex_cps; cold_s; warm_s;
            aot_s; serve_load.Serve.guests_per_s; serve_load.Serve.lat_p50_ms;
            serve_load.Serve.lat_p95_ms; serve_load.Serve.lat_p99_ms;
@@ -766,7 +758,7 @@ let perf ~scale ~min_time () =
   let report =
     Obj
       [
-        ("schema", Str "ia32el-wallclock/5");
+        ("schema", Str "ia32el-wallclock/6");
         ("scale", Int scale);
         ("host_dependent", Str "true");
         (* measured once before the hot-counter fast-path generation
@@ -799,7 +791,7 @@ let perf ~scale ~min_time () =
                     ("lat_mean_ms", Float 16.86708927154541);
                     ("instance_build_ms", Float 4.805);
                   ] );
-              (* the pre-decoded core before issue-group programs: the
+              (* the execution core before issue-group programs: the
                  median of five runs of this harness at that commit,
                  alternated with runs of the live row below on one host *)
               ( "machine",
@@ -829,8 +821,6 @@ let perf ~scale ~min_time () =
           Obj
             [
               ("predecode_slots_per_s", Float mach_pre);
-              ("interp_loop_slots_per_s", Float mach_int);
-              ("speedup", Float mach_speedup);
             ] );
         ( "interpreter",
           Obj

@@ -31,16 +31,8 @@ let find_workload ~threads name =
 let print_diags diags =
   List.iter (fun d -> Fmt.epr "tcache: %a@." Ia32el.Bt_error.pp d) diags
 
-let compile_cmd name scale tcache_file train train_payload no_predecode
-    threads =
-  let config =
-    {
-      Ia32el.Config.default with
-      Ia32el.Config.enable_predecode =
-        Ia32el.Config.default.Ia32el.Config.enable_predecode
-        && not no_predecode;
-    }
-  in
+let compile_cmd name scale tcache_file train train_payload threads =
+  let config = Ia32el.Config.default in
   match find_workload ~threads name with
   | None ->
     Printf.eprintf "unknown workload %S; try `ia32el-run list'\n" name;
@@ -144,15 +136,6 @@ let train_payload_arg =
            for `ia32el-serve', so the recorded translation-request order \
            matches what same-payload served requests replay.")
 
-let no_predecode_arg =
-  Arg.(
-    value & flag
-    & info [ "no-predecode" ]
-        ~doc:
-          "Compile for the interpretive machine loop instead of the \
-           pre-decoded core (must match the run's setting — the \
-           configuration fingerprint enforces this).")
-
 let threads_arg =
   Arg.(
     value
@@ -168,6 +151,6 @@ let main =
           translation cache.")
     Term.(
       const compile_cmd $ workload_arg $ scale_arg $ tcache_file_arg
-      $ train_arg $ train_payload_arg $ no_predecode_arg $ threads_arg)
+      $ train_arg $ train_payload_arg $ threads_arg)
 
 let () = exit (Cmd.eval main)

@@ -370,7 +370,7 @@ let replay_cmd file =
 
 let run_cmd name model scale stats lockstep inject trace_file trace_stderr
     profile_top metrics_file sample_interval flame_file host_timers
-    no_predecode threads quantum max_cycles snap_every capsule replay sabotage
+    threads quantum max_cycles snap_every capsule replay sabotage
     tcache_file tcache_readonly no_tcache_verify =
   (match replay with
   | Some file -> replay_cmd file; exit 0
@@ -410,15 +410,12 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
       tc_no_verify = no_tcache_verify;
     }
   in
-  (* host-speed escape hatch; simulated results are bit-identical *)
   let model =
     match model with
     | M_el (c, d) ->
       M_el
         ( {
             c with
-            Ia32el.Config.enable_predecode =
-              c.Ia32el.Config.enable_predecode && not no_predecode;
             Ia32el.Config.quantum =
               Option.value quantum ~default:c.Ia32el.Config.quantum;
           },
@@ -675,16 +672,6 @@ let host_timers_arg =
            mirror them into the metrics JSON. Informational: wall times \
            are host-dependent, unlike every simulated counter.")
 
-let no_predecode_arg =
-  Arg.(
-    value & flag
-    & info [ "no-predecode" ]
-        ~doc:
-          "Run translated code through the interpretive machine loop \
-           instead of the pre-decoded direct-threaded core. Purely a \
-           host-speed switch: simulated cycles and statistics are \
-           bit-identical either way (escape hatch / A-B check).")
-
 let threads_arg =
   Arg.(
     value
@@ -812,7 +799,7 @@ let run_t =
     const run_cmd $ workload_arg $ model_arg $ scale_arg $ stats_arg
     $ lockstep_arg $ inject_arg $ trace_arg $ trace_stderr_arg $ profile_arg
     $ metrics_arg $ sample_arg $ flame_arg $ host_timers_arg
-    $ no_predecode_arg $ threads_arg $ quantum_arg $ max_cycles_arg $ snapshot_every_arg $ capsule_arg
+    $ threads_arg $ quantum_arg $ max_cycles_arg $ snapshot_every_arg $ capsule_arg
     $ replay_arg $ sabotage_arg $ tcache_file_arg $ tcache_readonly_arg
     $ no_tcache_verify_arg)
 

@@ -3,7 +3,7 @@
    Requests come from --requests N (N copies of --payload) or --jobs FILE
    (one payload per line). Each request runs in its own
    Engine/Vos/Memory instance on a worker (forked process by default,
-   inline or OCaml-5 domains by flag), under an optional per-request
+   inline by flag), under an optional per-request
    virtual-cycle budget, with bounded-queue admission control. With
    --tcache-file the AOT store is shared read-only across all workers —
    no worker retranslates warm code (assert with --require-warm).
@@ -42,22 +42,13 @@ let read_jobs_file path =
 
 let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
     tcache_readonly max_cycles requests payload jobs_file reject require_warm
-    check_standalone allow_failures out no_predecode =
-  let config =
-    {
-      Ia32el.Config.default with
-      Ia32el.Config.enable_predecode =
-        Ia32el.Config.default.Ia32el.Config.enable_predecode
-        && not no_predecode;
-    }
-  in
+    check_standalone allow_failures out =
   let backend =
     match backend_name_arg with
     | "fork" | "forked" -> Serve.Forked
     | "inline" -> Serve.Inline
-    | "domains" -> Serve.Domains
     | s ->
-      Printf.eprintf "unknown backend %S (fork|inline|domains)\n" s;
+      Printf.eprintf "unknown backend %S (fork|inline)\n" s;
       exit 1
   in
   let workload =
@@ -82,7 +73,7 @@ let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
     exit 1
   end;
   let p =
-    Serve.pool ~backend ~workers ~queue ~config ~scale ~workload ?tcache:tcache_file
+    Serve.pool ~backend ~workers ~queue ~scale ~workload ?tcache:tcache_file
       ~tcache_readonly ()
   in
   let jobs =
@@ -137,7 +128,7 @@ let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
     | Some r ->
       let res = Option.get r.Serve.result in
       let image = workload.C.build ~scale ~wide:false in
-      let inst = Ia32el.Instance.create ~config image in
+      let inst = Ia32el.Instance.create ~config:p.Serve.config image in
       (* find that request's payload back by position *)
       let idx =
         let rec go i = function
@@ -207,8 +198,8 @@ let backend_arg =
     value & opt string "fork"
     & info [ "backend" ] ~docv:"B"
         ~doc:
-          "Worker backend: $(b,fork) (worker processes), $(b,inline) \
-           (synchronous, for testing), or $(b,domains) (OCaml 5 domains).")
+          "Worker backend: $(b,fork) (worker processes) or $(b,inline) \
+           (synchronous, for testing).")
 
 let tcache_file_arg =
   Arg.(
@@ -296,11 +287,6 @@ let out_arg =
     & info [ "o"; "out" ] ~docv:"FILE"
         ~doc:"Write the roll-up JSON here instead of stdout.")
 
-let no_predecode_arg =
-  Arg.(
-    value & flag
-    & info [ "no-predecode" ] ~doc:"Disable the pre-decoded fast path.")
-
 let main =
   Cmd.v
     (Cmd.info "ia32el-serve" ~version:"1.0.0"
@@ -311,6 +297,6 @@ let main =
       const serve_cmd $ workload_arg $ scale_arg $ workers_arg $ queue_arg
       $ backend_arg $ tcache_file_arg $ tcache_readonly_arg $ max_cycles_arg
       $ requests_arg $ payload_arg $ jobs_arg $ reject_arg $ require_warm_arg
-      $ check_standalone_arg $ allow_failures_arg $ out_arg $ no_predecode_arg)
+      $ check_standalone_arg $ allow_failures_arg $ out_arg)
 
 let () = exit (Cmd.eval main)

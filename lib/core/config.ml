@@ -1,5 +1,9 @@
 (* Translator configuration. Every paper-relevant design choice is a switch
-   here so the ablation benches can turn it off and measure the difference. *)
+   here so the ablation benches can turn it off and measure the difference.
+   Host-speed mechanisms are not switches: translated code always runs on
+   Ipf.Exec, the engine always caches decoded IA-32 instructions for the
+   code it interprets, and always detects heat with hash-indexed counter
+   uops (DESIGN.md §15). *)
 
 type first_phase =
   | Instrumented_cold (* the paper's design: translate cold code with
@@ -56,14 +60,6 @@ type t = {
   smc_storm_limit : int;
       (* SMC invalidation events on one source page within the window
          before the whole page goes interpret-only *)
-  (* execution cores *)
-  enable_predecode : bool;
-      (* run translated code through the pre-decoded direct-threaded core
-         (Ipf.Exec) instead of the interpretive Machine.run loop; results
-         are bit-identical, this is purely a host-speed switch. The engine
-         always caches decoded IA-32 instructions for the code it
-         interprets, and always detects heat with hash-indexed counter
-         uops (DESIGN.md §15) *)
   (* guest threads *)
   quantum : int;
       (* virtual cycles per scheduling slice; rescheduling happens only at
@@ -102,7 +98,6 @@ let default =
     retrans_interp_limit = 12;
     smc_storm_window = 512;
     smc_storm_limit = 16;
-    enable_predecode = true;
     quantum = 20_000;
   }
 

@@ -3,7 +3,10 @@
     Every paper-relevant design choice is a switch here so the ablation
     benches ([bench/main.exe ablations]) can turn it off and measure the
     difference, and so the baseline models ({!Workloads.Baselines}) can
-    derive their configurations from the translator's own. *)
+    derive their configurations from the translator's own. Host-speed
+    mechanisms are not switches: translated code always runs on
+    {!Ipf.Exec}, the engine's IA-32 decode cache is always on, and heat
+    detection is always the hash-indexed [Hotc]/[Edgec] counter uops. *)
 
 (** How first-phase (not-yet-hot) code runs. *)
 type first_phase =
@@ -64,13 +67,6 @@ type t = {
   smc_storm_limit : int;
       (** SMC invalidation events on one source page within the window
           before the whole page is degraded to interpretation *)
-  enable_predecode : bool;
-      (** run translated code through the pre-decoded direct-threaded core
-          ({!Ipf.Exec}) instead of the interpretive [Machine.run] loop;
-          bit-identical results, purely a host-speed switch. There is no
-          switch for the engine's IA-32 decode cache (always on) or its
-          heat detection (always the hash-indexed [Hotc]/[Edgec] counter
-          uops) *)
   quantum : int;
       (** virtual cycles per guest-thread scheduling slice; rescheduling
           happens only at syscall commit points, so preemption is

@@ -28,7 +28,7 @@ type t = {
   cache : Block.cache;
   acct : Account.t;
   machine : M.t;
-  exec : Ipf.Exec.t; (* pre-decoded fast path over [machine] *)
+  exec : Ipf.Exec.t; (* issue-group programs over [machine] *)
   vos : Btlib.Vos.t;
   btlib : (module Btlib.Btos.S);
   cold_env : Cold.env;
@@ -937,7 +937,7 @@ let sync_icache t (st : Ia32.State.t) = st.Ia32.State.icache <- t.icache
 let rollforward t st ~lo ~hi ~max_steps =
   (* the interpreter writes guest memory directly: clear [running_block] so
      a store onto a translated page invalidates normally instead of raising
-     Smc_abort outside [M.run] *)
+     Smc_abort outside [Ipf.Exec.run] *)
   t.running_block <- None;
   sync_icache t st;
   let steps = ref 0 in
@@ -1216,7 +1216,7 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
        The interpreter writes guest memory directly: clear [running_block]
        so a write that lands on a translated page cannot look like the
        running block modifying itself (Smc_abort may only be raised while
-       the machine is actually inside [M.run]). *)
+       the machine is actually inside [Ipf.Exec.run]). *)
     t.running_block <- None;
     let snapshot = here_snapshot t in
     let st = Reconstruct.extract t.machine ~eip ~snapshot in
@@ -1285,10 +1285,7 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
         | None -> t.fuel
         | Some _ -> min t.fuel watchdog_chunk
       in
-      let exec () =
-        if t.config.Config.enable_predecode then Ipf.Exec.run ~fuel:mfuel t.exec
-        else M.run ~fuel:mfuel t.machine
-      in
+      let exec () = Ipf.Exec.run ~fuel:mfuel t.exec in
       let stop =
         try
           match t.timers with

@@ -40,7 +40,7 @@ type t = {
   cache : Block.cache;
   acct : Account.t;
   machine : Ipf.Machine.t;
-  exec : Ipf.Exec.t;  (** pre-decoded fast path over [machine] *)
+  exec : Ipf.Exec.t;  (** issue-group programs over [machine] *)
   vos : Btlib.Vos.t;
   btlib : (module Btlib.Btos.S);
   cold_env : Cold.env;

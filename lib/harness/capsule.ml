@@ -18,7 +18,7 @@ module E = Ia32el.Engine
 module L = Ia32el.Lockstep
 module Memory = Ia32.Memory
 
-let magic = "IA32EL-CAPSULE/3"
+let magic = "IA32EL-CAPSULE/4"
 let log_cap = 65536
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int

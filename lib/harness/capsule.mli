@@ -15,7 +15,7 @@
     time-travel anchor into the run's {!Obs.Trace} stream. *)
 
 val magic : string
-(** File format tag, ["IA32EL-CAPSULE/3"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Version 3 marks the shrunken {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
+(** File format tag, ["IA32EL-CAPSULE/4"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3 and 4 mark two shrinkings of {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
 
 val log_cap : int
 (** Commit points retained in a capsule's log (the total count is kept

@@ -1,9 +1,11 @@
-(* Pre-decoded execution core: issue-group programs (DESIGN.md §10.1).
+(* The IPF execution core: instruction semantics and issue-group programs
+   (DESIGN.md §10.1).
 
-   [Machine.run] re-matches nested [Insn.t] variants, rebuilds read/write
-   resource lists and re-derives the issue-group timing for every slot it
-   executes. Almost all of that is a static function of the tcache
-   contents, so this module resolves it once per issue group.
+   [compile_insn] turns one instruction into a closure over its resolved
+   operands; it is the only definition of what an IPF instruction does.
+   Everything else here is timing, and almost all of it is a static
+   function of the tcache contents, so it is resolved once per issue
+   group rather than per executed slot.
 
    A group program is compiled lazily for an entry position (bundle,
    slot). Where the group ends (stop bit, intra-group RAW split — both
@@ -16,8 +18,8 @@
    from the aggregates. Any side exit (taken branch, cache exit, fuel,
    [Machine_fault], or an exception such as the engine's SMC abort)
    settles from the prefix up to the exiting slot, so cycles, buckets,
-   counters, [ip]/[slot] and [last_exit] stay bit-identical to
-   [Machine.run].
+   counters, [ip]/[slot] and [last_exit] are what a slot-by-slot
+   accumulation gives.
 
    Programs are validated by the tcache stamps of every bundle they span:
    every tcache mutation ([append], [patch_slot], [patch_dispatch],
@@ -26,10 +28,11 @@
    something changes, and chain patching or SMC invalidation recompiles
    exactly the groups they rewrite.
 
-   Correctness bar: simulated cycles, bucket attribution, every stats
-   counter and the observable fault/exit behaviour are bit-identical to
-   [Machine.run] — the determinism suite (test_exec.ml) and the engine's
-   --no-predecode reference loop exist to enforce exactly that. *)
+   [reference_run] runs the same closures one fetched slot at a time and
+   derives the timing per slot, with [Machine]'s cost primitives. It is
+   the oracle test_exec.ml compares the group accounting against:
+   simulated cycles, bucket attribution, every stats counter and the
+   observable fault/exit behaviour must be bit-identical. *)
 
 module M = Machine
 
@@ -44,10 +47,9 @@ let enc = function
   | Insn.Rbr b -> 320 + b
   | Insn.Rmem -> 328
 
-(* One executed slot of a group. [run] performs the semantic action and
-   encodes control flow as an int — no [flow] variant to allocate:
-   -1 = fall through, -2 = leave the cache ([exit_] has the reason),
-   n >= 0 = jump to bundle n. Unpredicated nops get no uop at all. *)
+(* One executed slot of a group. [run] is the slot's [compile_insn]
+   closure, which encodes control flow as an int (no variant to
+   allocate). Unpredicated nops get no uop at all. *)
 type uop = {
   run : unit -> int;
   qp : int; (* -1 = always enabled *)
@@ -204,9 +206,12 @@ let[@inline] izx bytes v =
   if bytes >= 8 then v
   else Int64.logand v (Int64.sub (Int64.shift_left 1L (8 * bytes)) 1L)
 
-(* Same-module copy of [Machine.eval_cmp] so comparison operands stay
-   unboxed inside compiled Cmp/Cmpi closures. *)
-let[@inline] ieval_cmp rel a b =
+let mask_of_len len =
+  if len >= 64 then -1L else Int64.sub (Int64.shift_left 1L len) 1L
+
+(* Inlined into the compiled Cmp/Cmpi closures, so comparison operands
+   stay unboxed. *)
+let[@inline] eval_cmp rel a b =
   match (rel : Insn.cmp_rel) with
   | Insn.Ceq -> Int64.equal a b
   | Insn.Cne -> not (Int64.equal a b)
@@ -222,8 +227,8 @@ let[@inline] ieval_cmp rel a b =
 (* A store can reach the engine's SMC write watch, which may rewrite
    tcache bundles while the group runs. [span]/[stamps] are the group's
    bundles and their stamps at compile time: if one changed, the rest of
-   the group must come from the new bundles, as the reference loop's
-   per-slot fetch would see them. *)
+   the group must come from the new bundles, as a per-slot fetch would
+   see them. With no span ([reference_run]) this never raises. *)
 let after_store t span stamps =
   let gen = Tcache.generation t.tc in
   if gen <> t.gen then begin
@@ -232,8 +237,9 @@ let after_store t span stamps =
   end
 
 (* Compile one instruction's semantic action into a closure over resolved
-   operands. Mirrors [Machine.exec_sem] case by case; any behavioural
-   difference here is a bug the determinism suite must catch. *)
+   operands. The closure returns its control flow as an int: -1 = fall
+   through, -2 = leave the cache (the reason is [exit_of] the
+   instruction), n >= 0 = jump to bundle n. *)
 let compile_insn t ~span ~stamps (insn : Insn.t) =
   let m = t.m in
   let open Insn in
@@ -353,7 +359,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
       -1
   | Dep (d, s, base, pos, len) ->
     (* pos/len are immediates: box the masks once, at compile time *)
-    let fmask = M.mask_of_len len in
+    let fmask = mask_of_len len in
     let cmask = Int64.lognot (Int64.shift_left fmask pos) in
     fun () ->
       (if rget_nat m s || rget_nat m base then M.set_nat m d
@@ -362,7 +368,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
         Int64.logor cleared (Int64.shift_left field pos)));
       -1
   | Depz (d, s, pos, len) ->
-    let fmask = M.mask_of_len len in
+    let fmask = mask_of_len len in
     fun () ->
       (if rget_nat m s then M.set_nat m d
        else rset m d (Int64.shift_left (Int64.logand (rget m s) fmask) pos));
@@ -373,7 +379,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
        else rset m d (Int64.shift_right (Int64.shift_left (rget m s) (64 - pos - len)) (64 - len)));
       -1
   | Extru (d, s, pos, len) ->
-    let fmask = M.mask_of_len len in
+    let fmask = mask_of_len len in
     fun () ->
       (if rget_nat m s then M.set_nat m d
        else rset m d (Int64.logand (Int64.shift_right_logical (rget m s) pos) fmask));
@@ -483,7 +489,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
          pset m p1 false;
          pset m p2 false
        end
-       else cmp_commit ct p1 p2 (ieval_cmp rel (rget m a) (rget m b)));
+       else cmp_commit ct p1 p2 (eval_cmp rel (rget m a) (rget m b)));
       -1
   | Cmpi (rel, ct, p1, p2, i, a) ->
     let i = Int64.of_int i in
@@ -492,7 +498,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
          pset m p1 false;
          pset m p2 false
        end
-       else cmp_commit ct p1 p2 (ieval_cmp rel i (rget m a)));
+       else cmp_commit ct p1 p2 (eval_cmp rel i (rget m a)));
       -1
   | Tbit (p1, p2, a, pos) ->
     fun () ->
@@ -750,6 +756,15 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
 let is_nop (insn : Insn.t) =
   match insn.Insn.sem with Insn.Nop _ -> true | _ -> false
 
+(* Why a slot whose closure returned -2 left the cache. *)
+let exit_of (insn : Insn.t) =
+  match insn.Insn.sem with
+  | Insn.Br (Insn.Out r) | Insn.Chk_s (_, Insn.Out r) | Insn.Chk_a (_, Insn.Out r)
+    ->
+    Some r
+  | Insn.Hotc (_, _, id) -> Some (Insn.Heat id)
+  | _ -> None
+
 (* Compile the issue group entered at [lin0]. The group ends at a stop bit,
    before a slot that reads something the group already wrote (a RAW
    split; predicate and memory resources count), or where the tcache
@@ -836,14 +851,7 @@ let compile t ~carry lin0 =
           at = o;
           br_ind =
             (match insn.Insn.sem with Insn.Br_ind _ -> true | _ -> false);
-          exit_ =
-            (match insn.Insn.sem with
-            | Insn.Br (Insn.Out r)
-            | Insn.Chk_s (_, Insn.Out r)
-            | Insn.Chk_a (_, Insn.Out r) ->
-              Some r
-            | Insn.Hotc (_, _, id) -> Some (Insn.Heat id)
-            | _ -> None);
+          exit_ = exit_of insn;
         }
         :: !uops
   done;
@@ -880,7 +888,7 @@ let[@inline] valid t g =
 
 (* The validated program entered at [lin], compiled on a miss. [ip]/[slot]
    point at [lin] first, so an out-of-range index raises through
-   [Tcache.get] exactly where the reference loop's fetch would. *)
+   [Tcache.get] exactly where [reference_run]'s fetch would. *)
 let prog_at t lin =
   if lin >= 0 && lin < Array.length t.progs && valid t t.progs.(lin) then
     t.progs.(lin)
@@ -1001,7 +1009,7 @@ let rec go t g stall0 =
     let carry = Array.append g.carry (Array.sub g.insns 0 o) in
     go t (compile t ~carry (g.lin + o)) stall0
   | exception e ->
-    (* the open group is dropped, as when the reference loop unwinds *)
+    (* the open group is dropped, as when [reference_run] unwinds *)
     let o = g.uops.(t.k).at in
     count t g ~oret:o ~ospec:(o + 1);
     set_pos t.m (g.lin + o);
@@ -1068,7 +1076,7 @@ and finish t g stall0 =
     end
   end
   else begin
-    (* the group runs past the last bundle: the reference loop's next
+    (* the group runs past the last bundle: [reference_run]'s next
        fetch raises with the group still open *)
     set_pos m next;
     if t.fuel <= 0 then begin
@@ -1087,6 +1095,113 @@ let run ?(fuel = max_int) t =
   t.fuel <- fuel;
   if fuel <= 0 then M.Fuel
   else go t (prog_at t ((3 * m.M.ip) + m.M.slot)) m.M.stats.M.dcache_stall
+
+(* ---- per-slot reference loop -------------------------------------------- *)
+
+(* Fetch every slot from the tcache, run its closure and derive the group
+   timing slot by slot: the intra-group RAW split, the sources' ready
+   cycles, the slot weights, the dcache stalls and the writes' latencies
+   accumulate until a stop bit or a control transfer closes the group. *)
+let reference_run ?(fuel = max_int) t =
+  let m = t.m in
+  let stats = m.M.stats in
+  let fuel_left = ref fuel in
+  let gweight = ref 0 and gsrcs = ref 0 and gextra = ref 0 in
+  let gwrites : (Insn.res, int) Hashtbl.t = Hashtbl.create 16 in
+  let reg_ready = function
+    | Insn.Rgr r -> m.M.ready.(r)
+    | Insn.Rfr f -> m.M.fready.(f)
+    | Insn.Rpr _ | Insn.Rbr _ | Insn.Rmem -> 0
+  in
+  let flush_group () =
+    if !gweight > 0 then begin
+      let issue =
+        M.close_group m ~srcs_ready:!gsrcs ~weight:!gweight ~extra:!gextra
+      in
+      Hashtbl.iter
+        (fun res lat ->
+          match res with
+          | Insn.Rgr r -> m.M.ready.(r) <- issue + lat
+          | Insn.Rfr f -> m.M.fready.(f) <- issue + lat
+          | _ -> ())
+        gwrites;
+      Hashtbl.reset gwrites;
+      gweight := 0;
+      gsrcs := 0;
+      gextra := 0
+    end
+  in
+  let advance () =
+    if m.M.slot = 2 then begin
+      m.M.ip <- m.M.ip + 1;
+      m.M.slot <- 0
+    end
+    else m.M.slot <- m.M.slot + 1
+  in
+  let retire () = stats.M.slots_retired <- stats.M.slots_retired + 1 in
+  let rec step () =
+    if !fuel_left <= 0 then begin
+      flush_group ();
+      M.Fuel
+    end
+    else begin
+      let bundle = Tcache.get t.tc m.M.ip in
+      let insn = bundle.Bundle.slots.(m.M.slot) in
+      let stop_after = bundle.Bundle.stops.(m.M.slot) in
+      decr fuel_left;
+      (match insn.Insn.sem with
+      | Insn.Br (Insn.Out (Insn.Spec_fail _)) ->
+        stats.M.spec_checks <- stats.M.spec_checks + 1
+      | _ -> ());
+      let reads = Insn.reads insn in
+      if List.exists (Hashtbl.mem gwrites) reads then flush_group ();
+      List.iter (fun r -> gsrcs := max !gsrcs (reg_ready r)) reads;
+      gweight := !gweight + M.slot_weight insn;
+      let stall0 = stats.M.dcache_stall in
+      let enabled =
+        match insn.Insn.qp with Some p -> M.getp m p | None -> true
+      in
+      (* a per-slot fetch sees what a store rewrote: no span to validate *)
+      match
+        if enabled then compile_insn t ~span:[||] ~stamps:[||] insn () else -1
+      with
+      | exception M.Machine_fault (kind, addr, size, store) ->
+        flush_group ();
+        M.Faulted { M.kind; addr; size; store; ip = m.M.ip; slot = m.M.slot }
+      | r ->
+        gextra := !gextra + (stats.M.dcache_stall - stall0);
+        let lat = M.latency_of m insn in
+        List.iter (fun w -> Hashtbl.replace gwrites w lat) (Insn.writes insn);
+        if r = -1 then begin
+          if not (is_nop insn) then retire ();
+          (* after the advance: a group closing at slot 2 is charged to
+             the next bundle *)
+          advance ();
+          if stop_after then flush_group ();
+          step ()
+        end
+        else begin
+          retire ();
+          flush_group ();
+          if r = -2 then begin
+            m.M.last_exit <- (m.M.ip, m.M.slot);
+            (* advance past the exit so a resume continues after it *)
+            advance ();
+            M.Exited (Option.get (exit_of insn))
+          end
+          else begin
+            M.charge m m.M.cost.Cost.taken_branch_penalty;
+            (match insn.Insn.sem with
+            | Insn.Br_ind _ -> M.charge m m.M.cost.Cost.indirect_branch_penalty
+            | _ -> ());
+            m.M.ip <- r;
+            m.M.slot <- 0;
+            step ()
+          end
+        end
+    end
+  in
+  step ()
 
 (* Diagnostics for tests. *)
 let cached_programs t =

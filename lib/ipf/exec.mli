@@ -1,20 +1,22 @@
-(** Pre-decoded execution core: issue-group programs.
+(** The IPF execution core: the instruction semantics, run as
+    issue-group programs.
 
-    A drop-in replacement for {!Machine.run} that compiles each issue
-    group, lazily per entry (bundle, slot), into a group program: the
-    semantic closures of its slots with operand indices resolved, plus
-    the group's timing resolved at compile time — where it ends (stop
-    bit or RAW split), its issue span, retired-slot and speculation-check
-    counts, its deduplicated register sources and its ordered write list,
-    as prefix aggregates per slot. A program is validated by the
-    {!Tcache.stamp}s of every bundle it spans, so chain patching and SMC
-    invalidation recompile exactly the groups they rewrite.
+    Each instruction compiles to a closure over its resolved operands;
+    these closures are the only IPF instruction semantics. {!run} strings
+    them into issue-group programs, compiled lazily per entry (bundle,
+    slot): the closures of the group's slots plus the group's timing
+    resolved at compile time — where it ends (stop bit or RAW split), its
+    issue span, retired-slot and speculation-check counts, its
+    deduplicated register sources and its ordered write list, as prefix
+    aggregates per slot. A program is validated by the {!Tcache.stamp}s
+    of every bundle it spans, so chain patching and SMC invalidation
+    recompile exactly the groups they rewrite.
 
-    Execution is bit-identical to the interpretive loop: simulated
-    cycles, bucket attribution, all stats counters, fault records and
-    exit reasons match {!Machine.run} exactly, including side exits in
-    the middle of a group. The engine's [enable_predecode] config flag
-    (and the runner's [--no-predecode]) selects between the two. *)
+    {!reference_run} runs the same closures one fetched slot at a time
+    and derives the timing per slot. It exists as the test oracle for the
+    group accounting: simulated cycles, bucket attribution, all stats
+    counters, fault records and exit reasons from {!run} must match it
+    exactly, including side exits in the middle of a group. *)
 
 type t
 
@@ -25,8 +27,15 @@ val create : Machine.t -> t
 
 val run : ?fuel:int -> t -> Machine.stop
 (** Execute from the machine's current [ip] until an exit branch leaves
-    the translation cache, a fault is raised, or [fuel] slots are spent.
-    Observable behaviour is identical to {!Machine.run}. *)
+    the translation cache, a fault is raised, or [fuel] slots are spent. *)
+
+val reference_run : ?fuel:int -> t -> Machine.stop
+(** {!run}'s observable behaviour, one slot at a time: fetch each slot
+    from the tcache, run its closure, and keep the group accounting with
+    {!Machine.slot_weight}, {!Machine.latency_of}, the intra-group RAW
+    split and {!Machine.close_group}. A test oracle for {!run}'s group
+    accounting only; nothing in the library or the executables calls
+    it. *)
 
 val cached_programs : t -> int
 (** Number of currently valid group programs cached by entry position:

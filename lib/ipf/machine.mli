@@ -1,13 +1,14 @@
-(** The EPIC machine: executes bundles from a {!Tcache} against guest
-    memory, with grouped-issue timing.
+(** The EPIC machine state: register files, guest memory with fault
+    conversion, the ALAT, the dcache model and the cost primitives of the
+    grouped-issue timing model. {!Exec} holds the instruction semantics
+    and runs them against this state.
 
-    Semantics are sequential per slot; {e timing} models the in-order
-    grouped pipeline: each instruction group (delimited by stop bits)
-    issues when its source registers are ready, spans
-    [ceil(weight / issue_slots)] cycles, and writes its destinations'
-    ready cycles at issue + latency. An intra-group RAW dependence
-    conservatively splits the group. Data-cache stalls extend the
-    group of the load that missed.
+    Timing models the in-order grouped pipeline: each instruction group
+    (delimited by stop bits) issues when its source registers are ready,
+    spans [ceil(weight / issue_slots)] cycles, and writes its
+    destinations' ready cycles at issue + latency. An intra-group RAW
+    dependence conservatively splits the group. Data-cache stalls extend
+    the group of the load that missed.
 
     Every cycle charged is attributed to a bucket chosen by [bucket_fn]
     from the current bundle index, which is how the engine splits time
@@ -27,7 +28,7 @@ type fault = {
   slot : int;
 }
 
-(** Why {!run} returned. *)
+(** Why {!Exec.run} returned. *)
 type stop = Exited of Insn.exit_reason | Faulted of fault | Fuel
 
 exception Machine_fault of fault_kind * int * int * bool
@@ -49,7 +50,7 @@ val fresh_stats : unit -> stats
 type t = {
   gr : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (** 128 general registers; [r0] reads as zero. A [Bigarray] so the
-          pre-decoded core can commit fresh values without boxing them. *)
+          execution core can commit fresh values without boxing them. *)
   nat : bool array;
   fr : float array;  (** 128 floating registers; [f0]=0.0, [f1]=1.0 *)
   fnat : bool array;
@@ -101,8 +102,7 @@ val create : ?cost:Cost.t -> ?dcache:Dcache.t -> Ia32.Memory.t -> Tcache.t -> t
 val dcache_access : t -> int -> int
 (** Dcache-model stall cycles for an access at an address — 0 inside the
     [dc_skip] range, {!Dcache.access} otherwise. The single charge point
-    for all load/store cost in both the interpreter and the pre-decoded
-    fast path. *)
+    for all load/store cost. *)
 
 (** {1 Register access} *)
 
@@ -129,17 +129,7 @@ val charge : t -> int -> unit
     bucket. The engine uses this to price runtime events (translation,
     dispatch, OS work) in machine time. *)
 
-val run : ?fuel:int -> t -> stop
-(** Execute from [t.ip] until an exit branch leaves the translation
-    cache, a fault is raised, or [fuel] retired slots are spent. *)
-
-(** {1 Execution-core internals}
-
-    Shared with {!Exec}, the pre-decoded fast path, which must replicate
-    this module's semantics and timing bit-for-bit (DESIGN.md §10). *)
-
-val addr_of : int64 -> int
-(** Low 32 bits of a GR as a guest address. *)
+(** {1 Primitives of the execution core ({!Exec})} *)
 
 val do_load : t -> addr:int -> size:int -> int64
 (** @raise Machine_fault on misalignment or page fault. *)
@@ -147,9 +137,6 @@ val do_load : t -> addr:int -> size:int -> int64
 val do_store : t -> addr:int -> size:int -> int64 -> unit
 (** Stores, invalidating overlapping ALAT entries.
     @raise Machine_fault on misalignment or page fault. *)
-
-val mask_of_len : int -> int64
-val eval_cmp : Insn.cmp_rel -> int64 -> int64 -> bool
 
 val latency_of : t -> Insn.t -> int
 (** Result latency class of an instruction under [t.cost]. *)

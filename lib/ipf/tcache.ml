@@ -13,7 +13,7 @@ type t = {
   mutable capacity : int option;
   (* Generation counter, bumped on every mutation. [stamps.(i)] records
      the generation at which bundle [i] last changed, so a consumer that
-     caches per-bundle derived structures (the pre-decode layer) can
+     caches per-bundle derived structures (Exec's group programs) can
      validate each entry with one integer compare. Stamps are >= 1; a
      consumer initialising its own stamps to 0 never false-hits. *)
   mutable generation : int;

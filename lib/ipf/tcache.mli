@@ -18,7 +18,7 @@ val length : t -> int
 val generation : t -> int
 (** Mutation counter, bumped by {!append}, {!patch_slot},
     {!patch_dispatch}, {!invalidate_range} and {!clear}. Consumers that
-    cache per-bundle derived structures (the pre-decode layer) key their
+    cache per-bundle derived structures ({!Exec}'s group programs) key their
     validity on it. *)
 
 val stamp : t -> int -> int

@@ -14,7 +14,7 @@ module B = Ia32el.Block
 module A = Ia32el.Account
 module Err = Ia32el.Bt_error
 
-let format_version = 2
+let format_version = 3
 
 (* ---- checksums and fingerprints ---------------------------------------- *)
 

@@ -11,29 +11,23 @@
    Backends:
    - Inline: requests run synchronously in the caller's process, in
      submission order. The admission bookkeeping is identical to the
-     concurrent backends, so rejection tests and roll-ups are
-     deterministic.
+     forked backend, so rejection tests and roll-ups are deterministic.
    - Forked: persistent worker processes in the PR 6 fork-server style —
      forked once per batch, request/response records marshalled over
      pipes, [Unix._exit] on shutdown so no at_exit handler runs twice.
      The AOT store is loaded ONCE in the parent before forking; children
      inherit it copy-on-write, so N workers share one warmed code store
-     with zero per-worker load or retranslation cost.
-   - Domains: OCaml 5 domains (stretch goal, behind the backend flag).
-     Each domain loads the store from disk itself — the store's hash
-     tables are never shared across domains, only the file is.
+     with zero per-worker load or retranslation cost. A worker is a
+     process of its own, so one can die without taking the pool down.
 
    Because every request gets a fresh instance and the metrics JSON is
    purely virtual-time, a request served by any backend is bit-identical
    — metrics included — to the same guest run standalone. That is the
    serving-isolation contract the tests pin. *)
 
-type backend = Inline | Forked | Domains
+type backend = Inline | Forked
 
-let backend_name = function
-  | Inline -> "inline"
-  | Forked -> "forked"
-  | Domains -> "domains"
+let backend_name = function Inline -> "inline" | Forked -> "forked"
 
 type job = { payload : string; max_cycles : int option }
 
@@ -102,7 +96,7 @@ let load_store p image =
 
 (* Run one admitted request: fresh instance, optional AOT session,
    budget via the engine watchdog. This is the only function worker
-   processes/domains execute. *)
+   processes execute. *)
 let exec_job p ~image ~store ~worker (j : job) : result =
   let t0 = Unix.gettimeofday () in
   let inst = Ia32el.Instance.create ~config:p.config image in
@@ -286,67 +280,6 @@ let run_forked ~drain_between p jobs responses =
      raise e);
   shutdown slots
 
-(* ---- domains backend -------------------------------------------------- *)
-
-let run_domains ~drain_between p jobs responses =
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let pending : (int * job) Queue.t = Queue.create () in
-  let inflight = ref 0 in
-  let submitted_all = ref false in
-  let worker idx () =
-    (* per-domain image and store: nothing heap-shared between domains
-       but the immutable job records *)
-    let image = build_image p in
-    let store = load_store p image in
-    let rec loop () =
-      Mutex.lock m;
-      let rec next () =
-        match Queue.take_opt pending with
-        | Some x -> Some x
-        | None ->
-          if !submitted_all then None
-          else begin
-            Condition.wait cv m;
-            next ()
-          end
-      in
-      match next () with
-      | None -> Mutex.unlock m
-      | Some (id, j) ->
-        Mutex.unlock m;
-        let r = exec_job p ~image ~store ~worker:idx j in
-        Mutex.lock m;
-        responses.(id) <- { rejected = None; result = Some r };
-        decr inflight;
-        Condition.broadcast cv;
-        Mutex.unlock m;
-        loop ()
-    in
-    loop ()
-  in
-  let doms = List.init p.workers (fun i -> Domain.spawn (worker i)) in
-  List.iteri
-    (fun id j ->
-      Mutex.lock m;
-      if !inflight >= capacity p && not drain_between then
-        responses.(id) <- { rejected = Some (reject_error p); result = None }
-      else begin
-        while !inflight >= capacity p do
-          Condition.wait cv m
-        done;
-        incr inflight;
-        Queue.push (id, j) pending;
-        Condition.broadcast cv
-      end;
-      Mutex.unlock m)
-    jobs;
-  Mutex.lock m;
-  submitted_all := true;
-  Condition.broadcast cv;
-  Mutex.unlock m;
-  List.iter Domain.join doms
-
 (* ---- batch entry point ------------------------------------------------ *)
 
 let run_batch ?(drain_between = true) p jobs =
@@ -355,8 +288,7 @@ let run_batch ?(drain_between = true) p jobs =
   let responses = Array.make n { rejected = None; result = None } in
   (match p.backend with
   | Inline -> run_inline ~drain_between p jobs responses
-  | Forked -> run_forked ~drain_between p jobs responses
-  | Domains -> run_domains ~drain_between p jobs responses);
+  | Forked -> run_forked ~drain_between p jobs responses);
   {
     responses = Array.to_list responses;
     wall_s = Unix.gettimeofday () -. t0;

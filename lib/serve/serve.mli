@@ -20,10 +20,8 @@
     (same admission bookkeeping, deterministic order — the testing
     backend). [Forked] forks worker processes per batch, marshalling
     requests over pipes; the AOT store is loaded once in the parent and
-    inherited copy-on-write. [Domains] uses OCaml 5 domains; each domain
-    loads the store from disk itself so no hash table crosses a domain
-    boundary. *)
-type backend = Inline | Forked | Domains
+    inherited copy-on-write. *)
+type backend = Inline | Forked
 
 val backend_name : backend -> string
 

@@ -967,15 +967,12 @@ let mechanism_tests =
         let la = List.assoc "loop" image.Asm.labels
         and da = List.assoc "dead" image.Asm.labels in
         check bool "constructed a slot collision" true (slot la = slot da);
-        let run pre =
+        let run () =
           let mem = Memory.create () in
           let st = Asm.load image mem in
           let eng =
             Engine.create
-              ~config:
-                { Config.default with
-                  Config.heat_threshold = 40;
-                  Config.enable_predecode = pre }
+              ~config:{ Config.default with Config.heat_threshold = 40 }
               ~btlib:(module Btlib.Linuxsim) mem
           in
           (match Engine.run ~fuel:10_000_000 eng st with
@@ -994,17 +991,15 @@ let mechanism_tests =
             Array.copy eng.Engine.machine.Ipf.Machine.hotc,
             Array.copy eng.Engine.machine.Ipf.Machine.edgec )
         in
-        (* counters are virtual-clock state: bit-identical with and
-           without predecode *)
-        check bool "predecode counters identical" true (run false = run true));
+        (* counters are virtual-clock state: bit-identical across runs *)
+        check bool "counters identical across runs" true (run () = run ()));
     Alcotest.test_case "edge counters saturate at the ceiling" `Quick
       (fun () ->
         (* Instrumentation lives only in cold translations, so keep the
            block cold (threshold above the trip count): 70k taken
            back-edges then push the edge counter past its 0xFFFF ceiling
            and it must pin there, not wrap, while the hot counter keeps
-           the exact execution count. Deterministic with and without
-           predecode. *)
+           the exact execution count. Deterministic across runs. *)
         let code =
           [ label "start";
             a32 (Mov (S32, R Eax, I 0));
@@ -1018,15 +1013,12 @@ let mechanism_tests =
         let image = Asm.build ~code ~data:dump_space () in
         let la = List.assoc "loop" image.Asm.labels in
         let s = Ipf.Machine.counter_slot la in
-        let run pre =
+        let run () =
           let mem = Memory.create () in
           let st = Asm.load image mem in
           let eng =
             Engine.create
-              ~config:
-                { Config.default with
-                  Config.heat_threshold = 100_000;
-                  Config.enable_predecode = pre }
+              ~config:{ Config.default with Config.heat_threshold = 100_000 }
               ~btlib:(module Btlib.Linuxsim) mem
           in
           (match Engine.run ~fuel:20_000_000 eng st with
@@ -1043,7 +1035,7 @@ let mechanism_tests =
             Array.copy m.Ipf.Machine.hotc,
             Array.copy m.Ipf.Machine.edgec )
         in
-        check bool "predecode counters identical" true (run false = run true));
+        check bool "counters identical across runs" true (run () = run ()));
     Alcotest.test_case "misalignment stages: detect then avoid" `Quick (fun () ->
         let code =
           [ label "start";

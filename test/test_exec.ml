@@ -1,118 +1,36 @@
-(* Direct-threaded execution core tests.
+(* Execution core tests.
 
-   The pre-decoded machine core ({!Ipf.Exec}) is a host-speed switch:
-   every simulated observable — cycle counts, bucket splits, the full
-   metrics snapshot — must be bit-identical with it on or off, against
-   the interpretive [Machine.run] reference. These tests pin that, the
+   Translated code runs on {!Ipf.Exec}'s issue-group programs, whose
+   timing is resolved per group at compile time. The group-vs-reference
+   cases run hand-built and generated tcaches through [Exec.run] and
+   through [Exec.reference_run], which runs the same instruction closures
+   one fetched slot at a time, and require every observable to match.
+   Also pinned here: repeat-run determinism of the metrics snapshot, the
    SMC behaviour of the interpreter's decode cache ({!Ia32.Icache},
-   against the uncached interpreter), and the allocation budget of both
-   inner loops (the direct-threaded design only pays off if the hot paths
-   stay off the minor heap). *)
+   against the uncached interpreter), and the allocation budgets of the
+   inner loops (the hot paths only pay off if they stay off the minor
+   heap). *)
 
 module B = Workloads.Baselines
 module E = Ia32el.Engine
 module J = Obs.Metrics
-module F = Harness.Fuzz
 
 let check = Alcotest.check
 let checki = check Alcotest.int
 let checks = check Alcotest.string
 
-let cfg ~pre = { Ia32el.Config.default with Ia32el.Config.enable_predecode = pre }
-
-(* One workload run reduced to everything observable: final cycle count,
-   the bucket distribution, and the whole metrics JSON. *)
-let observables config w =
-  let r = B.run_el ~config w ~scale:1 in
-  let dist =
-    match r.B.distribution with
-    | Some d ->
-      Printf.sprintf "hot=%d cold=%d ov=%d other=%d idle=%d total=%d"
-        d.Ia32el.Account.hot d.Ia32el.Account.cold d.Ia32el.Account.overhead
-        d.Ia32el.Account.other d.Ia32el.Account.idle d.Ia32el.Account.total
-    | None -> "none"
-  in
-  let metrics =
-    match r.B.engine with
-    | Some e -> J.json_to_string (J.to_json (E.metrics e))
-    | None -> "none"
-  in
-  (r.B.cycles, dist, metrics)
-
-(* ---------------- determinism: workloads ---------------- *)
-
-let predecode_on_off ws =
-  List.iter
-    (fun w ->
-      let name = w.Workloads.Common.name in
-      let base_cycles, base_dist, base_metrics =
-        observables (cfg ~pre:true) w
-      in
-      let c, d, m = observables (cfg ~pre:false) w in
-      let tag = name ^ " pre=false" in
-      checki (tag ^ " cycles") base_cycles c;
-      checks (tag ^ " distribution") base_dist d;
-      checks (tag ^ " metrics") base_metrics m)
-    ws
-
-let test_workload_determinism () =
-  predecode_on_off
-    [ Workloads.Spec_int.gzip; Workloads.Spec_fp.swim; Workloads.Sysmark.office ]
-
-(* Every guest of the end-to-end benchmark's suite, so each guest a host
-   speed claim rests on is cycle-exact against the reference loop. *)
-let test_suite_determinism () =
-  predecode_on_off
-    (Workloads.Spec_int.all @ Workloads.Spec_fp.all
-    @ [ Workloads.Sysmark.office; Workloads.Sysmark.misalign_stress ]
-    @ Workloads.Threads.all ~workers:Workloads.Threads.default_workers)
+(* ---------------- determinism ---------------- *)
 
 (* Run the same workload twice under the same config: the metrics snapshot
    itself must be reproducible (guards hidden wall-clock or hash-order
    nondeterminism in anything [metrics] reports). *)
 let test_repeat_determinism () =
-  let a = observables (cfg ~pre:true) Workloads.Spec_int.gzip in
-  let b = observables (cfg ~pre:true) Workloads.Spec_int.gzip in
-  checks "repeat run metrics"
-    (let _, _, m = a in m)
-    (let _, _, m = b in m)
-
-(* ---------------- determinism: fuzz corpus ---------------- *)
-
-(* A small generated corpus (including SMC patch atoms) through lockstep
-   with predecode on and off: same result class, no divergence, and the
-   engine-side metrics bit-identical across both. *)
-let test_fuzz_determinism () =
-  let rng = F.Rng.create 0x5eed in
-  for seed = 1 to 12 do
-    let prog = F.generate ~rng ~max_insns:60 seed in
-    let run config =
-      let exec = F.run_one ~config ~fuel:2_000_000 prog in
-      let cls =
-        match exec.F.result with
-        | F.R_ok { commits; exit_code } ->
-          Printf.sprintf "ok commits=%d exit=%d" commits exit_code
-        | F.R_halted f -> "halted " ^ Ia32.Fault.to_string f
-        | F.R_fuel -> "fuel"
-        | F.R_diverged _ -> "DIVERGED"
-        | F.R_crash msg -> "CRASH " ^ msg
-      in
-      let metrics =
-        match exec.F.engine with
-        | Some e -> J.json_to_string (J.to_json (E.metrics e))
-        | None -> "none"
-      in
-      (cls, metrics)
-    in
-    let base_cls, base_metrics = run (cfg ~pre:true) in
-    (match String.index_opt base_cls 'D' with
-    | Some 0 -> Alcotest.failf "seed %d diverged: %s" seed base_cls
-    | _ -> ());
-    let cls, metrics = run (cfg ~pre:false) in
-    let tag = Printf.sprintf "seed %d pre=false" seed in
-    checks (tag ^ " class") base_cls cls;
-    checks (tag ^ " metrics") base_metrics metrics
-  done
+  let metrics () =
+    match (B.run_el Workloads.Spec_int.gzip ~scale:1).B.engine with
+    | Some e -> J.json_to_string (J.to_json (E.metrics e))
+    | None -> "none"
+  in
+  checks "repeat run metrics" (metrics ()) (metrics ())
 
 (* ---------------- decode cache vs self-modifying code ---------------- *)
 
@@ -159,21 +77,21 @@ let test_smc_invalidates_icache () =
 
 (* ---------------- allocation budgets ---------------- *)
 
-(* Minor words per executed machine slot under the pre-decoded core. What
+(* Minor words per executed machine slot. What
    remains is Int64 boxing in a few semantic actions plus the run's
    translation and group compilation; the budget has headroom for that
    but catches any reintroduced per-slot tuple, option, closure or
    hashtable traffic (which adds at least a word per slot on top). *)
 let test_machine_alloc_budget () =
   (* warm up: translations, lowering and caches allocate freely *)
-  ignore (B.run_el ~config:(cfg ~pre:true) Workloads.Spec_int.gzip ~scale:1);
+  ignore (B.run_el Workloads.Spec_int.gzip ~scale:1);
   let slots_of r =
     match r.B.engine with
     | Some e -> e.E.machine.Ipf.Machine.stats.Ipf.Machine.slots_retired
     | None -> 0
   in
   let before = Gc.minor_words () in
-  let r = B.run_el ~config:(cfg ~pre:true) Workloads.Spec_int.gzip ~scale:1 in
+  let r = B.run_el Workloads.Spec_int.gzip ~scale:1 in
   let words = Gc.minor_words () -. before in
   let slots = slots_of r in
   let per_slot = words /. float_of_int (max 1 slots) in
@@ -310,11 +228,11 @@ let test_interp_states_major_budget () =
        allocating decode caches again"
       words
 
-(* ---------------- pre-decode cache mechanics ---------------- *)
+(* ---------------- group-program cache mechanics ---------------- *)
 
-(* The lowering cache re-lowers only what the tcache actually changed:
-   run a workload, then re-run on the same engine state — the second run
-   must not grow the cached-bundle population (stamps all valid). *)
+(* The program cache recompiles only what the tcache actually changed:
+   after a gzip run every cached program is validated by its stamps and
+   the cache stays within its per-slot bounds. *)
 let test_exec_cache_stable () =
   let w = Workloads.Spec_int.gzip in
   let image = w.Workloads.Common.build ~scale:1 ~wide:false in
@@ -335,10 +253,11 @@ let test_exec_cache_stable () =
   check Alcotest.bool "retained programs bounded" true
     (retained <= 3 * slots)
 
-(* ---------------- group programs vs the reference loop ---------------- *)
+(* ---------------- group programs vs the per-slot reference ---------------- *)
 
-(* Hand-built tcaches run twice — by [Machine.run] and by [Exec.run] on
-   twin machines — and compared after every call: stop reason, every
+(* Hand-built tcaches run twice — by [Exec.reference_run] and by
+   [Exec.run] on twin machines — and compared after every call: stop
+   reason, every
    stats counter, buckets (bucket_fn keys on the bundle, so a charge to
    the wrong bundle shows), the charge-probe stream, ready/fready,
    ip/slot, last_exit and the register files. Each case aims a side exit
@@ -413,7 +332,9 @@ let side ~fast ?(setup = fun _ _ -> ()) bundles =
   let x = Ipf.Exec.create m in
   (* the default fuel keeps a looping case from running away *)
   let go ?(fuel = 10_000) () =
-    match if fast then Ipf.Exec.run ~fuel x else Mc.run ~fuel m with
+    match
+      if fast then Ipf.Exec.run ~fuel x else Ipf.Exec.reference_run ~fuel x
+    with
     | stop -> stop_str stop
     | exception Abort -> "abort"
     | exception Invalid_argument msg -> msg
@@ -442,17 +363,27 @@ let observe s =
   Printf.bprintf b "\nprobe=%s" (Buffer.contents s.probe);
   Buffer.contents b
 
-(* Run both sides with [steps]: each step is (fuel, action before it) *)
-let twin ?setup bundles tag steps =
+(* Run both sides with [steps]: each step is (fuel, action before it).
+   Returns the fast side and, per step, (what, reference, fast). *)
+let run_twin ?setup bundles steps =
   let r = side ~fast:false ?setup bundles and f = side ~fast:true ?setup bundles in
-  List.iteri
-    (fun i (fuel, before) ->
-      before r;
-      before f;
-      let tag = Printf.sprintf "%s step %d" tag i in
-      checks (tag ^ " stop") (r.go ?fuel ()) (f.go ?fuel ());
-      checks (tag ^ " state") (observe r) (observe f))
-    steps;
+  let results =
+    List.concat
+      (List.mapi
+         (fun i (fuel, before) ->
+           before r;
+           before f;
+           let rstop = r.go ?fuel () in
+           let fstop = f.go ?fuel () in
+           let tag = Printf.sprintf "step %d" i in
+           [ (tag ^ " stop", rstop, fstop); (tag ^ " state", observe r, observe f) ])
+         steps)
+  in
+  (f, results)
+
+let twin ?setup bundles tag steps =
+  let f, results = run_twin ?setup bundles steps in
+  List.iter (fun (what, a, b) -> checks (tag ^ " " ^ what) a b) results;
   f
 
 let at ip slot s =
@@ -472,7 +403,7 @@ let long_group =
     ]
 
 (* The last bundle has no stop: the group runs off the end of the tcache,
-   where the reference loop's next fetch raises with the group open. *)
+   where [reference_run]'s next fetch raises with the group open. *)
 let off_end =
   prologue @ [ bun ~stop:(-1) (add 6 4 5) (mk (I.Ld (8, I.Ld_none, 7, 2))) (add 8 4 4) ]
 
@@ -571,7 +502,7 @@ let test_patch_cached_group () =
     (cached > 0 && cached <= 3 * Ipf.Tcache.length f.tc)
 
 (* A store whose write watch raises (the engine's SMC abort) drops the
-   open group's timing exactly like the reference loop's unwinding; one
+   open group's timing exactly like [reference_run]'s unwinding; one
    whose watch rewrites the rest of its own group must see the new
    slots. *)
 let test_store_mid_group () =
@@ -593,19 +524,141 @@ let test_store_mid_group () =
   let invalidate tc = Ipf.Tcache.invalidate_range tc ~start:3 ~stop:5 ~target:0x99 in
   ignore (twin ~setup:(watch invalidate) long_group "invalidate" [ (None, keep) ])
 
+(* ---------------- generated group-vs-reference cases ---------------- *)
+
+(* Random small tcaches after [prologue] (plus r13 = data + 3, a
+   misaligned address): ALU ops, long immediates, loads (plain, ld.s,
+   ld.a, ld.sa) and stores through the mapped (r2, r9), unmapped (r3) and
+   misaligned (r13) addresses or a computed register, chk.s/chk.a,
+   compares writing p8-p11, predicated slots, forward branches, cache
+   exits, heat exits, nops and random stop bits, ending in an exit
+   bundle. Destinations stay in r16-r23, so the address registers
+   survive while values, NaT bits and ALAT entries flow between slots.
+   Each case runs with fuel at a random offset, then twice more without
+   a limit: after an exit a run resumes behind it, after a fault it
+   faults again, after the last exit it runs off the tcache. *)
+module G = QCheck.Gen
+
+let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) nop nop ]
+
+let gen_insn ~here ~last =
+  let open G in
+  let dst = int_range 16 23 in
+  let src = frequency [ (3, int_range 16 23); (1, oneofl [ 0; 2; 4; 5 ]) ] in
+  let addr = frequency [ (3, oneofl [ 2; 9; 3; 13 ]); (1, int_range 16 23) ] in
+  let size = oneofl [ 1; 2; 4; 8 ] in
+  let pr = int_range 8 11 in
+  let rel = oneofl I.[ Ceq; Cne; Clt; Cltu; Cge ] in
+  let ct = oneofl I.[ Cnorm; Cunc; Cand_; Cor_ ] in
+  let exit_ =
+    oneofl I.[ Dispatch 0x1234; Exit_program; Spec_fail (1, 2); Syscall 0x80 ]
+  in
+  let target =
+    frequency
+      [
+        (3, map (fun k -> I.To k) (int_range (here + 1) last));
+        (1, map (fun r -> I.Out r) exit_);
+      ]
+  in
+  let alu =
+    oneofl
+      [
+        (fun d a b -> I.Add (d, a, b));
+        (fun d a b -> I.Sub (d, a, b));
+        (fun d a b -> I.Shrs (d, a, b));
+        (fun d a b -> I.Xma (d, a, b, 4));
+        (fun d a b -> I.Dep (d, a, b, 8, 16));
+      ]
+  in
+  let sem =
+    frequency
+      [
+        (5, map3 (fun f d (a, b) -> f d a b) alu dst (pair src src));
+        ( 2,
+          map2
+            (fun d v -> I.Movi (d, Int64.of_int v))
+            dst
+            (oneofl [ 0; 1; 8; data; data + 4; data + 6; unmapped; -1 ]) );
+        ( 4,
+          map3
+            (fun d (sz, sp) a -> I.Ld (sz, sp, d, a))
+            dst
+            (pair size (oneofl I.[ Ld_none; Ld_s; Ld_a; Ld_sa ]))
+            addr );
+        (2, map3 (fun sz a v -> I.St (sz, a, v)) size addr src);
+        (1, map2 (fun r t -> I.Chk_s (r, t)) dst target);
+        (1, map2 (fun r t -> I.Chk_a (r, t)) dst target);
+        ( 2,
+          map3
+            (fun (rel, ct) (p1, p2) (a, b) -> I.Cmp (rel, ct, p1, p2, a, b))
+            (pair rel ct) (pair pr pr) (pair src src) );
+        ( 1,
+          map3
+            (fun (rel, ct) (p1, p2) a -> I.Cmpi (rel, ct, p1, p2, 8, a))
+            (pair rel ct) (pair pr pr) src );
+        (1, map (fun t -> I.Br t) target);
+        (1, map (fun s -> I.Hotc (s, 1, 77)) (int_range 0 3));
+        (2, return (I.Nop I.I));
+      ]
+  in
+  let qp =
+    frequency [ (3, return None); (1, map Option.some (oneofl [ 6; 7; 8; 9; 10; 11 ])) ]
+  in
+  map2 (fun qp sem -> I.mk ?qp sem) qp sem
+
+let gen_case =
+  let open G in
+  let base = List.length gen_prologue in
+  int_range 1 6 >>= fun n ->
+  let last = base + n in
+  let bundle here =
+    map2
+      (fun (a, b, c) stops ->
+        { Ipf.Bundle.template = Ipf.Bundle.MII; slots = [| a; b; c |]; stops })
+      (triple (gen_insn ~here ~last) (gen_insn ~here ~last) (gen_insn ~here ~last))
+      (array_repeat 3 (map (fun k -> k = 0) (int_bound 2)))
+  in
+  flatten_l (List.init n (fun i -> bundle (base + i))) >>= fun body ->
+  map
+    (fun fuel -> (body, fuel))
+    (int_bound ((3 * (last + 1)) + 4))
+
+let print_case (body, fuel) =
+  let b = Buffer.create 512 in
+  Printf.bprintf b "fuel %d\n" fuel;
+  List.iteri
+    (fun i bundle ->
+      Printf.bprintf b "%d:" (List.length gen_prologue + i);
+      Array.iteri
+        (fun s insn ->
+          Printf.bprintf b " %s%s" (I.to_string insn)
+            (if bundle.Ipf.Bundle.stops.(s) then " ;;" else " |"))
+        bundle.Ipf.Bundle.slots;
+      Buffer.add_char b '\n')
+    body;
+  Buffer.contents b
+
+let test_generated =
+  QCheck.Test.make ~count:2000 ~name:"generated-tcaches"
+    (QCheck.make ~print:print_case gen_case)
+    (fun (body, fuel) ->
+      let bundles = gen_prologue @ body @ [ bun nop nop (out I.Exit_program) ] in
+      let _, results =
+        run_twin bundles [ (Some fuel, keep); (None, keep); (None, keep) ]
+      in
+      match List.find_opt (fun (_, a, b) -> a <> b) results with
+      | None -> true
+      | Some (what, a, b) ->
+        QCheck.Test.fail_reportf "%s differs:\nreference: %s\nfast:      %s" what
+          a b)
+
 let () =
   Alcotest.run "exec"
     [
       ( "determinism",
         [
-          Alcotest.test_case "workloads-predecode-on-off" `Quick
-            test_workload_determinism;
-          Alcotest.test_case "suite-predecode-on-off" `Slow
-            test_suite_determinism;
           Alcotest.test_case "repeat-run-metrics" `Quick
             test_repeat_determinism;
-          Alcotest.test_case "fuzz-corpus-predecode-on-off" `Slow
-            test_fuzz_determinism;
         ] );
       ( "decode-cache",
         [
@@ -622,7 +675,7 @@ let () =
           Alcotest.test_case "interp-states-major-budget" `Quick
             test_interp_states_major_budget;
         ] );
-      ( "predecode",
+      ( "program-cache",
         [
           Alcotest.test_case "cache-stable" `Quick test_exec_cache_stable;
         ] );
@@ -635,5 +688,9 @@ let () =
             test_raw_split_predicated_off;
           Alcotest.test_case "patch-cached-group" `Quick test_patch_cached_group;
           Alcotest.test_case "store-mid-group" `Quick test_store_mid_group;
+          (* a fixed seed: the same 2000 tcaches on every run *)
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0x1a32e1 |])
+            test_generated;
         ] );
     ]

@@ -1,5 +1,6 @@
-(* Tests for the IPF substrate: bundles/templates, the machine's semantics
-   (ALU, predication, speculation, ALAT), faults, and the timing model. *)
+(* Tests for the IPF substrate: bundles/templates, the instruction
+   semantics of the execution core (ALU, predication, speculation, ALAT),
+   faults, and the timing model. *)
 
 let check = Alcotest.check
 let int = Alcotest.int
@@ -18,11 +19,14 @@ let setup ?(map_mem = true) prog =
   let m = Machine.create mem tc in
   (m, mem, tc)
 
+(* Run a machine on the engine's execution core. *)
+let exec ?fuel m = Exec.run ?fuel (Exec.create m)
+
 let exit_bundle = [ Insn.mk (Insn.Br (Insn.Out Insn.Exit_program)) ]
 
 let run_prog ?fuel prog =
   let m, mem, _ = setup (prog @ [ exit_bundle ]) in
-  let stop = Machine.run ?fuel m in
+  let stop = exec ?fuel m in
   (m, mem, stop)
 
 let expect_exit stop =
@@ -138,7 +142,7 @@ let machine_tests =
         add [ mk (Movi (6, 111L)); mk (Br (Out Exit_program)) ]; (* 3 *)
         add [ mk (Movi (6, 222L)); mk (Br (Out Exit_program)) ]; (* 4 recovery *)
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "expected exit");
         Alcotest.check Alcotest.int64 "recovery ran" 222L (Machine.get m 6);
@@ -154,7 +158,7 @@ let machine_tests =
         add [ mk (Movi (7, 1L)); mk (Br (Out Exit_program)) ];
         add [ mk (Movi (7, 2L)); mk (Br (Out Exit_program)) ];
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "recovered" 2L (Machine.get m 7));
@@ -171,7 +175,7 @@ let machine_tests =
         add [ mk (Br (Out Exit_program)) ]; (* 4: not reached *)
         add [ mk (Ld (4, Ld_none, 6, 4)); mk (Br (Out Exit_program)) ]; (* 5: reload *)
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "reloaded fresh value" 99L (Machine.get m 6));
@@ -192,7 +196,7 @@ let machine_tests =
         add [ mk (Br (Out Exit_program)) ]; (* 4: not reached *)
         add [ mk (Movi (7, 42L)); mk (Br (Out Exit_program)) ]; (* 5: recovery *)
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "recovery ran" 42L (Machine.get m 7));
@@ -207,7 +211,7 @@ let machine_tests =
         add [ mk (Br (Out Exit_program)) ];
         add [ mk (Movi (7, 9L)); mk (Br (Out Exit_program)) ];
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit (no fault expected)");
         Alcotest.check Alcotest.int64 "recovery ran" 9L (Machine.get m 7));
@@ -224,7 +228,7 @@ let machine_tests =
         add [ mk (Movi (7, 1L)); mk (Br (Out Exit_program)) ];
         add [ mk (Movi (7, 2L)); mk (Br (Out Exit_program)) ];
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "no recovery" 1L (Machine.get m 7);
@@ -291,7 +295,7 @@ let machine_tests =
         add [ mk (Cmpi (Ceq, Cnorm, 1, 2, 0, 4)); mk ~qp:2 (Br (To 1)) ]; (* 3 *)
         add [ mk (Br (Out Exit_program)) ]; (* 4 *)
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "sum 10..1" 55L (Machine.get m 5));
@@ -304,7 +308,7 @@ let machine_tests =
         add [ mk (Br_ind 1) ]; (* 2 *)
         add [ mk (Movi (5, 42L)); mk (Br (Out Exit_program)) ]; (* 3 *)
         let m = Machine.create mem tc in
-        (match Machine.run m with
+        (match exec m with
         | Machine.Exited Exit_program -> ()
         | _ -> Alcotest.fail "exit");
         Alcotest.check Alcotest.int64 "landed" 42L (Machine.get m 5));
@@ -315,9 +319,78 @@ let machine_tests =
           (Tcache.append tc
              (Bundle.make ~stop_end:true [ mk (Br (Out (Dispatch 0x401000))) ]));
         let m = Machine.create mem tc in
-        match Machine.run m with
+        match exec m with
         | Machine.Exited (Dispatch 0x401000) -> ()
         | _ -> Alcotest.fail "expected dispatch exit");
+    Alcotest.test_case "storing a NaT value faults" `Quick (fun () ->
+        let _, _, stop =
+          run_prog
+            [ [ mk (Movi (4, 0x1000L)); mk (Movi (5, 0x90000L)) ];
+              [ mk (Ld (4, Ld_s, 6, 5)) ]; (* r6 NaT *)
+              [ mk (St (4, 4, 6)) ] ]
+        in
+        match stop with
+        | Machine.Faulted f ->
+          check bool "NaT consumption" true (f.Machine.kind = Machine.F_nat);
+          check bool "by the store" true f.Machine.store
+        | _ -> Alcotest.fail "expected a NaT fault");
+    Alcotest.test_case "alat: ld.s from a NaT address kills stale entry"
+      `Quick (fun () ->
+        (* the NaT-address path of a speculative load must drop the
+           target's ALAT entry just as the faulting path does *)
+        let mem = Ia32.Memory.create () in
+        Ia32.Memory.map mem ~addr:0x1000 ~len:0x1000 ~prot:Ia32.Memory.prot_rw;
+        let tc = Tcache.create () in
+        let add insns = ignore (Tcache.append tc (Bundle.make ~stop_end:true insns)) in
+        add [ mk (Movi (4, 0x1010L)); mk (Movi (5, 0x9000L)) ]; (* 0 *)
+        add [ mk (Ld (4, Ld_a, 6, 4)); mk (Ld (4, Ld_s, 8, 5)) ]; (* 1: r8 NaT *)
+        add [ mk (Ld (4, Ld_s, 6, 8)) ]; (* 2: NaT address, entry dies *)
+        add [ mk (Chk_a (6, To 5)) ]; (* 3: must fire *)
+        add [ mk (Br (Out Exit_program)) ]; (* 4: not reached *)
+        add [ mk (Movi (7, 42L)); mk (Br (Out Exit_program)) ]; (* 5: recovery *)
+        let m = Machine.create mem tc in
+        (match exec m with
+        | Machine.Exited Exit_program -> ()
+        | _ -> Alcotest.fail "exit");
+        check bool "NaT set" true (Machine.get_nat m 6);
+        Alcotest.check Alcotest.int64 "recovery ran" 42L (Machine.get m 7));
+    Alcotest.test_case "shrs clamps counts past 63" `Quick (fun () ->
+        let m, _, stop =
+          run_prog
+            [ [ mk (Movi (4, -8L)); mk (Movi (5, 100L)) ];
+              [ mk (Shrs (6, 4, 5)) ] ]
+        in
+        expect_exit stop;
+        Alcotest.check Alcotest.int64 "sign fill" (-1L) (Machine.get m 6));
+    Alcotest.test_case "xmah: signed high word" `Quick (fun () ->
+        (* -1 * 2 = -2: the high word is all ones, and the middle partial
+           sum is negative, so it must shift arithmetically *)
+        let m, _, stop =
+          run_prog
+            [ [ mk (Movi (4, -1L)); mk (Movi (5, 2L)) ];
+              [ mk (Xmah (6, 4, 5, 0)) ] ]
+        in
+        expect_exit stop;
+        Alcotest.check Alcotest.int64 "high word" (-1L) (Machine.get m 6));
+    Alcotest.test_case "cmp.and clears only on a false compare" `Quick
+      (fun () ->
+        let m, _, stop =
+          run_prog
+            [ [ mk (Movi (4, 7L)) ];
+              [ mk (Setp (1, true)); mk (Setp (2, true)); mk (Setp (3, true)) ];
+              [ mk (Setp (5, true)) ];
+              [ mk (Cmpi (Ceq, Cand_, 1, 2, 7, 4));
+                mk (Cmpi (Ceq, Cand_, 3, 5, 8, 4)) ];
+              [ mk ~qp:1 (Addi (8, 1, 0)) ];
+              [ mk ~qp:2 (Addi (9, 1, 0)) ];
+              [ mk ~qp:3 (Addi (10, 1, 0)) ];
+              [ mk ~qp:5 (Addi (11, 1, 0)) ] ]
+        in
+        expect_exit stop;
+        Alcotest.check Alcotest.int64 "true compare keeps p1" 1L (Machine.get m 8);
+        Alcotest.check Alcotest.int64 "true compare keeps p2" 1L (Machine.get m 9);
+        Alcotest.check Alcotest.int64 "false compare clears p3" 0L (Machine.get m 10);
+        Alcotest.check Alcotest.int64 "false compare clears p5" 0L (Machine.get m 11));
   ]
 
 let timing_tests =
@@ -345,7 +418,7 @@ let timing_tests =
             (Tcache.append tc
                (Bundle.make ~stop_end:true [ mk (Br (Out Exit_program)) ]));
           let m = Machine.create mem tc in
-          (match Machine.run m with
+          (match exec m with
           | Machine.Exited Exit_program -> ()
           | _ -> Alcotest.fail "exit");
           m.Machine.stats.Machine.cycles
@@ -376,7 +449,7 @@ let timing_tests =
           end;
           add [ mk (Br (Out Exit_program)) ];
           let m = Machine.create mem tc in
-          (match Machine.run m with
+          (match exec m with
           | Machine.Exited Exit_program -> ()
           | _ -> Alcotest.fail "exit");
           m.Machine.stats.Machine.cycles

@@ -466,7 +466,8 @@ let test_engine_metrics_shape () =
 
 (* Acceptance criterion: attaching the sampler (and the histogram set)
    must leave every deterministic observable bit-identical — cycles and
-   all Account counters — with predecode on and off. And because sampling is driven by the virtual clock, two
+   all Account counters — under both first phases. And because sampling
+   is driven by the virtual clock, two
    sampled runs of the same config produce byte-identical folded
    flamegraph output. *)
 let test_sampler_is_free () =
@@ -486,9 +487,7 @@ let test_sampler_is_free () =
     (r.B.cycles, Ia32el.Account.counters eng.E.acct, s)
   in
   List.iter
-    (fun pre ->
-      let config = { Ia32el.Config.default with enable_predecode = pre } in
-      let tag = Printf.sprintf "predecode=%b" pre in
+    (fun (tag, config) ->
       let plain = B.run_el ~config gzip ~scale:1 in
       let plain_eng =
         match plain.B.engine with Some e -> e | None -> assert false
@@ -501,7 +500,14 @@ let test_sampler_is_free () =
         (Ia32el.Account.counters plain_eng.E.acct)
         counters;
       checkb (tag ^ ": sampler saw samples") true (S.samples s > 0))
-    [ true; false ];
+    [
+      ("default", Ia32el.Config.default);
+      ( "interpret-first",
+        {
+          Ia32el.Config.default with
+          Ia32el.Config.first_phase = Ia32el.Config.Interpret_first;
+        } );
+    ];
   (* determinism of the artifact itself: two sampled runs, same bytes *)
   let _, _, s1 = sampled_run Ia32el.Config.default in
   let _, _, s2 = sampled_run Ia32el.Config.default in

@@ -3,7 +3,7 @@
    The tentpole property: a warm start from a saved cache — and an AOT
    pre-translated one — is bit-identical in every observable (exit code,
    cycle counts, the full metrics snapshot) to the same run translating
-   everything live, with predecode on and off and with a translation
+   everything live, under both first phases and with a translation
    cache small enough to flush mid-run, with real cache hits doing the
    work. On top: the robustness ladder — every disk-fault mode (bit
    flip, truncation, partial write, stale fingerprint, held lock, older
@@ -21,18 +21,20 @@ let int = Alcotest.int
 let bool = Alcotest.bool
 let string = Alcotest.string
 
-(* predecode on/off x translation-cache size: the small cache flushes
-   wholesale mid-run, so the warm run must hit the store again for every
+(* first phase x translation-cache size: interpret-first stores only hot
+   traces, since its cold code is interpreted; the small cache flushes
+   wholesale mid-run (interpret-first translates less, so its cache is
+   smaller still), so the warm run must hit the store again for every
    block retranslated after a flush *)
 let configs =
   let d = Ia32el.Config.default in
-  let f = { d with Ia32el.Config.tcache_limit = 100 } in
+  let i = { d with Ia32el.Config.first_phase = Ia32el.Config.Interpret_first } in
+  let flush limit c = { c with Ia32el.Config.tcache_limit = limit } in
   [
     ("default", d);
-    ("no-predecode", { d with Ia32el.Config.enable_predecode = false });
-    ("tcache-flush", f);
-    ( "tcache-flush-no-predecode",
-      { f with Ia32el.Config.enable_predecode = false } );
+    ("tcache-flush", flush 100 d);
+    ("interpret-first", i);
+    ("interpret-first-tcache-flush", flush 30 i);
   ]
 
 let workload name =

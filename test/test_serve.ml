@@ -6,8 +6,8 @@
      independently, arenas don't leak across Vos instances;
    - standalone vs served determinism: a guest run alone and the same
      guest run inside a multi-worker batch yield bit-identical
-     observables (metrics JSON, exit code, output, response) with
-     predecode on and off;
+     observables (metrics JSON, exit code, output, response) under both
+     first phases;
    - admission control (bounded-queue rejection) and per-request budget
      exhaustion;
    - shared read-only AOT tcache: a warm batch retranslates nothing. *)
@@ -96,9 +96,12 @@ let test_arena_per_instance () =
 
 let config_matrix =
   [
-    ("pre", Ia32el.Config.default);
-    ( "nopre",
-      { Ia32el.Config.default with Ia32el.Config.enable_predecode = false } );
+    ("default", Ia32el.Config.default);
+    ( "interpret-first",
+      {
+        Ia32el.Config.default with
+        Ia32el.Config.first_phase = Ia32el.Config.Interpret_first;
+      } );
   ]
 
 let observables ?config ~request () =
@@ -177,30 +180,6 @@ let test_standalone_vs_served_forked () =
     (List.length (List.sort_uniq compare
        (List.filter_map (fun r -> Option.map (fun x -> x.Serve.r_worker) r.Serve.result)
           batch.Serve.responses)) > 1)
-
-let test_standalone_vs_served_domains () =
-  (* stretch backend: OCaml 5 domains, same bit-identical contract *)
-  let config = Ia32el.Config.default in
-  let _, out0, resp0, m0 = observables ~config ~request:payload () in
-  let jobs = List.init 4 (fun _ -> { Serve.payload; max_cycles = None }) in
-  let batch =
-    Serve.run_batch
-      (Serve.pool ~backend:Serve.Domains ~workers:2 ~queue:4 ~config ())
-      jobs
-  in
-  List.iteri
-    (fun i res ->
-      let r = Option.get res.Serve.result in
-      Alcotest.(check string)
-        (Printf.sprintf "domains: output %d" i)
-        out0 r.Serve.r_output;
-      Alcotest.(check string)
-        (Printf.sprintf "domains: response %d" i)
-        resp0 r.Serve.r_response;
-      Alcotest.(check string)
-        (Printf.sprintf "domains: metrics %d bit-identical" i)
-        m0 r.Serve.r_metrics)
-    batch.Serve.responses
 
 (* ---- admission control and budgets ----------------------------------- *)
 
@@ -335,7 +314,6 @@ let () =
             test_memory_generations_independent;
           Alcotest.test_case "arena per instance" `Quick test_arena_per_instance;
         ] );
-      (* before the domains test: no fork once a domain has run *)
       ( "open-loop",
         [
           Alcotest.test_case "latency counts queueing" `Quick
@@ -347,8 +325,6 @@ let () =
             test_standalone_vs_served_inline;
           Alcotest.test_case "standalone = served (4 forked workers)" `Quick
             test_standalone_vs_served_forked;
-          Alcotest.test_case "standalone = served (2 domains)" `Quick
-            test_standalone_vs_served_domains;
         ] );
       ( "admission",
         [

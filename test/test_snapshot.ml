@@ -2,8 +2,9 @@
 
    The tentpole property: a guest reverted to a snapshot and rerun is
    bit-identical — same virtual cycle count, same trace-event stream,
-   same exit code and console output — to a fresh run, with predecode
-   on and off under both first phases, including a multithreaded guest
+   same exit code and console output — to a fresh run, under both first
+   phases and with a translation cache small enough to flush mid-run,
+   including a multithreaded guest
    whose run crosses a cross-thread SMC shootdown.
    On top: crash-capsule round trips (watchdog and seeded-divergence
    capsules must replay to the same failure with every commit point
@@ -25,18 +26,19 @@ let bool = Alcotest.bool
 (* Configuration matrix                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* predecode on/off x first phase: interpret-first runs cold code in the
-   engine's interpreter, so revert+rerun also crosses its heat counts and
-   its shared decode cache, not only translated code *)
+(* first phase x translation-cache size: interpret-first runs cold code
+   in the engine's interpreter, so revert+rerun also crosses its heat
+   counts and its shared decode cache, not only translated code; the
+   small cache flushes wholesale mid-run, on top of the barrier flushes *)
 let configs =
   let d = Ia32el.Config.default in
   let i = { d with Ia32el.Config.first_phase = Ia32el.Config.Interpret_first } in
+  let flush c = { c with Ia32el.Config.tcache_limit = 100 } in
   [
     ("default", d);
-    ("no-predecode", { d with Ia32el.Config.enable_predecode = false });
+    ("tcache-flush", flush d);
     ("interpret-first", i);
-    ( "interpret-first-no-predecode",
-      { i with Ia32el.Config.enable_predecode = false } );
+    ("interpret-first-tcache-flush", flush i);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -441,7 +443,7 @@ let capsule_tests =
         let body = really_input_string ic (in_channel_length ic) in
         close_in ic;
         let n = String.length Cap.magic in
-        let old = "IA32EL-CAPSULE/2" in
+        let old = "IA32EL-CAPSULE/3" in
         check int "same tag width" n (String.length old);
         let oc = open_out_bin file in
         output_string oc (old ^ String.sub body n (String.length body - n));
