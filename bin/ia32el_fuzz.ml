@@ -40,6 +40,8 @@ let forkserver_main seed runs max_insns mutations smoke max_findings fuel
      mutations each), %d pages restored, %.1fs cpu (%.0f inputs/s)\n"
     r.F.fs_runs r.F.fs_bases seed max_insns mutations r.F.fs_pages_restored dt
     (if dt > 0. then float_of_int r.F.fs_runs /. dt else 0.);
+  Printf.printf "live translations: %d (%.2f per input)\n" r.F.fs_translations
+    (float_of_int r.F.fs_translations /. float_of_int (max 1 r.F.fs_runs));
   match r.F.fs_findings with
   | [] ->
     Printf.printf "no divergences, crashes or livelocks\n";

@@ -43,6 +43,25 @@ type commit_map = {
 
 type kind = Cold | Hot
 
+(** {1 Source spans} *)
+
+type span
+(** What a translation was made from: the mapped bytes of
+    [\[entry, code_end)] and the protection of every page they lie on
+    and of the page right after. *)
+
+val capture_span : Ia32.Memory.t -> lo:int -> hi:int -> span
+(** The span of [\[lo, hi)] as memory holds it now. Never faults: a
+    mapped page that cannot be read is recorded so that it never
+    matches. *)
+
+val span_matches : Ia32.Memory.t -> span -> bool
+(** Whether memory still holds exactly the bytes and page protections a
+    span recorded — the one validity check for a translation against
+    its source, shared by persistent-cache install and warm revert. *)
+
+(** {1 Blocks} *)
+
 type t = {
   id : int;
   entry : int;  (** IA-32 entry address *)
@@ -51,6 +70,7 @@ type t = {
   mutable tlen : int;
   insns : (int * Ia32.Insn.insn) array;  (** source instructions *)
   code_end : int;  (** address after the last source instruction *)
+  span : span;  (** [\[entry, code_end)] as it was translated *)
   ma_base : int;
       (** profile arena: first per-access misalignment slot (cold blocks;
           hot blocks own no arena slots) *)
@@ -68,6 +88,14 @@ type t = {
 
 (** {1 Block cache} *)
 
+type killed = {
+  k_block : t;
+  k_code : Ipf.Bundle.t array;  (** the block's bundles just before the kill *)
+  k_stamps : int array;  (** ... and their {!Ipf.Tcache.stamp}s *)
+}
+(** A killed block with a copy of its code, kept so it can be revived
+    once its source is valid again. *)
+
 type cache = {
   by_entry : (int, t) Hashtbl.t;  (** live block per entry address *)
   by_id : (int, t) Hashtbl.t;
@@ -79,8 +107,14 @@ type cache = {
       (** (start, byte length) arena ranges claimed at recorded addresses
           by blocks installed from a persistent cache *)
   mutable owner_gen : int;
-      (** bumped whenever [bundle_owner] changes, so bundle->block
-          attribution caches can detect staleness cheaply *)
+      (** bumped whenever a bundle index may change owner: a flush, which
+          recycles every index. {!register} only gives fresh bundles
+          their first owner, so an attribution cached for an owned
+          bundle stays valid until [owner_gen] moves. *)
+  dormant : (int, killed list) Hashtbl.t;
+      (** cold translations killed inside a warm epoch or dropped by a
+          warm revert, newest first per entry ({!retire}, {!wake});
+          emptied by a flush *)
 }
 
 val arena_base : int
@@ -114,12 +148,48 @@ val find_entry : cache -> int -> t option
 val find_by_bundle : cache -> int -> t option
 val find_by_id : cache -> int -> t option
 
-val invalidate : cache -> Ipf.Tcache.t -> t -> unit
+val keep : Ipf.Tcache.t -> t -> killed
+(** The block's bundles and stamps as they stand, copied aside. *)
+
+val invalidate : ?keep:(killed -> unit) -> cache -> Ipf.Tcache.t -> t -> unit
 (** Mark dead, detach from the entry index, and turn the block's bundles
     into dispatch exits so stale chained predecessors fall back to the
-    runtime. *)
+    runtime. With [keep], a copy of the bundles and their stamps
+    ({!val-keep}) is handed to it first. A dead block is left alone. *)
+
+val overwrite : Ipf.Tcache.t -> t -> unit
+(** Turn the block's bundles into dispatch exits to its entry — the
+    tcache half of {!invalidate}, for a block already marked dead while
+    it was running. *)
+
+val revive : cache -> Ipf.Tcache.t -> killed -> unit
+(** Undo an {!invalidate}: restore the bundles and stamps at the same
+    [tstart] ({!Ipf.Tcache.restore_range}) and make the block live at its
+    entry again. The caller must have checked that no flush recycled the
+    indices since the kill, that no live block holds the entry and that
+    the source span matches memory. *)
+
+val watch : Ia32.Memory.t -> t -> unit
+(** Put the SMC write watch on every page of the block's source. *)
 
 val blocks_touching : cache -> int -> t list
 (** Live blocks whose source bytes include an address (SMC). *)
 
 val live_blocks_on_page : cache -> int -> t list
+
+val retire : cache -> killed -> unit
+(** Keep a killed cold translation as dormant, for {!wake}: the few most
+    recent per entry are kept. *)
+
+val wake :
+  cache ->
+  Ipf.Tcache.t ->
+  Ia32.Memory.t ->
+  entry:int ->
+  entry_tos:int ->
+  stage2:bool ->
+  t option
+(** At a dispatch miss, revive ({!revive}, {!watch}) a dormant
+    translation of [entry] that the cold translator would reproduce:
+    its source span matches memory and it was made with the same entry
+    TOS and stage-2 flag. *)

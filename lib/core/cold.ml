@@ -313,6 +313,7 @@ let translate env ~entry ~entry_tos ~stage2 =
       tlen;
       insns;
       code_end = bb.Discover.next;
+      span = Block.capture_span env.mem ~lo:entry ~hi:bb.Discover.next;
       ma_base;
       n_accesses = n_acc;
       entry_tos;
@@ -327,11 +328,7 @@ let translate env ~entry ~entry_tos ~stage2 =
   in
   Block.register env.cache block;
   (* watch the source pages so stores into them trigger SMC detection *)
-  let first_page = entry lsr Ia32.Memory.page_bits in
-  let last_page = (block.Block.code_end - 1) lsr Ia32.Memory.page_bits in
-  for p = first_page to last_page do
-    Ia32.Memory.watch_page env.mem (p lsl Ia32.Memory.page_bits)
-  done;
+  Block.watch env.mem block;
   env.acct.Account.cold_blocks <- env.acct.Account.cold_blocks + 1;
   if stage2 then env.acct.Account.cold_regens <- env.acct.Account.cold_regens + 1;
   block

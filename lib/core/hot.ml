@@ -1306,6 +1306,7 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
       tlen;
       insns = Array.of_list (List.rev !src_insns);
       code_end;
+      span = Block.capture_span env.Cold.mem ~lo:entry ~hi:code_end;
       ma_base = 0;
       n_accesses = 0;
       entry_tos;
@@ -1319,11 +1320,7 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
     }
   in
   (* watch source pages (SMC) *)
-  let first_page = entry lsr Ia32.Memory.page_bits in
-  let last_page = (max entry (code_end - 1)) lsr Ia32.Memory.page_bits in
-  for p = first_page to last_page do
-    Ia32.Memory.watch_page env.Cold.mem (p lsl Ia32.Memory.page_bits)
-  done;
+  Block.watch env.Cold.mem block;
   env.Cold.acct.Account.hot_blocks <- env.Cold.acct.Account.hot_blocks + 1;
   block
 

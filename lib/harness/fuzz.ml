@@ -1911,16 +1911,20 @@ let campaign cfg =
    session once, snapshot both vehicles after startup, then serve
    mutated inputs by writing bytes into the scratch region of BOTH
    memories, running the pair and reverting. The engine snapshot is warm
-   ([barrier:false]): translated blocks survive the revert unless their
-   source pages were touched, so runs after the first skip both engine
-   creation and translation; the memory side is the page journal, so a
-   revert costs O(pages touched). *)
+   ([barrier:false]): the revert judges translations by content, keeping
+   every block whose source bytes and page protections match the rewound
+   memory and reviving the blocks an input's self-modifying stores
+   killed once the rewind restores their bytes. Runs after the first
+   skip engine creation and almost all translation; the memory side is
+   the page journal, so a revert costs O(pages touched). *)
 
 type server = {
   srv_session : L.session;
   srv_fuel : int;
   mutable srv_ck : Btlib.Vos.checkpoint option; (* ref-side OS checkpoint *)
   mutable srv_runs : int;
+  mutable srv_translations : int;
+  mutable srv_translated0 : int; (* engine translations at the push *)
 }
 
 (* The mutable input region: the scratch area between the loop counters
@@ -1933,20 +1937,33 @@ let server_start ?config ?(fuel = 12_000_000) p =
   let mem = Memory.create () in
   let st0 = Asm.load ~writable_code:true image mem in
   let srv_session = L.create ?config ~btlib:(module Btlib.Linuxsim) mem st0 in
-  { srv_session; srv_fuel = fuel; srv_ck = None; srv_runs = 0 }
+  {
+    srv_session;
+    srv_fuel = fuel;
+    srv_ck = None;
+    srv_runs = 0;
+    srv_translations = 0;
+    srv_translated0 = 0;
+  }
+
+let translated srv =
+  let a = (L.engine srv.srv_session).E.acct in
+  a.Ia32el.Account.cold_blocks + a.Ia32el.Account.hot_blocks
 
 let server_push srv =
   ignore (E.snapshot ~barrier:false (L.engine srv.srv_session));
+  srv.srv_translated0 <- translated srv;
   Memory.Journal.push (L.reference_mem srv.srv_session);
   srv.srv_ck <- Some (Btlib.Vos.checkpoint (L.reference_vos srv.srv_session))
 
 let server_revert srv =
   let e = L.engine srv.srv_session in
   (* a divergence or a raised [Bt_error] unwinds out of [Engine.run]
-     without the usual rest-state cleanup; clear the transients before
-     rewinding *)
+     without the usual rest-state cleanup; the revert finishes any
+     deferred SMC kill *)
   e.E.running_block <- None;
-  e.E.smc_pending <- [];
+  srv.srv_translations <-
+    srv.srv_translations + translated srv - srv.srv_translated0;
   ignore (E.revert e);
   ignore (Memory.Journal.revert (L.reference_mem srv.srv_session));
   (match srv.srv_ck with
@@ -1990,6 +2007,9 @@ let server_pages_restored srv =
   E.pages_restored (L.engine srv.srv_session)
   + Memory.Journal.pages_restored (L.reference_mem srv.srv_session)
 
+let server_translations srv = srv.srv_translations
+let server_engine srv = L.engine srv.srv_session
+
 type forkserver_config = {
   fs_seed : int;
   fs_programs : int; (* base programs, one server each *)
@@ -2017,6 +2037,7 @@ type forkserver_result = {
   fs_findings : (finding * (int * int) list) list;
       (** each finding with the mutation (offset, byte) list that hit it *)
   fs_pages_restored : int;
+  fs_translations : int;
 }
 
 let mutation_of_rng rng =
@@ -2030,6 +2051,7 @@ let forkserver_campaign cfg =
   let runs = ref 0 in
   let bases = ref 0 in
   let restored = ref 0 in
+  let translations = ref 0 in
   (try
      for k = 0 to cfg.fs_programs - 1 do
        let pseed = (cfg.fs_seed * 1_000_003) + k in
@@ -2059,7 +2081,8 @@ let forkserver_campaign cfg =
          | None -> ());
          if List.length !findings >= cfg.fs_max_findings then raise Exit
        done;
-       restored := !restored + server_pages_restored srv
+       restored := !restored + server_pages_restored srv;
+       translations := !translations + server_translations srv
      done
    with Exit -> ());
   {
@@ -2067,6 +2090,7 @@ let forkserver_campaign cfg =
     fs_bases = !bases;
     fs_findings = List.rev !findings;
     fs_pages_restored = !restored;
+    fs_translations = !translations;
   }
 
 (* ---------------------------------------------------------------- *)

@@ -218,6 +218,14 @@ val server_runs : server -> int
 val server_pages_restored : server -> int
 (** Cumulative pages restored by the server's reverts (both sides). *)
 
+val server_engine : server -> Ia32el.Engine.t
+(** The server's engine, for inspecting what it keeps between inputs. *)
+
+val server_translations : server -> int
+(** Cumulative live translations (cold blocks and hot traces) the
+    engine ran while serving inputs. A deterministic count: the revert
+    rewinds the engine's own counters, so this is taken before it. *)
+
 type forkserver_config = {
   fs_seed : int;
   fs_programs : int; (** base programs, one server each *)
@@ -236,6 +244,7 @@ type forkserver_result = {
   fs_findings : (finding * (int * int) list) list;
       (** each finding with the mutation that hit it *)
   fs_pages_restored : int;
+  fs_translations : int;  (** {!server_translations}, summed *)
 }
 
 val forkserver_campaign : forkserver_config -> forkserver_result

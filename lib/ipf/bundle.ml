@@ -32,6 +32,11 @@ type t = {
   stops : bool array; (* length 3; stops.(i) ends a group after slot i *)
 }
 
+(* Chaining and invalidation patch tcache bundles in place, so a bundle
+   kept aside (a persisted translation, a killed block's code) needs
+   arrays of its own. *)
+let copy b = { b with slots = Array.copy b.slots; stops = Array.copy b.stops }
+
 (* A unit kind may occupy a slot: ALU (I-kind) instructions also fit M slots
    (real A-type instructions), but true M-unit operations need an M slot. *)
 let kind_fits ~slot ~insn =

@@ -21,6 +21,10 @@ type t = {
   stops : bool array;  (** length 3; [stops.(i)] ends a group after slot i *)
 }
 
+val copy : t -> t
+(** A bundle with slot and stop arrays of its own: the tcache patches
+    bundles in place, so a copy kept aside must not share them. *)
+
 val kind_fits : slot:Insn.unit_kind -> insn:Insn.unit_kind -> bool
 (** Whether an instruction of unit kind [insn] may occupy a slot of kind
     [slot]. ALU ([I]-kind) instructions also fit [M] slots, mirroring

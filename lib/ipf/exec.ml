@@ -86,6 +86,7 @@ type t = {
   mutable progs : prog array; (* by entry position [lin] *)
   mutable gen : int; (* tcache generation, refreshed after every store *)
   mutable fuel : int;
+  mutable running : int; (* entry position of the group running *)
   mutable k : int; (* index of the uop running, for exception exits *)
   mutable res : int; (* result of the uop that left the group *)
   (* compile-time scratch: epoch-marked write and source sets *)
@@ -121,6 +122,7 @@ let create m =
     progs = Array.make 3072 dummy;
     gen = 0;
     fuel = 0;
+    running = 0;
     k = 0;
     res = 0;
     wmark = Array.make nres 0;
@@ -981,6 +983,7 @@ let rec fuel_lim uops f i =
    [stall0], and chain on. Every exit settles the group from the prefix
    aggregates of the slots it got through. *)
 let rec go t g stall0 =
+  t.running <- g.lin;
   let f = t.fuel in
   let lim = if f >= g.n then Array.length g.uops else fuel_lim g.uops f 0 in
   match exec t t.m.M.pr g.uops 0 lim with
@@ -1096,6 +1099,8 @@ let run ?(fuel = max_int) t =
   if fuel <= 0 then M.Fuel
   else go t (prog_at t ((3 * m.M.ip) + m.M.slot)) m.M.stats.M.dcache_stall
 
+let running_bundle t = t.running / 3
+
 (* ---- per-slot reference loop -------------------------------------------- *)
 
 (* Fetch every slot from the tcache, run its closure and derive the group
@@ -1203,7 +1208,10 @@ let reference_run ?(fuel = max_int) t =
   in
   step ()
 
-(* Diagnostics for tests. *)
+(* Diagnostics for tests. [compile] opens one scratch epoch per
+   program, so the epoch counts the programs compiled. *)
+let compiled t = t.epoch
+
 let cached_programs t =
   Array.fold_left
     (fun n g -> if stamps_ok t.tc g.span g.stamps 0 then n + 1 else n)

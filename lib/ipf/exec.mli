@@ -10,7 +10,12 @@
     deduplicated register sources and its ordered write list, as prefix
     aggregates per slot. A program is validated by the {!Tcache.stamp}s
     of every bundle it spans, so chain patching and SMC invalidation
-    recompile exactly the groups they rewrite.
+    recompile exactly the groups they rewrite. A warm revert that revives
+    an invalidated block restores its bundles together with their stamps
+    ({!Tcache.restore_range}); a program compiled from that content and
+    not since replaced at its entry position validates again, so the
+    revived code runs without recompiling — only the groups the
+    invalidation stub displaced are compiled anew.
 
     {!reference_run} runs the same closures one fetched slot at a time
     and derives the timing per slot. It exists as the test oracle for the
@@ -29,6 +34,12 @@ val run : ?fuel:int -> t -> Machine.stop
 (** Execute from the machine's current [ip] until an exit branch leaves
     the translation cache, a fault is raised, or [fuel] slots are spent. *)
 
+val running_bundle : t -> int
+(** The bundle the issue group {!run} is running starts in; once [run]
+    has returned, that of the last group it ran. Chained execution moves
+    from block to block without leaving [run], so this is where a write
+    watch firing inside a store learns which translation is executing. *)
+
 val reference_run : ?fuel:int -> t -> Machine.stop
 (** {!run}'s observable behaviour, one slot at a time: fetch each slot
     from the tcache, run its closure, and keep the group accounting with
@@ -36,6 +47,10 @@ val reference_run : ?fuel:int -> t -> Machine.stop
     split and {!Machine.close_group}. A test oracle for {!run}'s group
     accounting only; nothing in the library or the executables calls
     it. *)
+
+val compiled : t -> int
+(** Group programs compiled so far, over the cache's lifetime
+    (diagnostics/tests). *)
 
 val cached_programs : t -> int
 (** Number of currently valid group programs cached by entry position:

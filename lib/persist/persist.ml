@@ -14,7 +14,7 @@ module B = Ia32el.Block
 module A = Ia32el.Account
 module Err = Ia32el.Bt_error
 
-let format_version = 3
+let format_version = 4
 
 (* ---- checksums and fingerprints ---------------------------------------- *)
 
@@ -74,9 +74,8 @@ type rentry = {
   r_flag : bool; (* stage-2 marker (cold) / avoidance marker (hot) *)
   r_use : int; (* hot-profile seeds consulted by trace selection *)
   r_taken : int;
-  r_span : (int * string) list; (* mapped source-byte chunks, [entry,code_end) *)
-  r_prots : (int * int) list; (* page -> encoded protection, incl. next page *)
-  r_block : B.t; (* deep copy taken at translation time, pre-chaining *)
+  r_block : B.t; (* deep copy taken at translation time, pre-chaining;
+                    its [span] is the source the translation assumed *)
   r_bundles : Ipf.Bundle.t array; (* ditto; length r_block.tlen *)
   r_acct : A.t; (* Account delta the live translation charged *)
 }
@@ -94,62 +93,7 @@ let create_store ~image_hash ~config_fp =
 
 let entry_count st = Hashtbl.length st.st_tbl
 
-(* ---- source span capture / comparison ----------------------------------- *)
-
-let page_bits = Ia32.Memory.page_bits
-let page_size = 1 lsl page_bits
-
-let prot_code = function
-  | None -> -1
-  | Some p ->
-    (if p.Ia32.Memory.read then 4 else 0)
-    + (if p.Ia32.Memory.write then 2 else 0)
-    + if p.Ia32.Memory.exec then 1 else 0
-
-(* Mapped byte chunks plus per-page protections over [lo, hi), and the
-   protection of the page right after — a page mapped (or protected
-   differently) since recording could change what the live translator
-   would decode, so it must fail validation. *)
-let span mem ~lo ~hi =
-  let hi = max hi (lo + 1) in
-  let first = lo lsr page_bits and last = (hi - 1) lsr page_bits in
-  let chunks = ref [] and prots = ref [] in
-  for p = first to last do
-    let base = p lsl page_bits in
-    let prot = Ia32.Memory.prot_of mem base in
-    prots := (p, prot_code prot) :: !prots;
-    match prot with
-    | Some _ ->
-      let clo = max lo base and chi = min hi (base + page_size) in
-      chunks := (clo, Ia32.Memory.dump_bytes mem clo (chi - clo)) :: !chunks
-    | None -> ()
-  done;
-  prots := (last + 1, prot_code (Ia32.Memory.prot_of mem ((last + 1) lsl page_bits))) :: !prots;
-  (List.rev !chunks, List.rev !prots)
-
-let span_matches mem ~chunks ~prots =
-  List.for_all
-    (fun (p, code) -> prot_code (Ia32.Memory.prot_of mem (p lsl page_bits)) = code)
-    prots
-  && List.for_all
-       (fun (addr, bytes) ->
-         match Ia32.Memory.dump_bytes mem addr (String.length bytes) with
-         | cur -> String.equal cur bytes
-         | exception _ -> false)
-       chunks
-
 (* ---- deep copies --------------------------------------------------------- *)
-
-(* Chaining and invalidation patch tcache bundles in place, so both the
-   recorded copy and every install need bundles of their own. Slot
-   rewriting below allocates fresh Insn records anyway; stops need an
-   explicit copy. *)
-let copy_bundle (b : Ipf.Bundle.t) =
-  {
-    b with
-    Ipf.Bundle.slots = Array.copy b.Ipf.Bundle.slots;
-    stops = Array.copy b.Ipf.Bundle.stops;
-  }
 
 (* Commit maps and fp snapshots are written once at translation and only
    read afterwards, so the element copies can stay shared; the arrays and
@@ -468,7 +412,7 @@ let arena_ranges (b : B.t) =
 let validate se (r : rentry) ~entry_tos ~flag =
   let eng = se.se_eng in
   r.r_tos = entry_tos && r.r_flag = flag
-  && span_matches eng.E.mem ~chunks:r.r_span ~prots:r.r_prots
+  && B.span_matches eng.E.mem r.r_block.B.span
   && (r.r_phase = 0
      ||
      let use, taken = profile_seeds eng r.r_entry in
@@ -570,11 +514,7 @@ let install se (r : rentry) =
         }
       in
       if b.B.kind = B.Cold then B.register cache b;
-      let first_page = b.B.entry lsr page_bits in
-      let last_page = max b.B.entry (b.B.code_end - 1) lsr page_bits in
-      for p = first_page to last_page do
-        Ia32.Memory.watch_page eng.E.mem (p lsl page_bits)
-      done;
+      B.watch eng.E.mem b;
       A.add_into ~dst:eng.E.acct r.r_acct;
       Some b
   end
@@ -596,9 +536,8 @@ let record se ~pc ~entry ~occ ~entry_tos ~flag (b : B.t) delta =
   let eng = se.se_eng in
   let bundles =
     Array.init b.B.tlen (fun i ->
-        copy_bundle (Ipf.Tcache.get eng.E.tcache (b.B.tstart + i)))
+        Ipf.Bundle.copy (Ipf.Tcache.get eng.E.tcache (b.B.tstart + i)))
   in
-  let chunks, prots = span eng.E.mem ~lo:b.B.entry ~hi:b.B.code_end in
   let use, taken = if pc = 1 then profile_seeds eng entry else (0, 0) in
   let r =
     {
@@ -609,8 +548,6 @@ let record se ~pc ~entry ~occ ~entry_tos ~flag (b : B.t) delta =
       r_flag = flag;
       r_use = use;
       r_taken = taken;
-      r_span = chunks;
-      r_prots = prots;
       r_block = copy_block b;
       r_bundles = bundles;
       r_acct = delta;

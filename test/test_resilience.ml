@@ -95,7 +95,11 @@ let smc_abort_test =
       (* the store patches the imm32 of the mov ABOVE it in the same basic
          block, so the write lands on the currently running block:
          Smc_abort -> smc_pending flush -> precise restart at the next
-         instruction, retranslation picks up the patched bytes *)
+         instruction, retranslation picks up the patched bytes. The patch
+         is the loop counter, so every iteration changes the code (a
+         store that rewrites the bytes already there invalidates nothing)
+         and the loop's back edge enters the patched block through a
+         chain, not the dispatcher. *)
       let open Insn in
       let code =
         Asm.(
@@ -106,7 +110,7 @@ let smc_abort_test =
             label "target";
             i (Mov (S32, R Eax, I 111));
             with_lab "target" (fun a ->
-                Mov (S32, M (Insn.mem_abs (a + 1)), I 777));
+                Mov (S32, M (Insn.mem_abs (a + 1)), R Ecx));
             i (Dec (S32, R Ecx));
             jcc Ne "loop";
             with_lab "out" (fun a -> Mov (S32, M (Insn.mem_abs a), R Eax));
@@ -132,7 +136,8 @@ let smc_abort_test =
       let eng = Option.get !captured in
       check bool "SMC invalidation counted" true
         (eng.E.acct.Ia32el.Account.smc_invalidations > 0);
-      check int "patched value executed after precise restart" 777
+      (* the last iteration runs the imm the one before wrote: ecx = 2 *)
+      check int "patched value executed after precise restart" 2
         (Memory.read32 mem (image.Asm.lookup "out")))
 
 (* ------------------------------------------------------------------ *)
