@@ -21,7 +21,10 @@
     Install-time validation (source-byte span, entry TOS, phase flags,
     hot-profile seeds, arena-pin success) rejects any entry the live
     translator would not reproduce; a damaged or stale cache can slow a
-    run, never change it. *)
+    run, never change it. The span is the one a recorded block carries
+    ({!Ia32el.Block.t.span}), checked with {!Ia32el.Block.span_matches} —
+    the same check a warm {!Ia32el.Engine.revert} judges translations
+    by. *)
 
 val format_version : int
 
