@@ -638,6 +638,100 @@ let serve_rates ~min_time =
   end;
   (load, rate_hz, workers, hits, build_ms)
 
+(* Per-request layers of one serving worker, in process, on the
+   serve-echo guest with a shared read-only AOT tcache: [requests]
+   requests served the way workers did before sessions (a fresh
+   instance per request, tcache attached to it) and the way they do now
+   (one session, rewound after every request). Host milliseconds per
+   request for the instance build, the run (metrics JSON included) and
+   the rewind; instances built and group programs compiled per request,
+   the latter from the second request on (the first compiles the same in
+   both). *)
+type serve_layers = {
+  sl_builds : float; (* Instance.create calls per request *)
+  sl_build_ms : float;
+  sl_run_ms : float;
+  sl_revert_ms : float;
+  sl_compiles : float; (* group compiles per request after the first *)
+}
+
+let serve_session_rows ~requests =
+  let payload = "GET /index.html HTTP/1.0\r\nHost: ia32el\r\n\r\n" in
+  let w = Workloads.Serve_echo.workload in
+  let image = w.Workloads.Common.build ~scale:1 ~wide:false in
+  let tc = Filename.temp_file "ia32el-bench-session" ".tc" in
+  ignore (Serve.compile_tcache ~path:tc ~scale:1 ~payload ());
+  let config = Ia32el.Config.default in
+  let store, _ =
+    Persist.load ~path:tc ~image_hash:(Persist.image_hash image)
+      ~config_fp:(Persist.config_fingerprint config)
+  in
+  List.iter
+    (fun s -> try Sys.remove s with Sys_error _ -> ())
+    [ tc; tc ^ ".lock" ];
+  let ms f =
+    let t, r = wall f in
+    (1e3 *. t, r)
+  in
+  let serve inst =
+    ignore (Ia32el.Instance.run ~request:payload inst);
+    ignore (Obs.Metrics.to_string (Ia32el.Instance.metrics inst))
+  in
+  let measure ~built0 step =
+    let build = ref 0. and run = ref 0. and revert = ref 0. and compiles = ref 0 in
+    for k = 0 to requests - 1 do
+      let b, r, v, c = step () in
+      build := !build +. b;
+      run := !run +. r;
+      revert := !revert +. v;
+      if k > 0 then compiles := !compiles + c
+    done;
+    let per x = x /. Float.of_int requests in
+    {
+      sl_builds = per (Float.of_int (Ia32el.Instance.created () - built0));
+      sl_build_ms = per !build;
+      sl_run_ms = per !run;
+      sl_revert_ms = per !revert;
+      sl_compiles =
+        Float.of_int !compiles /. Float.of_int (max 1 (requests - 1));
+    }
+  in
+  let compiled inst = Ipf.Exec.compiled inst.Ia32el.Instance.eng.Ia32el.Engine.exec in
+  let fresh =
+    measure ~built0:(Ia32el.Instance.created ()) (fun () ->
+        let b, inst =
+          ms (fun () ->
+              let inst = Ia32el.Instance.create ~config image in
+              ignore
+                (Persist.attach ~readonly:true store inst.Ia32el.Instance.eng);
+              inst)
+        in
+        let r, () = ms (fun () -> serve inst) in
+        (b, r, 0., compiled inst))
+  in
+  let session =
+    let built0 = Ia32el.Instance.created () in
+    let b, (inst, pse, se) =
+      ms (fun () ->
+          let inst = Ia32el.Instance.create ~config image in
+          let pse =
+            Persist.attach ~readonly:true store inst.Ia32el.Instance.eng
+          in
+          (inst, pse, Ia32el.Instance.session inst))
+    in
+    let first = ref true in
+    measure ~built0 (fun () ->
+        let b = if !first then b else 0. in
+        first := false;
+        let c0 = compiled inst in
+        Persist.restart pse;
+        let r, () = ms (fun () -> serve inst) in
+        let c = compiled inst - c0 in
+        let v, () = ms (fun () -> Ia32el.Instance.rewind se) in
+        (b, r, v, c))
+  in
+  (fresh, session)
+
 let perf ~scale ~min_time () =
   header "Wall-clock throughput of the simulator itself"
     "host-dependent; committed snapshot makes fast-path regressions visible\n\
@@ -683,6 +777,10 @@ let perf ~scale ~min_time () =
   let cold_s, warm_s, aot_s, elim_frac = persist_rates ~scale ~min_time in
   let serve_load, serve_rate_hz, serve_workers, serve_hits, build_ms =
     serve_rates ~min_time
+  in
+  let session_requests = 200 in
+  let fresh_layers, session_layers =
+    serve_session_rows ~requests:session_requests
   in
   let interp_speedup = interp_cached /. interp_uncached in
   let lock_factor = lock_s /. el_s in
@@ -733,6 +831,15 @@ let perf ~scale ~min_time () =
      translations\n\n"
     serve_load.Serve.served serve_load.Serve.offered
     serve_load.Serve.load_rejected serve_hits;
+  let layers name l =
+    Printf.printf
+      "  %-7s per request       : %.3f builds, %.3f ms build, %.3f ms run, \
+       %.3f ms rewind, %.1f group compiles\n"
+      name l.sl_builds l.sl_build_ms l.sl_run_ms l.sl_revert_ms l.sl_compiles
+  in
+  Printf.printf "one worker, %d requests in process:\n" session_requests;
+  layers "fresh" fresh_layers;
+  layers "session" session_layers;
   let finite x = Float.is_finite x && x > 0.0 in
   if
     not
@@ -900,6 +1007,26 @@ let perf ~scale ~min_time () =
               ("tc_hits", Int serve_hits);
               ("tc_misses", Int 0);
               ("instance_build_ms", Float build_ms);
+              ( "per_request",
+                let layers l =
+                  Obj
+                    [
+                      ("instance_builds", Float l.sl_builds);
+                      ("instance_build_ms", Float l.sl_build_ms);
+                      ("run_ms", Float l.sl_run_ms);
+                      ("revert_ms", Float l.sl_revert_ms);
+                      ("group_compiles_after_first", Float l.sl_compiles);
+                    ]
+                in
+                (* one worker serving requests in process: a fresh
+                   instance per request, as workers did before sessions,
+                   against the rewound session they keep now *)
+                Obj
+                  [
+                    ("requests", Int session_requests);
+                    ("fresh_instance", layers fresh_layers);
+                    ("session", layers session_layers);
+                  ] );
             ] );
       ]
   in

@@ -1,10 +1,11 @@
 (* ia32el-serve: run a batch of guest requests through the serving pool.
 
    Requests come from --requests N (N copies of --payload) or --jobs FILE
-   (one payload per line). Each request runs in its own
-   Engine/Vos/Memory instance on a worker (forked process by default,
-   inline by flag), under an optional per-request
-   virtual-cycle budget, with bounded-queue admission control. With
+   (one payload per line). Each worker (forked process by default,
+   inline by flag) builds one Engine/Vos/Memory instance and rewinds it
+   to its unrun state after every request; requests run under an
+   optional per-request virtual-cycle budget, with bounded-queue
+   admission control. With
    --tcache-file the AOT store is shared read-only across all workers —
    no worker retranslates warm code (assert with --require-warm).
 
@@ -116,44 +117,44 @@ let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
       exit 4
     end
   end;
-  (* --check-standalone: re-run the first served request alone in this
-     process and diff every observable against the served result *)
+  (* --check-standalone: re-run every served request alone, on a fresh
+     instance in this process, and diff every observable against what
+     its worker's rewound session served *)
   if check_standalone then begin
-    match
-      List.find_opt
-        (fun (r : Serve.response) -> r.Serve.result <> None)
-        batch.Serve.responses
-    with
-    | None -> ()
-    | Some r ->
-      let res = Option.get r.Serve.result in
-      let image = workload.C.build ~scale ~wide:false in
-      let inst = Ia32el.Instance.create ~config:p.Serve.config image in
-      (* find that request's payload back by position *)
-      let idx =
-        let rec go i = function
-          | [] -> 0
-          | (x : Serve.response) :: tl -> if x == r then i else go (i + 1) tl
-        in
-        go 0 batch.Serve.responses
-      in
-      let req = List.nth payloads idx in
-      let sr = Ia32el.Instance.run ?max_cycles ~request:req inst in
-      let sm = Obs.Metrics.to_string (Ia32el.Instance.metrics inst) in
-      let mism what = Printf.eprintf "check-standalone: %s differs\n" what in
-      let bad = ref false in
-      if sm <> res.Serve.r_metrics then (mism "metrics JSON"; bad := true);
-      if sr.Ia32el.Instance.output <> res.Serve.r_output then
-        (mism "guest output"; bad := true);
-      if sr.Ia32el.Instance.response <> res.Serve.r_response then
-        (mism "response bytes"; bad := true);
-      if
-        Ia32el.Instance.stop_to_string sr.Ia32el.Instance.stop
-        <> res.Serve.r_stop
-      then (mism "stop reason"; bad := true);
-      if !bad then exit 5;
-      Printf.eprintf
-        "check-standalone: served run bit-identical to standalone\n"
+    let image = workload.C.build ~scale ~wide:false in
+    let bad = ref 0 and checked = ref 0 in
+    List.iteri
+      (fun idx (req, (r : Serve.response)) ->
+        match r.Serve.result with
+        | None -> ()
+        | Some res ->
+          incr checked;
+          let inst = Ia32el.Instance.create ~config:p.Serve.config image in
+          let sr = Ia32el.Instance.run ?max_cycles ~request:req inst in
+          let sm = Obs.Metrics.to_string (Ia32el.Instance.metrics inst) in
+          let diffs =
+            List.filter_map
+              (fun (what, same) -> if same then None else Some what)
+              [
+                ("metrics JSON", sm = res.Serve.r_metrics);
+                ("guest output", sr.Ia32el.Instance.output = res.Serve.r_output);
+                ( "response bytes",
+                  sr.Ia32el.Instance.response = res.Serve.r_response );
+                ( "stop reason",
+                  Ia32el.Instance.stop_to_string sr.Ia32el.Instance.stop
+                  = res.Serve.r_stop );
+                ("cycles", sr.Ia32el.Instance.cycles = res.Serve.r_cycles);
+              ]
+          in
+          if diffs <> [] then begin
+            incr bad;
+            Printf.eprintf "check-standalone: request %d (worker %d): %s differ\n"
+              idx res.Serve.r_worker (String.concat ", " diffs)
+          end)
+      (List.combine payloads batch.Serve.responses);
+    if !bad > 0 then exit 5;
+    Printf.eprintf
+      "check-standalone: %d served runs bit-identical to standalone\n" !checked
   end;
   let failed =
     List.filter
@@ -270,9 +271,9 @@ let check_standalone_arg =
     value & flag
     & info [ "check-standalone" ]
         ~doc:
-          "Re-run one served request standalone and fail (exit 5) \
-           unless every observable — metrics JSON included — is \
-           bit-identical.")
+          "Re-run every served request standalone on a fresh instance \
+           and fail (exit 5) unless every observable — cycles and \
+           metrics JSON included — is bit-identical.")
 
 let allow_failures_arg =
   Arg.(

@@ -149,13 +149,12 @@ type t = {
 (* Block cache                                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* A killed block with its bundles and their tcache stamps as they stood
-   just before the kill: enough to put the translation back in place
-   once its source is valid again. *)
+(* A killed block with its bundles as they stood just before the kill:
+   enough to put the translation back in place once its source is valid
+   again. *)
 type killed = {
   k_block : t;
   k_code : Ipf.Bundle.t array;
-  k_stamps : int array;
 }
 
 type cache = {
@@ -283,7 +282,6 @@ let keep tcache block =
     k_code =
       Array.init block.tlen (fun i ->
           Ipf.Bundle.copy (Ipf.Tcache.get tcache (at i)));
-    k_stamps = Array.init block.tlen (fun i -> Ipf.Tcache.stamp tcache (at i));
   }
 
 (* Turn the block's bundles into dispatch exits to its entry. *)
@@ -304,13 +302,13 @@ let invalidate ?keep:k cache tcache block =
     overwrite tcache block
   end
 
-(* Put a killed block back: its bundles (stamps included) at the same
-   [tstart], live again at its entry. The caller has checked that no
+(* Put a killed block back: its bundles at the same [tstart], live
+   again at its entry. The caller has checked that no
    flush recycled the indices, that no live block holds the entry and
    that the source span matches memory. *)
 let revive cache tcache k =
   let b = k.k_block in
-  Ipf.Tcache.restore_range tcache ~start:b.tstart k.k_code ~stamps:k.k_stamps;
+  Ipf.Tcache.restore_range tcache ~start:b.tstart k.k_code;
   b.live <- true;
   Hashtbl.replace cache.by_entry b.entry b
 

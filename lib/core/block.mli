@@ -91,7 +91,6 @@ type t = {
 type killed = {
   k_block : t;
   k_code : Ipf.Bundle.t array;  (** the block's bundles just before the kill *)
-  k_stamps : int array;  (** ... and their {!Ipf.Tcache.stamp}s *)
 }
 (** A killed block with a copy of its code, kept so it can be revived
     once its source is valid again. *)
@@ -149,13 +148,13 @@ val find_by_bundle : cache -> int -> t option
 val find_by_id : cache -> int -> t option
 
 val keep : Ipf.Tcache.t -> t -> killed
-(** The block's bundles and stamps as they stand, copied aside. *)
+(** The block's bundles as they stand, copied aside. *)
 
 val invalidate : ?keep:(killed -> unit) -> cache -> Ipf.Tcache.t -> t -> unit
 (** Mark dead, detach from the entry index, and turn the block's bundles
     into dispatch exits so stale chained predecessors fall back to the
-    runtime. With [keep], a copy of the bundles and their stamps
-    ({!val-keep}) is handed to it first. A dead block is left alone. *)
+    runtime. With [keep], a copy of the bundles ({!val-keep}) is handed
+    to it first. A dead block is left alone. *)
 
 val overwrite : Ipf.Tcache.t -> t -> unit
 (** Turn the block's bundles into dispatch exits to its entry — the
@@ -163,8 +162,8 @@ val overwrite : Ipf.Tcache.t -> t -> unit
     it was running. *)
 
 val revive : cache -> Ipf.Tcache.t -> killed -> unit
-(** Undo an {!invalidate}: restore the bundles and stamps at the same
-    [tstart] ({!Ipf.Tcache.restore_range}) and make the block live at its
+(** Undo an {!invalidate}: restore the bundles at the same [tstart]
+    ({!Ipf.Tcache.restore_range}) and make the block live at its
     entry again. The caller must have checked that no flush recycled the
     indices since the kill, that no live block holds the entry and that
     the source span matches memory. *)

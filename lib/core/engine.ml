@@ -129,6 +129,7 @@ and epoch = {
   e_if_counts : (int, int ref) Hashtbl.t;
   e_if_taken : (int, int ref) Hashtbl.t;
   e_fuel : int;
+  e_next_id : int; (* block ids a barrier revert hands out again *)
   e_trace_index : int; (* absolute trace-stream index at the push *)
   (* warm epochs: blocks killed in the epoch, revived on revert if their
      source is valid again; a flush in the epoch recycles the indices
@@ -487,7 +488,8 @@ let flush_translations t =
    - [barrier:true] flushes the translation cache first, so the original
      run continues cold from the snapshot point exactly as a later replay
      will — the post-snapshot execution is bit-identical between them
-     (the crash-capsule property). Revert flushes again and restores.
+     (the crash-capsule property). Revert flushes again and restores,
+     block ids included.
 
    - [barrier:false] keeps translations warm: revert judges every block
      by content ([revalidate]), keeping those whose source still matches
@@ -520,7 +522,11 @@ let timed_snapshot_op t f =
 let snapshot_impl ~barrier t =
   flush_smc_pending t;
   t.running_block <- None;
-  if barrier then flush_translations t;
+  (* an engine that has neither run nor translated is already at the
+     barrier: flushing its empty cache would count a flush no replay
+     from here makes *)
+  if barrier && not (now t = 0 && Ipf.Tcache.length t.tcache = 0) then
+    flush_translations t;
   (* journal AFTER the flush so its arena zeroing is base state, not a
      journaled change *)
   Ia32.Memory.Journal.push t.mem;
@@ -568,6 +574,7 @@ let snapshot_impl ~barrier t =
       e_if_counts = copy_refs t.if_counts;
       e_if_taken = copy_refs t.if_taken;
       e_fuel = t.fuel;
+      e_next_id = t.cache.Block.next_id;
       e_trace_index = trace_index;
       e_killed = ref [];
       e_flushed = false;
@@ -658,8 +665,13 @@ let revert_impl t =
     t.running_block <- None;
     (* barrier epochs captured an empty translation cache: flush before
        the journal rewind so the arena zeroing is journaled into the
-       epoch being discarded, not its parent *)
-    if e.e_barrier then flush_translations t;
+       epoch being discarded, not its parent. No block outlives the
+       flush, so the ids the epoch handed out are free again: a replay
+       translates its blocks under the same ids as the original run. *)
+    if e.e_barrier then begin
+      flush_translations t;
+      t.cache.Block.next_id <- e.e_next_id
+    end;
     let touched = Ia32.Memory.Journal.revert t.mem in
     if not e.e_barrier then revalidate t e touched;
     Ia32.Memory.set_watched_pages t.mem e.e_watched;

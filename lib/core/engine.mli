@@ -156,7 +156,9 @@ val snapshot : ?barrier:bool -> t -> int
     false) the translation cache is flushed first, so the original run
     continues cold from the snapshot point exactly as a replay from the
     snapshot will — the post-snapshot execution is bit-identical between
-    the two (crash capsules record barrier snapshots). With
+    the two (crash capsules record barrier snapshots). An engine that
+    has neither run nor translated (clock 0, empty tcache) is already at
+    the barrier: nothing is flushed and no flush is counted. With
     [barrier:false] translations stay warm and {!revert} judges them by
     content, which is what lets a fork-server keep translated code
     across thousands of mutated runs: while the epoch is open every
@@ -183,7 +185,9 @@ val revert : t -> int list
     of translating. Architectural state and
     every counter are exact; only the translation overhead the next run
     pays differs from a cold replay. A barrier revert flushes instead
-    and is bit-identical to a replay.
+    and hands out the epoch's block ids again, so a replay is
+    bit-identical to the original run and translates its blocks under
+    the same ids.
     @raise Invalid_argument when no epoch is open. *)
 
 val commit_snapshot : t -> unit

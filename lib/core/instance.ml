@@ -4,7 +4,11 @@
    (request channel, arena cursor, thread table), block cache, machine —
    so any number of instances can live in one process (a serving worker
    pool, lockstep pairs, A/B experiments) without sharing mutable state.
-   The serving layer builds one instance per admitted request. *)
+   A session makes one instance serve many runs: a barrier snapshot taken
+   before the first run, reverted after each, so every run starts from
+   the unrun instance with an empty translation cache and is
+   bit-identical to a run on a fresh one. The serving layer keeps one
+   session per worker. *)
 
 type t = {
   mem : Ia32.Memory.t;
@@ -25,9 +29,13 @@ type result = {
   response : string; (* channel response so far *)
 }
 
+let built = Atomic.make 0
+let created () = Atomic.get built
+
 let create ?config ?cost ?dcache
     ?(btlib : (module Btlib.Btos.S) = (module Btlib.Linuxsim))
     (image : Ia32.Asm.image) =
+  Atomic.incr built;
   let mem = Ia32.Memory.create () in
   let st = Ia32.Asm.load image mem in
   let eng = Engine.create ?config ?cost ?dcache ~btlib mem in
@@ -41,7 +49,7 @@ let default_fuel = 2_000_000_000
    as a normal per-request outcome rather than a harness crash. Any other
    [Bt_error] still escapes: those are translator invariant violations. *)
 let run ?(fuel = default_fuel) ?max_cycles ?request t =
-  (match max_cycles with Some _ as m -> t.eng.Engine.max_cycles <- m | None -> ());
+  t.eng.Engine.max_cycles <- max_cycles;
   (match request with
   | Some payload -> Btlib.Vos.bind_request t.eng.Engine.vos payload
   | None -> ());
@@ -63,6 +71,27 @@ let run ?(fuel = default_fuel) ?max_cycles ?request t =
   | Engine.Out_of_fuel -> finish Fuel_exhausted
   | exception Bt_error.Error e when e.Bt_error.component = "watchdog" ->
     finish (Budget_exhausted e)
+
+(* The barrier flushes nothing on an unrun engine, and its revert puts
+   back the block ids, so a rewound run translates (or installs) the
+   same blocks under the same ids at the same tcache indices as a fresh
+   instance would. The main thread is registered before the snapshot so
+   the revert restores the initial state into [st0] itself. *)
+type session = { inst : t; st0 : Ia32.State.t }
+
+let session t =
+  if Engine.clock t.eng <> 0 || Engine.snapshot_depth t.eng <> 0 then
+    invalid_arg "Instance.session: the instance has run or is snapshotted";
+  Btlib.Vos.register_main t.eng.Engine.vos t.st;
+  ignore (Engine.snapshot ~barrier:true t.eng);
+  { inst = t; st0 = t.st }
+
+let instance s = s.inst
+
+let rewind s =
+  ignore (Engine.revert s.inst.eng);
+  ignore (Engine.snapshot ~barrier:true s.inst.eng);
+  s.inst.st <- s.st0
 
 let metrics t = Engine.metrics t.eng
 let clock t = Engine.clock t.eng

@@ -5,8 +5,10 @@
     write-generation counter), Vos (request/response channel, arena
     cursor, thread table), block cache, machine — so any number of
     instances can live in one process (a serving worker pool, lockstep
-    pairs, A/B experiments) without sharing mutable state. The serving
-    layer ([Serve]) builds one instance per admitted request. *)
+    pairs, A/B experiments) without sharing mutable state. A {!session}
+    rewinds one instance after each run, so it serves any number of runs
+    each bit-identical to a run on a fresh instance; the serving layer
+    ([Serve]) keeps one session per worker. *)
 
 type t = {
   mem : Ia32.Memory.t;
@@ -40,15 +42,47 @@ val create :
 (** Fresh memory, image loaded, engine created ([Btlib.Linuxsim] by
     default). No sharing with any other instance. *)
 
+val created : unit -> int
+(** Instances {!create}d by this process so far (diagnostics: what a
+    serving worker spends on builds). *)
+
 val default_fuel : int
 
 val run : ?fuel:int -> ?max_cycles:int -> ?request:string -> t -> result
 (** Run the guest from its current state. [max_cycles] arms the engine
-    watchdog (absolute virtual-clock bound); the resulting structured
-    [Bt_error] (component ["watchdog"]) is converted to
+    watchdog (absolute virtual-clock bound) for this run; without it the
+    watchdog is off, whatever an earlier run set. The resulting
+    structured [Bt_error] (component ["watchdog"]) is converted to
     [Budget_exhausted] — any other [Bt_error] escapes. [request] binds a
     payload on the Vos request channel first
     ({!Btlib.Vos.bind_request}). *)
+
+(** {1 Sessions} *)
+
+type session
+(** An instance that goes back to its unrun state after every run. *)
+
+val session : t -> session
+(** Open a barrier snapshot ({!Engine.snapshot}) on an instance that has
+    not run: the engine is unrun and its translation cache empty, so the
+    barrier flushes and counts nothing. Attach a persistent-cache
+    session, if any, before.
+    @raise Invalid_argument when the instance has run or has a snapshot
+    open. *)
+
+val instance : session -> t
+
+val rewind : session -> unit
+(** Revert the instance to the snapshot and open it again. The revert
+    flushes the translation cache back to empty and restores memory,
+    the OS state, every counter, the block ids and the initial
+    architectural state, so the next {!run} replays the same
+    translations, persist installs and chain patches as a run on a fresh
+    instance and is bit-identical to it: stop, output, response, cycles
+    and metrics JSON. Only host-side caches survive: decoded
+    instructions and {!Ipf.Exec}'s group programs, which are judged by
+    content. A persistent-cache session's per-run state is the caller's
+    to restart. *)
 
 val metrics : t -> Obs.Metrics.t
 val clock : t -> int

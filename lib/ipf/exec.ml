@@ -23,10 +23,14 @@
 
    Programs are validated by the tcache stamps of every bundle they span:
    every tcache mutation ([append], [patch_slot], [patch_dispatch],
-   [invalidate_range], [clear]) bumps the generation and stamps what it
-   touched, so one generation compare per group entry suffices until
-   something changes, and chain patching or SMC invalidation recompiles
-   exactly the groups they rewrite.
+   [invalidate_range], [restore_range], [clear]) bumps the generation and
+   stamps what it touched, so one generation compare per group entry
+   suffices until something changes, and chain patching or SMC
+   invalidation recompiles exactly the groups they rewrite. A program
+   whose stamps fail is still reused when the bundles it spans hold the
+   same content again ([same_content]): after a flush, a replayed run
+   re-installs its blocks at the same indices, and a revived block's
+   bundles come back as they were.
 
    [reference_run] runs the same closures one fetched slot at a time and
    derives the timing per slot, with [Machine]'s cost primitives. It is
@@ -71,7 +75,8 @@ type prog = {
   srcs : int array; (* distinct GR/FR sources, first-read order *)
   evs : int array; (* GR/FR writes in slot order: latency lsl 8 lor id *)
   closed : bool; (* false: the group runs off the end of the tcache *)
-  insns : Insn.t array; (* the group's slots, for a mid-group restart *)
+  insns : Insn.t array; (* the group's slots: a restart's carry, reuse *)
+  split : Insn.t option; (* the slot a RAW split ended the group before *)
   carry : Insn.t array; (* slots of the same group already run *)
   span : int array; (* bundles the group covers ... *)
   stamps : int array; (* ... and their tcache stamps *)
@@ -107,6 +112,7 @@ let rec dummy =
     evs = [||];
     closed = true;
     insns = [||];
+    split = None;
     carry = [||];
     span = [| 0 |];
     stamps = [| 0 |] (* stamps are >= 1 or -1: never valid *);
@@ -807,6 +813,7 @@ let compile t ~carry lin0 =
       (Insn.writes insn)
   in
   Array.iter (fun insn -> account insn (Insn.reads insn)) carry;
+  let split = ref None in
   (* returns (closed, n) *)
   let rec scan lin =
     record ();
@@ -821,7 +828,10 @@ let compile t ~carry lin0 =
       if s = 0 || o = 0 then span := (b, Tcache.stamp tc b) :: !span;
       let insn = bundle.Bundle.slots.(s) in
       let reads = Insn.reads insn in
-      if List.exists (fun r -> t.wmark.(enc r) = ep) reads then (true, o)
+      if List.exists (fun r -> t.wmark.(enc r) = ep) reads then begin
+        split := Some insn;
+        (true, o)
+      end
       else begin
         account insn reads;
         if not (is_nop insn) then incr ret;
@@ -866,6 +876,7 @@ let compile t ~carry lin0 =
     evs = Array.of_list (List.rev !evs);
     closed;
     insns;
+    split = !split;
     carry;
     span;
     stamps;
@@ -888,12 +899,63 @@ let[@inline] valid t g =
        true
      end
 
+(* Whether the tcache holds, from [g]'s entry on, what [g] was compiled
+   from, so compiling there now would give [g] again: the same slots up
+   to where the group ended, no stop bit before its last slot, and a
+   stop bit after it unless a RAW split ended the group — then the slot
+   it split before must read the same resources, the group's writes
+   being the same. Only a group that closed and has no carry depends on
+   nothing else: not on the end of the tcache, nor on slots run before
+   its entry. Top-level and allocation-free where the slots are the very
+   ones compiled from: a warm revert revives a block many times. *)
+let rec same_slots tc g o =
+  o >= g.n
+  ||
+  let lin = g.lin + o in
+  let b = lin / 3 in
+  b < Tcache.length tc
+  &&
+  let bundle = Tcache.get tc b and s = lin - (3 * b) in
+  let insn = Array.unsafe_get bundle.Bundle.slots s
+  and want = Array.unsafe_get g.insns o in
+  (insn == want || insn = want)
+  && Array.unsafe_get bundle.Bundle.stops s
+     = (o = g.n - 1 && match g.split with None -> true | Some _ -> false)
+  && same_slots tc g (o + 1)
+
+let same_content tc g =
+  g != dummy && g.closed && Array.length g.carry = 0 && same_slots tc g 0
+  &&
+  match g.split with
+  | None -> true
+  | Some want ->
+    let lin = g.lin + g.n in
+    lin / 3 < Tcache.length tc
+    &&
+    let insn = (Tcache.get tc (lin / 3)).Bundle.slots.(lin mod 3) in
+    insn == want || Insn.reads insn = Insn.reads want
+
+(* Take a program whose stamps failed back by content: its stamps are
+   updated in place, which its store closures see too. *)
+let revalidate t g =
+  same_content t.tc g
+  && begin
+    for i = 0 to Array.length g.span - 1 do
+      g.stamps.(i) <- Tcache.stamp t.tc g.span.(i)
+    done;
+    g.vgen <- t.gen;
+    true
+  end
+
 (* The validated program entered at [lin], compiled on a miss. [ip]/[slot]
    point at [lin] first, so an out-of-range index raises through
    [Tcache.get] exactly where [reference_run]'s fetch would. *)
 let prog_at t lin =
-  if lin >= 0 && lin < Array.length t.progs && valid t t.progs.(lin) then
-    t.progs.(lin)
+  if
+    lin >= 0
+    && lin < Array.length t.progs
+    && (valid t t.progs.(lin) || revalidate t t.progs.(lin))
+  then t.progs.(lin)
   else begin
     set_pos t.m lin;
     let g = compile t ~carry:[||] lin in
@@ -1212,10 +1274,14 @@ let reference_run ?(fuel = max_int) t =
    program, so the epoch counts the programs compiled. *)
 let compiled t = t.epoch
 
+let reusable t g = stamps_ok t.tc g.span g.stamps 0 || same_content t.tc g
+
 let cached_programs t =
-  Array.fold_left
-    (fun n g -> if stamps_ok t.tc g.span g.stamps 0 then n + 1 else n)
-    0 t.progs
+  Array.fold_left (fun n g -> if reusable t g then n + 1 else n) 0 t.progs
+
+type program = prog
+
+let compile_at ?(carry = [||]) t lin = compile t ~carry lin
 
 let retained_programs t =
   let seen = Hashtbl.create 1024 in

@@ -10,12 +10,19 @@
     deduplicated register sources and its ordered write list, as prefix
     aggregates per slot. A program is validated by the {!Tcache.stamp}s
     of every bundle it spans, so chain patching and SMC invalidation
-    recompile exactly the groups they rewrite. A warm revert that revives
-    an invalidated block restores its bundles together with their stamps
-    ({!Tcache.restore_range}); a program compiled from that content and
-    not since replaced at its entry position validates again, so the
-    revived code runs without recompiling — only the groups the
-    invalidation stub displaced are compiled anew.
+    recompile exactly the groups they rewrite. A program whose stamps
+    fail is reused, its stamps updated in place, when the bundles it
+    spans hold the same content again: the same slot instructions and
+    stop bits up to where the group ended and, where a RAW split ended
+    it, a next slot that reads the same resources. A program that ran
+    off the end of the tcache, or that finishes a group after a store
+    rewrote its first slots (a carry), depends on more than that content
+    and is never reused. So a block revived in place
+    ({!Tcache.restore_range}) runs the programs compiled from its
+    content before the kill, and a run replayed after a flush — which
+    re-installs its blocks at the same indices with the same content —
+    compiles only the groups whose content differs from the last ones
+    compiled at their entries (chain patches).
 
     {!reference_run} runs the same closures one fetched slot at a time
     and derives the timing per slot. It exists as the test oracle for the
@@ -53,11 +60,26 @@ val compiled : t -> int
     (diagnostics/tests). *)
 
 val cached_programs : t -> int
-(** Number of currently valid group programs cached by entry position:
-    at most one per tcache slot (diagnostics/tests). *)
+(** Number of group programs cached by entry position that {!run} would
+    use without recompiling, by stamps or by content: at most one per
+    tcache slot (diagnostics/tests). *)
 
 val retained_programs : t -> int
 (** Number of distinct group programs the cache keeps alive, valid or
     stale, counting those reached only through chain links. A program
     replaced at its entry position drops its links, so this stays within
     three per cached entry position (diagnostics/tests). *)
+
+(** {2 Single programs, for tests} *)
+
+type program
+
+val compile_at : ?carry:Insn.t array -> t -> int -> program
+(** Compile the group entered at position [3 * bundle + slot] without
+    caching it. With [carry], as the mid-group restart {!run} compiles
+    when a store rewrote the rest of a group whose [carry] slots already
+    ran. *)
+
+val reusable : t -> program -> bool
+(** Whether {!run} would take [program] without recompiling, against the
+    tcache as it is now: its stamps hold, or its content is back. *)

@@ -137,18 +137,15 @@ let invalidate_range t ~start ~stop ~target =
   done
 
 (* Put bundles [start, start + length code) back as they were before an
-   invalidation, stamps included: a stamp only ever recurs with the
-   content it stamped, so consumers' derived structures for that content
-   validate again. The generation still moves on, so anything validated
-   against the overwritten content is rechecked. The bundles are copied
-   in: the cache patches its own in place, and [code] may be restored
-   again later. *)
-let restore_range t ~start code ~stamps =
+   invalidation. They are fresh stamps like any other write; consumers
+   that judge derived structures by content (Exec's group programs) take
+   theirs back. The bundles are copied in: the cache patches its own in
+   place, and [code] may be restored again later. *)
+let restore_range t ~start code =
   if start < 0 || start + Array.length code > t.len then
     invalid_arg (Printf.sprintf "Tcache.restore_range %d" start);
-  t.generation <- t.generation + 1;
   Array.iteri
     (fun i b ->
       t.bundles.(start + i) <- Bundle.copy b;
-      t.stamps.(start + i) <- stamps.(i))
+      touch t (start + i))
     code

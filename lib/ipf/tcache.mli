@@ -61,14 +61,11 @@ val invalidate_range : t -> start:int -> stop:int -> target:int -> unit
     so stale chained predecessors of an invalidated block (SMC,
     misalignment regeneration) fall back to the runtime. *)
 
-val restore_range : t -> start:int -> Bundle.t array -> stamps:int array -> unit
-(** [restore_range t ~start code ~stamps] puts copies of [code] back at
-    bundles [start, start + length code) and restores each bundle's
-    {!stamp} to [stamps]. [code] stays the caller's: it can be restored
-    again after a later overwrite. Used to revive a translation that
-    {!invalidate_range} overwrote:
-    [code] and [stamps] must have been read together before that
-    overwrite, with no {!clear} since, so a restored stamp again names
-    exactly the content it stamped and derived structures keyed on it
-    (group programs) stay valid. Bumps the generation.
+val restore_range : t -> start:int -> Bundle.t array -> unit
+(** [restore_range t ~start code] puts copies of [code] back at bundles
+    [start, start + length code) and stamps them, like any other write.
+    [code] stays the caller's: it can be restored again after a later
+    overwrite. Used to revive a translation that {!invalidate_range}
+    overwrote; {!Exec} reuses the group programs compiled from that
+    content before the overwrite, judging them by content.
     @raise Invalid_argument on a range past the end. *)

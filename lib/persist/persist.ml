@@ -621,6 +621,18 @@ let attach ?(verify = true) ?(readonly = false) store eng =
   eng.E.translate_filter <- Some (filter se);
   se
 
+(* A rewound engine replays its translation requests from the first:
+   occurrences count from zero again, and so do the stats. *)
+let restart se =
+  Hashtbl.reset se.se_occ;
+  let s = se.se_stats in
+  s.hits <- 0;
+  s.misses <- 0;
+  s.rejects <- 0;
+  s.recorded <- 0;
+  s.eliminated_cold_cycles <- 0;
+  s.eliminated_hot_cycles <- 0
+
 (* ---- AOT sweep ------------------------------------------------------------ *)
 
 (* Statically known successors of a translated block: its fall-through

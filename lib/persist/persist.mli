@@ -91,6 +91,12 @@ val attach : ?verify:bool -> ?readonly:bool -> store -> Ia32el.Engine.t -> sessi
     [readonly] (default false) disables recording live translations
     into the store. *)
 
+val restart : session -> unit
+(** Start the session over for an engine rewound to before its first
+    translation request ({!Ia32el.Instance.rewind}): the occurrence of
+    every (phase, entry) counts from zero again and the stats are
+    zeroed. The store keeps what was recorded. *)
+
 val stats : session -> stats
 val store_of : session -> store
 

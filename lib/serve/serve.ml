@@ -1,29 +1,38 @@
 (* Multi-guest serving harness (DESIGN.md §16).
 
-   A pool admits guest-run requests, runs each in its own
-   Engine/Vos/Memory instance (Ia32el.Instance — nothing mutable is
-   shared between requests), enforces a per-request virtual-cycle budget
-   through the engine watchdog, and applies bounded-queue admission
-   control: capacity = workers + queue, and a submission past capacity
-   is rejected with a structured Bt_error (component "serve") instead of
-   being buffered without bound.
+   A pool admits guest-run requests, runs them on workers that each
+   hold one session — an Ia32el.Instance built once and rewound to its
+   unrun state after every request — enforces a per-request
+   virtual-cycle budget through the engine watchdog, and applies
+   bounded-queue admission control: capacity = workers + queue, and a
+   submission past capacity is rejected with a structured Bt_error
+   (component "serve") instead of being buffered without bound.
 
    Backends:
    - Inline: requests run synchronously in the caller's process, in
-     submission order. The admission bookkeeping is identical to the
-     forked backend, so rejection tests and roll-ups are deterministic.
+     submission order, request [id] on worker [id mod workers]. The
+     admission bookkeeping is identical to the forked backend, so
+     rejection tests and roll-ups are deterministic.
    - Forked: persistent worker processes in the PR 6 fork-server style —
-     forked once per batch, request/response records marshalled over
-     pipes, [Unix._exit] on shutdown so no at_exit handler runs twice.
-     The AOT store is loaded ONCE in the parent before forking; children
-     inherit it copy-on-write, so N workers share one warmed code store
-     with zero per-worker load or retranslation cost. A worker is a
-     process of its own, so one can die without taking the pool down.
+     forked once per batch, each building its session as it starts,
+     request/response records marshalled over pipes, [Unix._exit] on
+     shutdown so no at_exit handler runs twice. The AOT store is loaded
+     ONCE in the parent before forking; children inherit it
+     copy-on-write, so N workers share one warmed code store with zero
+     per-worker load or retranslation cost. A worker is a process of its
+     own, so one can die without taking the pool down.
 
-   Because every request gets a fresh instance and the metrics JSON is
-   purely virtual-time, a request served by any backend is bit-identical
-   — metrics included — to the same guest run standalone. That is the
-   serving-isolation contract the tests pin. *)
+   A request is bind -> run -> metrics -> rewind. The rewind is a barrier
+   revert: memory, OS state, counters and block ids go back to the unrun
+   instance and the translation cache is flushed to empty, so the next
+   request replays exactly the translations, persist installs and chain
+   patches a fresh instance would. With the metrics JSON purely
+   virtual-time, a request served by any backend is bit-identical —
+   metrics included — to the same guest run standalone, whatever ran on
+   its worker before. That is the serving-isolation contract the tests
+   pin. What survives a rewind is host-side only: the group programs the
+   execution core compiled, which it reuses where the re-installed
+   bundles hold the same content. *)
 
 type backend = Inline | Forked
 
@@ -64,6 +73,7 @@ type batch = {
   responses : response list; (* submission order *)
   wall_s : float;
   pool : pool;
+  instances : int; (* Instance.create calls the workers made *)
 }
 
 let pool ?(backend = Inline) ?(workers = 1) ?(queue = 4)
@@ -94,29 +104,42 @@ let load_store p image =
     let store, _diags = Persist.load ~path ~image_hash ~config_fp in
     Some store
 
-(* Run one admitted request: fresh instance, optional AOT session,
-   budget via the engine watchdog. This is the only function worker
-   processes execute. *)
-let exec_job p ~image ~store ~worker (j : job) : result =
-  let t0 = Unix.gettimeofday () in
+(* One worker's session: the instance it built once, rewound after
+   every request, and the AOT session attached to it. *)
+type session = {
+  se : Ia32el.Instance.session;
+  persist : Persist.session option;
+}
+
+let open_session p ~image ~store =
   let inst = Ia32el.Instance.create ~config:p.config image in
-  let session =
+  let persist =
     Option.map
       (fun s ->
         Persist.attach ~readonly:p.tcache_readonly s inst.Ia32el.Instance.eng)
       store
   in
+  { se = Ia32el.Instance.session inst; persist }
+
+(* Run one admitted request on a worker's session: bind, run under the
+   budget, render the metrics, rewind. This is the only function worker
+   processes execute per request. *)
+let exec_job session ~worker (j : job) : result =
+  let t0 = Unix.gettimeofday () in
+  let inst = Ia32el.Instance.instance session.se in
+  Option.iter Persist.restart session.persist;
   let r =
     Ia32el.Instance.run ?max_cycles:j.max_cycles ~request:j.payload inst
   in
   let metrics = Obs.Metrics.to_string (Ia32el.Instance.metrics inst) in
   let hits, misses =
-    match session with
+    match session.persist with
     | None -> (0, 0)
     | Some se ->
       let s = Persist.stats se in
       (s.Persist.hits, s.Persist.misses)
   in
+  Ia32el.Instance.rewind session.se;
   {
     r_stop = Ia32el.Instance.stop_to_string r.Ia32el.Instance.stop;
     r_exit =
@@ -135,17 +158,25 @@ let exec_job p ~image ~store ~worker (j : job) : result =
 
 (* ---- inline backend --------------------------------------------------- *)
 
+(* Worker [w]'s session is built at its first request. *)
 let run_inline ~drain_between p jobs responses =
   let image = build_image p in
   let store = load_store p image in
+  let sessions = Array.make p.workers None in
+  let session w =
+    match sessions.(w) with
+    | Some s -> s
+    | None ->
+      let s = open_session p ~image ~store in
+      sessions.(w) <- Some s;
+      s
+  in
   let inflight : (int * job) Queue.t = Queue.create () in
   let reap_one () =
     let id, j = Queue.pop inflight in
+    let worker = id mod p.workers in
     responses.(id) <-
-      {
-        rejected = None;
-        result = Some (exec_job p ~image ~store ~worker:(id mod p.workers) j);
-      }
+      { rejected = None; result = Some (exec_job (session worker) ~worker j) }
   in
   List.iteri
     (fun id j ->
@@ -169,11 +200,15 @@ type wslot = {
   w_in : in_channel; (* responses from the child *)
   w_in_fd : Unix.file_descr;
   mutable w_busy : int option; (* job id in flight *)
+  mutable w_built : int; (* instances the child reported building *)
 }
 
-(* A worker holds at most one outstanding response (it only gets the
-   next request after the parent reaped the previous reply), so select
-   on the raw fd never races the channel's buffering. *)
+(* A worker builds its session as it starts, then serves requests on it
+   until told to stop. Each reply carries the instances the child has
+   built so far. A worker holds at most one outstanding response (it
+   only gets the next request after the parent reaped the previous
+   reply), so select on the raw fd never races the channel's
+   buffering. *)
 let spawn_worker p ~image ~store idx =
   let req_r, req_w = Unix.pipe () in
   let rsp_r, rsp_w = Unix.pipe () in
@@ -181,15 +216,17 @@ let spawn_worker p ~image ~store idx =
   | 0 ->
     Unix.close req_w;
     Unix.close rsp_r;
+    let built0 = Ia32el.Instance.created () in
     let ic = Unix.in_channel_of_descr req_r in
     let oc = Unix.out_channel_of_descr rsp_w in
     (try
+       let session = open_session p ~image ~store in
        let rec loop () =
          match (Marshal.from_channel ic : (int * job) option) with
          | None -> ()
          | Some (id, j) ->
-           let r = exec_job p ~image ~store ~worker:idx j in
-           Marshal.to_channel oc (id, r) [];
+           let r = exec_job session ~worker:idx j in
+           Marshal.to_channel oc (id, r, Ia32el.Instance.created () - built0) [];
            flush oc;
            loop ()
        in
@@ -205,7 +242,13 @@ let spawn_worker p ~image ~store idx =
       w_in = Unix.in_channel_of_descr rsp_r;
       w_in_fd = rsp_r;
       w_busy = None;
+      w_built = 0;
     }
+
+let read_reply slot =
+  let id, (r : result), built = Marshal.from_channel slot.w_in in
+  slot.w_built <- built;
+  (id, r)
 
 let dispatch slot id j =
   slot.w_busy <- Some id;
@@ -239,7 +282,7 @@ let reap_one slots pending responses on_reap =
     match Unix.select fds [] [] (-1.0) with
     | fd :: _, _, _ ->
       let s = List.find (fun s -> s.w_in_fd = fd) busy in
-      let id, (r : result) = Marshal.from_channel s.w_in in
+      let id, r = read_reply s in
       responses.(id) <- { rejected = None; result = Some r };
       on_reap ~id ~slot:s;
       s.w_busy <- None;
@@ -278,7 +321,8 @@ let run_forked ~drain_between p jobs responses =
    with e ->
      shutdown slots;
      raise e);
-  shutdown slots
+  shutdown slots;
+  Array.fold_left (fun n s -> n + s.w_built) 0 slots
 
 (* ---- batch entry point ------------------------------------------------ *)
 
@@ -286,13 +330,19 @@ let run_batch ?(drain_between = true) p jobs =
   let t0 = Unix.gettimeofday () in
   let n = List.length jobs in
   let responses = Array.make n { rejected = None; result = None } in
-  (match p.backend with
-  | Inline -> run_inline ~drain_between p jobs responses
-  | Forked -> run_forked ~drain_between p jobs responses);
+  let instances =
+    match p.backend with
+    | Inline ->
+      let built0 = Ia32el.Instance.created () in
+      run_inline ~drain_between p jobs responses;
+      Ia32el.Instance.created () - built0
+    | Forked -> run_forked ~drain_between p jobs responses
+  in
   {
     responses = Array.to_list responses;
     wall_s = Unix.gettimeofday () -. t0;
     pool = p;
+    instances;
   }
 
 (* ---- open-loop load generation ---------------------------------------- *)
@@ -346,7 +396,7 @@ let run_open_loop p ~rate_hz ~n ~payload ?max_cycles () =
         List.iter
           (fun fd ->
             let s = List.find (fun s -> s.w_in_fd = fd) busy in
-            let id, (r : result) = Marshal.from_channel s.w_in in
+            let id, r = read_reply s in
             responses.(id) <- { rejected = None; result = Some r };
             latencies :=
               ((Unix.gettimeofday () -. due id) *. 1e3) :: !latencies;
@@ -493,7 +543,10 @@ let rollup ?load (b : batch) =
     Array.to_list a
   in
   section t "workers"
-    [ ("served_per_worker", List (List.map (fun n -> Int n) per_worker)) ];
+    [
+      ("served_per_worker", List (List.map (fun n -> Int n) per_worker));
+      ("instances_built", Int b.instances);
+    ];
   (match load with
   | None -> ()
   | Some l ->

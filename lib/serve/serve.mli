@@ -1,26 +1,30 @@
 (** Multi-guest serving harness (DESIGN.md §16).
 
-    A {!pool} admits guest-run requests, runs each in its own
-    Engine/Vos/Memory instance ({!Ia32el.Instance} — no mutable state is
-    shared between requests), enforces per-request virtual-cycle budgets
-    through the engine watchdog, and applies bounded-queue admission
-    control: capacity = workers + queue, and a submission past capacity
-    is rejected with a structured [Bt_error] (component ["serve"]).
+    A {!pool} admits guest-run requests and runs them on workers. Each
+    worker builds one Engine/Vos/Memory instance per batch and keeps it
+    as a session ({!Ia32el.Instance.session}): a request binds its
+    payload, runs, renders its metrics and rewinds the instance to its
+    unrun state, translation cache flushed. The pool enforces
+    per-request virtual-cycle budgets through the engine watchdog and
+    applies bounded-queue admission control: capacity = workers + queue,
+    and a submission past capacity is rejected with a structured
+    [Bt_error] (component ["serve"]).
 
     Serving isolation contract: a request served by any backend is
     bit-identical in every observable — guest output, response bytes,
-    exit code, the full metrics JSON — to the same guest run standalone,
-    because instances share nothing and the metrics are purely
-    virtual-time. With a shared read-only AOT tcache
+    exit code, cycles, the full metrics JSON — to the same guest run
+    standalone on a fresh instance, whatever its worker served before,
+    because the rewind restores everything the run can observe and the
+    metrics are purely virtual-time. With a shared read-only AOT tcache
     ({!pool}[ ~tcache ~tcache_readonly:true]), warm requests install all
     their translations from the store: zero retranslation, verified by
     the per-request hit/miss counters. *)
 
 (** Worker backends. [Inline] runs requests synchronously in the caller
     (same admission bookkeeping, deterministic order — the testing
-    backend). [Forked] forks worker processes per batch, marshalling
-    requests over pipes; the AOT store is loaded once in the parent and
-    inherited copy-on-write. *)
+    backend), request [i] on worker [i mod workers]. [Forked] forks
+    worker processes per batch, marshalling requests over pipes; the AOT
+    store is loaded once in the parent and inherited copy-on-write. *)
 type backend = Inline | Forked
 
 val backend_name : backend -> string
@@ -63,6 +67,9 @@ type batch = {
   responses : response list;  (** submission order *)
   wall_s : float;
   pool : pool;
+  instances : int;
+      (** {!Ia32el.Instance.create} calls the workers made for the batch:
+          one per worker that started *)
 }
 
 val pool :
@@ -143,5 +150,6 @@ val rollup : ?load:load_summary -> batch -> Obs.Metrics.t
 (** One schema'd JSON ([ia32el-serve/1]) rolling up the whole batch:
     pool shape, request counts (served / rejected / budget-exhausted /
     failed), aggregate work (virtual cycles, tcache hits/misses,
-    throughput), per-worker served counts, and — when [load] is given —
+    throughput), per-worker served counts and the instances the workers
+    built, and — when [load] is given —
     the open-loop throughput/latency section. *)

@@ -293,6 +293,7 @@ let prologue =
   ]
 
 type side = {
+  fast : bool; (* runs [Exec.run], not [Exec.reference_run] *)
   m : Mc.t;
   tc : Ipf.Tcache.t;
   x : Ipf.Exec.t;
@@ -339,7 +340,7 @@ let side ~fast ?(setup = fun _ _ -> ()) bundles =
     | exception Abort -> "abort"
     | exception Invalid_argument msg -> msg
   in
-  { m; tc; x; go; probe }
+  { fast; m; tc; x; go; probe }
 
 let observe s =
   let m = s.m in
@@ -459,26 +460,26 @@ let test_exits_mid_group () =
     (twin bundles "resume"
        [ (None, keep); (None, at 5 2); (None, at 5 0); (None, at 5 2) ])
 
+let raw_split =
+  prologue
+  @ [
+      (* p7 is false: the writer of r10 does not run, but still splits
+         the group before its reader and still sets r10's ready cycle *)
+      bun ~stop:(-1) (mk ~qp:7 (I.Xma (10, 4, 4, 5))) (add 11 10 4) (add 12 4 4);
+      (* a predicated-off compare writes p8: the slot predicated on it
+         starts a new group *)
+      bun ~stop:(-1)
+        (mk ~qp:7 (I.Cmp (I.Ceq, I.Cnorm, 8, 9, 0, 0)))
+        (mk ~qp:8 (I.Add (13, 4, 4)))
+        (add 14 11 4);
+      bun nop nop (out I.Exit_program);
+    ]
+
 let test_raw_split_predicated_off () =
-  let bundles =
-    prologue
-    @ [
-        (* p7 is false: the writer of r10 does not run, but still splits
-           the group before its reader and still sets r10's ready cycle *)
-        bun ~stop:(-1) (mk ~qp:7 (I.Xma (10, 4, 4, 5))) (add 11 10 4) (add 12 4 4);
-        (* a predicated-off compare writes p8: the slot predicated on it
-           starts a new group *)
-        bun ~stop:(-1)
-          (mk ~qp:7 (I.Cmp (I.Ceq, I.Cnorm, 8, 9, 0, 0)))
-          (mk ~qp:8 (I.Add (13, 4, 4)))
-          (add 14 11 4);
-        bun nop nop (out I.Exit_program);
-      ]
-  in
-  ignore (twin bundles "raw" [ (None, keep) ]);
+  ignore (twin raw_split "raw" [ (None, keep) ]);
   for fuel = 0 to 10 do
     ignore
-      (twin bundles (Printf.sprintf "raw fuel %d" fuel)
+      (twin raw_split (Printf.sprintf "raw fuel %d" fuel)
          [ (Some fuel, keep); (None, keep) ])
   done
 
@@ -524,6 +525,109 @@ let test_store_mid_group () =
   let invalidate tc = Ipf.Tcache.invalidate_range tc ~start:3 ~stop:5 ~target:0x99 in
   ignore (twin ~setup:(watch invalidate) long_group "invalidate" [ (None, keep) ])
 
+(* ---------------- programs taken back by content ---------------- *)
+
+(* A flush, then [bundles] appended again (copies, as a replayed run
+   re-installs its blocks), and a restart at the first bundle. *)
+let reappend bundles s =
+  Ipf.Tcache.clear s.tc;
+  List.iter (fun b -> ignore (Ipf.Tcache.append s.tc (Ipf.Bundle.copy b))) bundles;
+  at 0 0 s
+
+(* Group programs the fast side compiles during each step of a twin run,
+   which also compares every step with the reference. *)
+let compiles_per_step bundles tag steps =
+  let marks = ref [] in
+  let note s = if s.fast then marks := Ipf.Exec.compiled s.x :: !marks in
+  let f =
+    twin bundles tag
+      (List.map
+         (fun (fuel, before) ->
+           ( fuel,
+             fun s ->
+               before s;
+               note s ))
+         steps)
+  in
+  let rec diffs = function
+    | a :: (b :: _ as tl) -> (b - a) :: diffs tl
+    | _ -> []
+  in
+  diffs (List.rev (Ipf.Exec.compiled f.x :: !marks))
+
+let test_equal_content_reused () =
+  List.iter
+    (fun (name, bundles) ->
+      match
+        compiles_per_step bundles name
+          [ (None, keep); (None, reappend bundles); (None, reappend bundles) ]
+      with
+      | [ first; again; again2 ] ->
+        check Alcotest.bool (name ^ ": the first run compiles") true (first > 0);
+        checki (name ^ ": equal content re-appended compiles nothing") 0 again;
+        checki (name ^ ": and again") 0 again2
+      | _ -> assert false)
+    [ ("long group", long_group); ("raw split", raw_split) ]
+
+(* [bundles] with bundle [idx] rewritten by [f]. *)
+let edit bundles idx f =
+  List.mapi (fun i b -> if i = idx then f (Ipf.Bundle.copy b) else b) bundles
+
+let test_changed_content_recompiles () =
+  let set_slot s insn (b : Ipf.Bundle.t) =
+    b.Ipf.Bundle.slots.(s) <- insn;
+    b
+  in
+  let set_stop s (b : Ipf.Bundle.t) =
+    b.Ipf.Bundle.stops.(s) <- true;
+    b
+  in
+  List.iter
+    (fun (name, bundles, edited) ->
+      match
+        compiles_per_step bundles name
+          [ (None, keep); (None, reappend edited); (None, reappend bundles) ]
+      with
+      | [ _; changed; back ] ->
+        check Alcotest.bool (name ^ ": changed content compiles") true
+          (changed > 0);
+        check Alcotest.bool (name ^ ": and so does changing it back") true
+          (back > 0)
+      | _ -> assert false)
+    [
+      ("a slot", long_group, edit long_group 3 (set_slot 2 (movi 12 5)));
+      (* the nine-slot group now ends after bundle 3's second slot *)
+      ("a stop bit", long_group, edit long_group 3 (set_stop 1));
+      (* the slot the RAW split ended a group before no longer reads
+         what the group wrote, so the group runs on *)
+      ("the RAW-split slot", raw_split, edit raw_split 2 (set_slot 1 (add 11 5 4)));
+    ]
+
+(* A program that ran off the end of the tcache, or that finishes a
+   group after its first slots ran (a mid-group restart's carry),
+   depends on more than the bundles it spans: never taken back. *)
+let test_carry_and_open_not_reused () =
+  let s = side ~fast:true long_group in
+  (* the nine-slot group starts at bundle 2; restart after four slots *)
+  let carry =
+    Array.init 4 (fun k ->
+        (Ipf.Tcache.get s.tc (2 + (k / 3))).Ipf.Bundle.slots.(k mod 3))
+  in
+  let plain = Ipf.Exec.compile_at s.x 10 in
+  let restart = Ipf.Exec.compile_at ~carry s.x 10 in
+  check Alcotest.bool "both valid by stamps" true
+    (Ipf.Exec.reusable s.x plain && Ipf.Exec.reusable s.x restart);
+  reappend long_group s;
+  check Alcotest.bool "a program with no carry is taken back" true
+    (Ipf.Exec.reusable s.x plain);
+  check Alcotest.bool "one with a carry is not" false
+    (Ipf.Exec.reusable s.x restart);
+  let s = side ~fast:true off_end in
+  let open_ = Ipf.Exec.compile_at s.x 6 in
+  reappend off_end s;
+  check Alcotest.bool "one that ran off the tcache is not" false
+    (Ipf.Exec.reusable s.x open_)
+
 (* ---------------- generated group-vs-reference cases ---------------- *)
 
 (* Random small tcaches after [prologue] (plus r13 = data + 3, a
@@ -536,7 +640,11 @@ let test_store_mid_group () =
    survive while values, NaT bits and ALAT entries flow between slots.
    Each case runs with fuel at a random offset, then twice more without
    a limit: after an exit a run resumes behind it, after a fault it
-   faults again, after the last exit it runs off the tcache. *)
+   faults again, after the last exit it runs off the tcache. Then it
+   runs from the start three more times: after the tcache is flushed and
+   the same bundles appended again (group programs come back by
+   content), after one slot is patched to another instruction, and
+   after that slot is patched back. *)
 module G = QCheck.Gen
 
 let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) nop nop ]
@@ -619,13 +727,16 @@ let gen_case =
       (array_repeat 3 (map (fun k -> k = 0) (int_bound 2)))
   in
   flatten_l (List.init n (fun i -> bundle (base + i))) >>= fun body ->
-  map
-    (fun fuel -> (body, fuel))
+  int_bound (n - 1) >>= fun bi ->
+  map3
+    (fun fuel si insn -> (body, fuel, (base + bi, si, insn)))
     (int_bound ((3 * (last + 1)) + 4))
+    (int_bound 2)
+    (gen_insn ~here:(base + bi) ~last)
 
-let print_case (body, fuel) =
+let print_case (body, fuel, (idx, si, insn)) =
   let b = Buffer.create 512 in
-  Printf.bprintf b "fuel %d\n" fuel;
+  Printf.bprintf b "fuel %d, patch %d.%d: %s\n" fuel idx si (I.to_string insn);
   List.iteri
     (fun i bundle ->
       Printf.bprintf b "%d:" (List.length gen_prologue + i);
@@ -641,10 +752,23 @@ let print_case (body, fuel) =
 let test_generated =
   QCheck.Test.make ~count:2000 ~name:"generated-tcaches"
     (QCheck.make ~print:print_case gen_case)
-    (fun (body, fuel) ->
+    (fun (body, fuel, (idx, si, insn)) ->
       let bundles = gen_prologue @ body @ [ bun nop nop (out I.Exit_program) ] in
+      let orig = (List.nth bundles idx).Ipf.Bundle.slots.(si) in
+      let patch insn s =
+        Ipf.Tcache.patch_slot s.tc ~idx ~slot:si insn;
+        at 0 0 s
+      in
       let _, results =
-        run_twin bundles [ (Some fuel, keep); (None, keep); (None, keep) ]
+        run_twin bundles
+          [
+            (Some fuel, keep);
+            (None, keep);
+            (None, keep);
+            (None, reappend bundles);
+            (None, patch insn);
+            (None, patch orig);
+          ]
       in
       match List.find_opt (fun (_, a, b) -> a <> b) results with
       | None -> true
@@ -688,6 +812,12 @@ let () =
             test_raw_split_predicated_off;
           Alcotest.test_case "patch-cached-group" `Quick test_patch_cached_group;
           Alcotest.test_case "store-mid-group" `Quick test_store_mid_group;
+          Alcotest.test_case "equal-content-reused" `Quick
+            test_equal_content_reused;
+          Alcotest.test_case "changed-content-recompiles" `Quick
+            test_changed_content_recompiles;
+          Alcotest.test_case "carry-and-open-not-reused" `Quick
+            test_carry_and_open_not_reused;
           (* a fixed seed: the same 2000 tcaches on every run *)
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0x1a32e1 |])

@@ -8,6 +8,10 @@
      guest run inside a multi-worker batch yield bit-identical
      observables (metrics JSON, exit code, output, response) under both
      first phases;
+   - sessions: a worker builds one instance and rewinds it after every
+     request, so a mixed batch (payload sizes, a blown budget) served in
+     either order, with or without a shared tcache, on inline or forked
+     workers, equals request by request its standalone run;
    - admission control (bounded-queue rejection) and per-request budget
      exhaustion;
    - shared read-only AOT tcache: a warm batch retranslates nothing. *)
@@ -181,6 +185,247 @@ let test_standalone_vs_served_forked () =
        (List.filter_map (fun r -> Option.map (fun x -> x.Serve.r_worker) r.Serve.result)
           batch.Serve.responses)) > 1)
 
+(* ---- sessions: rewound instances ----------------------------------- *)
+
+let payload_of_len n = String.init n (fun i -> Char.chr (32 + (i * 7 mod 95)))
+
+(* A budget a scale-1 request blows well before it answers. *)
+let small_budget = 2_000
+
+let mixed_jobs =
+  [
+    { Serve.payload = payload_of_len 256; max_cycles = None };
+    { Serve.payload = ""; max_cycles = None };
+    { Serve.payload = payload_of_len 256; max_cycles = Some small_budget };
+    { Serve.payload = payload_of_len 17; max_cycles = None };
+    { Serve.payload = payload_of_len 5000; max_cycles = None };
+  ]
+
+let with_tcache_dir f =
+  let dir = Filename.temp_file "ia32el_serve" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun e -> Sys.remove (Filename.concat dir e)) (Sys.readdir dir);
+      Unix.rmdir dir)
+    (fun () -> f dir)
+
+(* The request on a fresh instance, the store (if any) attached to it
+   alone: what a worker served it with before sessions. *)
+let standalone ~config ?tcache (j : Serve.job) =
+  let image =
+    Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1 ~wide:false
+  in
+  let inst = Ia32el.Instance.create ~config image in
+  let se =
+    Option.map
+      (fun path ->
+        let store, _ =
+          Persist.load ~path ~image_hash:(Persist.image_hash image)
+            ~config_fp:(Persist.config_fingerprint config)
+        in
+        Persist.attach ~readonly:true store inst.Ia32el.Instance.eng)
+      tcache
+  in
+  let r =
+    Ia32el.Instance.run ?max_cycles:j.Serve.max_cycles ~request:j.Serve.payload
+      inst
+  in
+  let hits, misses =
+    match se with
+    | None -> (0, 0)
+    | Some se ->
+      let s = Persist.stats se in
+      (s.Persist.hits, s.Persist.misses)
+  in
+  ( Ia32el.Instance.stop_to_string r.Ia32el.Instance.stop,
+    r.Ia32el.Instance.output,
+    r.Ia32el.Instance.response,
+    Obs.Metrics.to_string (Ia32el.Instance.metrics inst),
+    r.Ia32el.Instance.cycles,
+    (hits, misses) )
+
+let test_session_order_independent () =
+  with_tcache_dir (fun dir ->
+      List.iter
+        (fun (cname, config) ->
+          let tc = Filename.concat dir (cname ^ ".tc") in
+          Alcotest.(check int) (cname ^ ": tcache saved clean") 0
+            (List.length
+               (Serve.compile_tcache ~config ~path:tc ~scale:1
+                  ~payload:(payload_of_len 256) ()));
+          List.iter
+            (fun tcache ->
+              let want = List.map (standalone ~config ?tcache) mixed_jobs in
+              List.iter
+                (fun (oname, reversed) ->
+                  let order l = if reversed then List.rev l else l in
+                  let jobs = order mixed_jobs and want = order want in
+                  List.iter
+                    (fun backend ->
+                      let tag =
+                        Printf.sprintf "%s, %s tcache, %s order, %s" cname
+                          (if tcache = None then "no" else "a")
+                          oname (Serve.backend_name backend)
+                      in
+                      let p =
+                        Serve.pool ~backend ~workers:2 ~queue:8 ~config ?tcache ()
+                      in
+                      let b = Serve.run_batch p jobs in
+                      Alcotest.(check int) (tag ^ ": one instance per worker") 2
+                        b.Serve.instances;
+                      List.iteri
+                        (fun i ((stop, out, resp, m, cycles, tc), r) ->
+                          let r =
+                            match r.Serve.result with
+                            | Some r -> r
+                            | None -> Alcotest.failf "%s: request %d rejected" tag i
+                          in
+                          let field what =
+                            Printf.sprintf "%s: request %d %s" tag i what
+                          in
+                          Alcotest.(check string) (field "stop") stop r.Serve.r_stop;
+                          Alcotest.(check string) (field "output") out r.Serve.r_output;
+                          Alcotest.(check string) (field "response") resp
+                            r.Serve.r_response;
+                          Alcotest.(check string) (field "metrics JSON") m
+                            r.Serve.r_metrics;
+                          Alcotest.(check int) (field "cycles") cycles r.Serve.r_cycles;
+                          Alcotest.(check (pair int int)) (field "tc hits/misses") tc
+                            (r.Serve.r_tc_hits, r.Serve.r_tc_misses))
+                        (List.combine want b.Serve.responses))
+                    [ Serve.Inline; Serve.Forked ])
+                [ ("submission", false); ("reversed", true) ])
+            [ None; Some tc ])
+        config_matrix)
+
+(* The watchdog is armed per run: a request after a blown budget on the
+   same session runs to completion, as it would on a fresh instance. *)
+let test_budget_then_unbudgeted () =
+  let config = Ia32el.Config.default in
+  let image =
+    Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1 ~wide:false
+  in
+  let se = Ia32el.Instance.session (Ia32el.Instance.create ~config image) in
+  let inst = Ia32el.Instance.instance se in
+  let blown = Ia32el.Instance.run ~max_cycles:small_budget ~request:payload inst in
+  Alcotest.(check string) "the budget is blown" "budget_exhausted"
+    (Ia32el.Instance.stop_to_string blown.Ia32el.Instance.stop);
+  Ia32el.Instance.rewind se;
+  let r = Ia32el.Instance.run ~request:payload inst in
+  let m = Obs.Metrics.to_string (Ia32el.Instance.metrics inst) in
+  let stop, out, resp, m0, cycles, _ =
+    standalone ~config { Serve.payload; max_cycles = None }
+  in
+  Alcotest.(check string) "unbudgeted run exits" stop
+    (Ia32el.Instance.stop_to_string r.Ia32el.Instance.stop);
+  Alcotest.(check string) "output" out r.Ia32el.Instance.output;
+  Alcotest.(check string) "response" resp r.Ia32el.Instance.response;
+  Alcotest.(check int) "cycles" cycles r.Ia32el.Instance.cycles;
+  Alcotest.(check string) "metrics JSON" m0 m;
+  (* and through the pool: one inline worker serves both *)
+  let p = Serve.pool ~backend:Serve.Inline ~workers:1 ~queue:4 ~config () in
+  let b =
+    Serve.run_batch p
+      [
+        { Serve.payload; max_cycles = Some small_budget };
+        { Serve.payload; max_cycles = None };
+      ]
+  in
+  match b.Serve.responses with
+  | [ { Serve.result = Some r1; _ }; { Serve.result = Some r2; _ } ] ->
+    Alcotest.(check string) "pool: first blown" "budget_exhausted" r1.Serve.r_stop;
+    Alcotest.(check string) "pool: second exits" stop r2.Serve.r_stop;
+    Alcotest.(check string) "pool: second metrics" m0 r2.Serve.r_metrics;
+    Alcotest.(check int) "pool: one instance" 1 b.Serve.instances
+  | _ -> Alcotest.fail "expected two served responses"
+
+(* Guests that spawn threads, self-modify or fault on misaligned data
+   rewind exactly too: thread table, SMC watch set and degradation
+   policy come back with the instance. *)
+let test_rewound_workloads () =
+  List.iter
+    (fun (w : Workloads.Common.t) ->
+      let config = Ia32el.Config.default in
+      let image = w.Workloads.Common.build ~scale:1 ~wide:false in
+      let inst = Ia32el.Instance.create ~config image in
+      let r = Ia32el.Instance.run ~request:"" inst in
+      let want =
+        ( Ia32el.Instance.stop_to_string r.Ia32el.Instance.stop,
+          r.Ia32el.Instance.output,
+          r.Ia32el.Instance.cycles,
+          Obs.Metrics.to_string (Ia32el.Instance.metrics inst) )
+      in
+      let p =
+        Serve.pool ~backend:Serve.Inline ~workers:1 ~queue:4 ~config ~workload:w ()
+      in
+      let b =
+        Serve.run_batch p (List.init 3 (fun _ -> { Serve.payload = ""; max_cycles = None }))
+      in
+      List.iteri
+        (fun i res ->
+          match res.Serve.result with
+          | Some x ->
+            Alcotest.(check (pair (pair string string) (pair int string)))
+              (Printf.sprintf "%s: request %d = standalone" w.Workloads.Common.name i)
+              (let a, b, c, d = want in ((a, b), (c, d)))
+              ((x.Serve.r_stop, x.Serve.r_output), (x.Serve.r_cycles, x.Serve.r_metrics))
+          | None -> Alcotest.fail "request rejected")
+        b.Serve.responses)
+    [
+      Workloads.Threads.producer_consumer ~workers:Workloads.Threads.default_workers;
+      Workloads.Sysmark.office;
+      Workloads.Sysmark.misalign_stress;
+    ]
+
+(* A rewound run re-installs its blocks under the same ids at the same
+   tcache indices, so the execution core takes back by content the group
+   programs the first run compiled: only groups whose content differs
+   from the last program compiled at their entry (chain patches)
+   compile again. *)
+let test_rewound_run_reuses_programs () =
+  with_tcache_dir (fun dir ->
+      let tc = Filename.concat dir "serve.tc" in
+      ignore (Serve.compile_tcache ~path:tc ~scale:1 ~payload ());
+      List.iter
+        (fun tcache ->
+          let image =
+            Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1
+              ~wide:false
+          in
+          let inst = Ia32el.Instance.create image in
+          let pse =
+            Option.map
+              (fun path ->
+                let store, _ =
+                  Persist.load ~path ~image_hash:(Persist.image_hash image)
+                    ~config_fp:
+                      (Persist.config_fingerprint Ia32el.Config.default)
+                in
+                Persist.attach ~readonly:true store inst.Ia32el.Instance.eng)
+              tcache
+          in
+          let se = Ia32el.Instance.session inst in
+          let exec = inst.Ia32el.Instance.eng.Ia32el.Engine.exec in
+          let compiles () =
+            let c0 = Ipf.Exec.compiled exec in
+            Option.iter Persist.restart pse;
+            ignore (Ia32el.Instance.run ~request:payload inst);
+            Ia32el.Instance.rewind se;
+            Ipf.Exec.compiled exec - c0
+          in
+          let first = compiles () in
+          let second = compiles () in
+          let third = compiles () in
+          let tag = if tcache = None then "no tcache" else "a tcache" in
+          if 20 * second >= first then
+            Alcotest.failf "%s: a rewound run compiled %d of the first run's %d"
+              tag second first;
+          Alcotest.(check int) (tag ^ ": every rewound run compiles the same")
+            second third)
+        [ None; Some tc ])
+
 (* ---- admission control and budgets ----------------------------------- *)
 
 let test_admission_rejection () =
@@ -325,6 +570,17 @@ let () =
             test_standalone_vs_served_inline;
           Alcotest.test_case "standalone = served (4 forked workers)" `Quick
             test_standalone_vs_served_forked;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "mixed batch: served = standalone in any order"
+            `Quick test_session_order_independent;
+          Alcotest.test_case "budget then unbudgeted on one session" `Quick
+            test_budget_then_unbudgeted;
+          Alcotest.test_case "a rewound run reuses group programs" `Quick
+            test_rewound_run_reuses_programs;
+          Alcotest.test_case "threaded, syscall and misaligned guests rewind"
+            `Quick test_rewound_workloads;
         ] );
       ( "admission",
         [

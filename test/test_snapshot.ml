@@ -413,8 +413,8 @@ let by_content_tests =
         check int "input 2 ran the patched code" 777 r.out);
     Alcotest.test_case "a revived block's group programs validate again"
       `Quick (fun () ->
-        (* revival restores the bundles' tcache stamps, so the programs
-           compiled from that content before the kill are valid again *)
+        (* revival restores the bundles' content, so the programs
+           compiled from it before the kill are valid again *)
         let x = srv_start ~code:smc_code ~data:out_data () in
         let tc = x.e.E.tcache and ex = x.e.E.exec in
         expect_clean "input 1" (run_input x);
