@@ -486,6 +486,124 @@ let forkserver_rate ~min_time =
       done;
       Float.of_int n)
 
+(* Per-input layers of the fork server, in process: [bases] generated
+   programs, each serving its base input and then [per_base] mutated
+   ones the way [Fuzz.server_run] does — both vehicles snapshot (push),
+   the pair runs in lockstep (run), both revert (revert). Host
+   milliseconds per input for each phase and major collections per 1000
+   inputs come from one pass; a second pass over the same inputs counts
+   the pages each commit point's memory compare examines (the pages on
+   either dirty list, outside the profile arena). *)
+type forkserver_split = {
+  fsp_inputs : int;
+  fsp_push_ms : float;
+  fsp_run_ms : float;
+  fsp_revert_ms : float;
+  fsp_pages_per_commit : float;
+  fsp_major_per_1000 : float;
+}
+
+let forkserver_split ~bases ~per_base =
+  let module F = Harness.Fuzz in
+  let module L = Ia32el.Lockstep in
+  let module E = Ia32el.Engine in
+  let module M = Ia32.Memory in
+  let arena p =
+    p >= Ia32el.Block.arena_base lsr M.page_bits
+    && p < (Ia32el.Block.arena_base + Ia32el.Block.arena_size) lsr M.page_bits
+  in
+  let pass ~count =
+    let rng = F.Rng.create 5 and mrng = F.Rng.create 13 in
+    let push = ref 0. and run = ref 0. and revert = ref 0. in
+    let pages = ref 0 and commits = ref 0 and inputs = ref 0 in
+    let major0 = (Gc.quick_stat ()).Gc.major_collections in
+    for b = 0 to bases - 1 do
+      let image = F.build_image (F.generate ~rng ~max_insns:32 b) in
+      let mem = M.create () in
+      let st0 = Ia32.Asm.load ~writable_code:true image mem in
+      let rmem = ref mem in
+      let attach (e : E.t) =
+        if count then
+          e.E.on_commit <-
+            Some
+              (fun _ _ ->
+                let listed =
+                  List.sort_uniq compare (M.Dirty.pages e.E.mem @ M.Dirty.pages !rmem)
+                in
+                pages := !pages + List.length (List.filter (fun p -> not (arena p)) listed);
+                incr commits)
+      in
+      let s = L.create ~attach ~btlib:(module Btlib.Linuxsim) mem st0 in
+      rmem := L.reference_mem s;
+      let e = L.engine s and rvos = L.reference_vos s in
+      for i = 0 to per_base do
+        let muts =
+          if i = 0 then []
+          else
+            List.init
+              (1 + F.Rng.int mrng 32)
+              (fun _ -> (F.Rng.int mrng F.mutation_span, F.Rng.int mrng 256))
+        in
+        let tp, ck =
+          wall (fun () ->
+              ignore (E.snapshot ~barrier:false e);
+              M.Journal.push !rmem;
+              Btlib.Vos.checkpoint rvos)
+        in
+        List.iter
+          (fun (off, v) ->
+            let a = F.scratch_base + (off mod F.mutation_span) in
+            M.write8 e.E.mem a (v land 0xFF);
+            M.write8 !rmem a (v land 0xFF))
+          muts;
+        let tr, _ = wall (fun () -> L.run_in ~fuel:12_000_000 s) in
+        let tv, () =
+          wall (fun () ->
+              e.E.running_block <- None;
+              ignore (E.revert e);
+              ignore (M.Journal.revert !rmem);
+              Btlib.Vos.restore rvos ck)
+        in
+        push := !push +. tp;
+        run := !run +. tr;
+        revert := !revert +. tv;
+        incr inputs
+      done
+    done;
+    let majors = (Gc.quick_stat ()).Gc.major_collections - major0 in
+    let per x = 1e3 *. x /. Float.of_int !inputs in
+    {
+      fsp_inputs = !inputs;
+      fsp_push_ms = per !push;
+      fsp_run_ms = per !run;
+      fsp_revert_ms = per !revert;
+      fsp_pages_per_commit = Float.of_int !pages /. Float.of_int (max 1 !commits);
+      fsp_major_per_1000 = 1e3 *. Float.of_int majors /. Float.of_int !inputs;
+    }
+  in
+  let timed = pass ~count:false in
+  let counted = pass ~count:true in
+  { timed with fsp_pages_per_commit = counted.fsp_pages_per_commit }
+
+let print_forkserver_split s =
+  Printf.printf
+    "fork-server per input (%d inputs): %.3f ms push, %.3f ms run, %.3f ms \
+     revert, %.1f pages compared per commit, %.0f major GCs per 1000 inputs\n"
+    s.fsp_inputs s.fsp_push_ms s.fsp_run_ms s.fsp_revert_ms
+    s.fsp_pages_per_commit s.fsp_major_per_1000
+
+let forkserver_split_json s =
+  Obs.Metrics.(
+    Obj
+      [
+        ("inputs", Int s.fsp_inputs);
+        ("push_ms", Float s.fsp_push_ms);
+        ("run_ms", Float s.fsp_run_ms);
+        ("revert_ms", Float s.fsp_revert_ms);
+        ("pages_compared_per_commit", Float s.fsp_pages_per_commit);
+        ("major_collections_per_1000_inputs", Float s.fsp_major_per_1000);
+      ])
+
 (* Persistent-cache wall-clock rows: seconds per run cold (no cache),
    warm (every translation installed from a recorded file) and from an
    AOT-compiled file (static sweep + one training run). Also reports the
@@ -750,6 +868,7 @@ let perf ~scale ~min_time () =
   in
   let fuzz_ps = fuzz_rate ~min_time in
   let forkserver_ps = forkserver_rate ~min_time in
+  let fs_split = forkserver_split ~bases:32 ~per_base:50 in
   let threads_w =
     Workloads.Threads.producer_consumer
       ~workers:Workloads.Threads.default_workers
@@ -797,6 +916,7 @@ let perf ~scale ~min_time () =
   Printf.printf "fork-server inputs          : %8.2f prog/s (%.2fx lockstep)\n"
     forkserver_ps
     (forkserver_ps /. fuzz_ps);
+  print_forkserver_split fs_split;
   Printf.printf "threaded workload (%s, %d guest threads): %.2f Mcycles/s\n"
     threads_w.Workloads.Common.name
     (Workloads.Threads.default_workers + 1)
@@ -935,6 +1055,22 @@ let perf ~scale ~min_time () =
                     ("rev", Str "b32e4fb");
                     ("forkserver_programs_per_s", Float 1920.667);
                   ] );
+              (* the fork-server split before the lockstep compare
+                 looked only at dirty pages and epochs recycled their
+                 machine tables: medians of five runs of
+                 [forkserver_split] at that commit (the full scan
+                 examines every mapped page), alternated with runs of
+                 the live row below on one host *)
+              ( "forkserver_split",
+                Obj
+                  [
+                    ("rev", Str "a887e06");
+                    ("push_ms", Float 0.104);
+                    ("run_ms", Float 0.522);
+                    ("revert_ms", Float 0.074);
+                    ("pages_compared_per_commit", Float 22.0);
+                    ("major_collections_per_1000_inputs", Float 87.);
+                  ] );
             ] );
         ( "machine",
           Obj
@@ -962,6 +1098,7 @@ let perf ~scale ~min_time () =
               ("forkserver_programs_per_s", Float forkserver_ps);
               ( "forkserver_speedup_vs_baseline",
                 Float (forkserver_ps /. 131.35338357638003) );
+              ("forkserver_split", forkserver_split_json fs_split);
             ] );
         ( "threads",
           Obj
@@ -1168,6 +1305,8 @@ let () =
         | "circuitry" -> circuitry ~scale ()
         | "ablations" -> ablations ~scale ()
         | "perf" -> perf ~scale ~min_time ()
+        | "forkserver" ->
+          print_forkserver_split (forkserver_split ~bases:32 ~per_base:50)
         | "virtual" -> virtual_report ~scale ()
         | "all" -> all ()
         | other -> Printf.eprintf "unknown command %S\n" other)

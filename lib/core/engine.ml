@@ -61,6 +61,7 @@ type t = {
   icache : Ia32.Icache.t; (* shared by every state the engine interprets *)
   (* snapshot / rewind ---------------------------------------------------- *)
   mutable snapshots : epoch list; (* innermost first *)
+  mutable spare_tables : tables list; (* of reverted or committed epochs *)
   mutable snap_next_id : int;
   mutable max_cycles : int option; (* watchdog: Bt_error past this clock *)
   mutable snap_every : int option; (* auto-snapshot every N syscall commits *)
@@ -101,22 +102,11 @@ and epoch = {
   e_barrier : bool;
   e_acct : Account.t;
   e_stats : M.stats;
-  e_buckets : int array;
-  e_gr : int64 array;
-  e_nat : bool array;
-  e_fr : float array;
-  e_fnat : bool array;
-  e_pr : bool array;
-  e_br : int array;
-  e_ready : int array;
-  e_fready : int array;
-  e_hotc : int array;
-  e_edgec : int array;
+  e_tables : tables;
   e_alat : (int, int * int) Hashtbl.t;
   e_ip : int;
   e_slot : int;
   e_last_exit : int * int;
-  e_dcache : Ipf.Dcache.checkpoint;
   e_vos : Btlib.Vos.checkpoint;
   e_watched : int list;
   e_candidates : int list;
@@ -136,6 +126,27 @@ and epoch = {
      their code refers to, so it empties the log for good *)
   e_killed : Block.killed list ref;
   mutable e_flushed : bool;
+}
+
+(* Copies of the machine's fixed-size tables: the registers, the timing
+   arrays, the hot and edge counters and the dcache model. An epoch's
+   copies are handed back to [spare_tables] when it is reverted or
+   committed, and the next snapshot refills them, so opening an epoch
+   allocates none of these arrays. Only closed epochs hand theirs back,
+   so one set never backs two open epochs. *)
+and tables = {
+  tb_buckets : int array;
+  tb_gr : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
+  tb_nat : bool array;
+  tb_fr : float array;
+  tb_fnat : bool array;
+  tb_pr : bool array;
+  tb_br : int array;
+  tb_ready : int array;
+  tb_fready : int array;
+  tb_hotc : int array;
+  tb_edgec : int array;
+  tb_dcache : Ipf.Dcache.checkpoint;
 }
 
 exception Smc_abort
@@ -315,6 +326,7 @@ let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
       smc_page_hits = Hashtbl.create 16;
       icache = Ia32.Icache.create ();
       snapshots = [];
+      spare_tables = [];
       snap_next_id = 0;
       max_cycles = None;
       snap_every = None;
@@ -519,6 +531,79 @@ let timed_snapshot_op t f =
     | None -> ());
     r
 
+(* Typed copies: a store into an int or bool array needs no write
+   barrier, where [Array.blit] into a major-heap array pays one per
+   element. (A float array blit is a plain memory copy.) Both arrays
+   come from one machine, so the lengths are checked once. *)
+let copy_ints (src : int array) (dst : int array) =
+  assert (Array.length dst = Array.length src);
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+let copy_bools (src : bool array) (dst : bool array) =
+  assert (Array.length dst = Array.length src);
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
+
+let fresh_tables (m : M.t) =
+  let gr =
+    Bigarray.Array1.create Bigarray.int64 Bigarray.c_layout
+      (Bigarray.Array1.dim m.M.gr)
+  in
+  Bigarray.Array1.blit m.M.gr gr;
+  {
+    tb_buckets = Array.copy m.M.buckets;
+    tb_gr = gr;
+    tb_nat = Array.copy m.M.nat;
+    tb_fr = Array.copy m.M.fr;
+    tb_fnat = Array.copy m.M.fnat;
+    tb_pr = Array.copy m.M.pr;
+    tb_br = Array.copy m.M.br;
+    tb_ready = Array.copy m.M.ready;
+    tb_fready = Array.copy m.M.fready;
+    tb_hotc = Array.copy m.M.hotc;
+    tb_edgec = Array.copy m.M.edgec;
+    tb_dcache = Ipf.Dcache.checkpoint m.M.dcache;
+  }
+
+(* Copy the machine's tables into a spare set, or into a fresh one. *)
+let capture_tables t =
+  let m = t.machine in
+  match t.spare_tables with
+  | [] -> fresh_tables m
+  | tb :: rest ->
+    t.spare_tables <- rest;
+    copy_ints m.M.buckets tb.tb_buckets;
+    Bigarray.Array1.blit m.M.gr tb.tb_gr;
+    copy_bools m.M.nat tb.tb_nat;
+    Array.blit m.M.fr 0 tb.tb_fr 0 (Array.length m.M.fr);
+    copy_bools m.M.fnat tb.tb_fnat;
+    copy_bools m.M.pr tb.tb_pr;
+    copy_ints m.M.br tb.tb_br;
+    copy_ints m.M.ready tb.tb_ready;
+    copy_ints m.M.fready tb.tb_fready;
+    copy_ints m.M.hotc tb.tb_hotc;
+    copy_ints m.M.edgec tb.tb_edgec;
+    Ipf.Dcache.checkpoint_into m.M.dcache tb.tb_dcache;
+    tb
+
+let restore_tables t tb =
+  let m = t.machine in
+  copy_ints tb.tb_buckets m.M.buckets;
+  Bigarray.Array1.blit tb.tb_gr m.M.gr;
+  copy_bools tb.tb_nat m.M.nat;
+  Array.blit tb.tb_fr 0 m.M.fr 0 (Array.length m.M.fr);
+  copy_bools tb.tb_fnat m.M.fnat;
+  copy_bools tb.tb_pr m.M.pr;
+  copy_ints tb.tb_br m.M.br;
+  copy_ints tb.tb_ready m.M.ready;
+  copy_ints tb.tb_fready m.M.fready;
+  copy_ints tb.tb_hotc m.M.hotc;
+  copy_ints tb.tb_edgec m.M.edgec;
+  Ipf.Dcache.restore m.M.dcache tb.tb_dcache
+
 let snapshot_impl ~barrier t =
   flush_smc_pending t;
   t.running_block <- None;
@@ -544,24 +629,11 @@ let snapshot_impl ~barrier t =
       e_barrier = barrier;
       e_acct = Account.copy t.acct;
       e_stats = { m.M.stats with M.cycles = m.M.stats.M.cycles };
-      e_buckets = Array.copy m.M.buckets;
-      e_gr =
-        (let n = Bigarray.Array1.dim m.M.gr in
-         Array.init n (fun i -> Bigarray.Array1.get m.M.gr i));
-      e_nat = Array.copy m.M.nat;
-      e_fr = Array.copy m.M.fr;
-      e_fnat = Array.copy m.M.fnat;
-      e_pr = Array.copy m.M.pr;
-      e_br = Array.copy m.M.br;
-      e_ready = Array.copy m.M.ready;
-      e_fready = Array.copy m.M.fready;
-      e_hotc = Array.copy m.M.hotc;
-      e_edgec = Array.copy m.M.edgec;
+      e_tables = capture_tables t;
       e_alat = Hashtbl.copy m.M.alat;
       e_ip = m.M.ip;
       e_slot = m.M.slot;
       e_last_exit = m.M.last_exit;
-      e_dcache = Ipf.Dcache.checkpoint m.M.dcache;
       e_vos = Btlib.Vos.checkpoint t.vos;
       e_watched = Ia32.Memory.watched_pages t.mem;
       e_candidates = t.candidates;
@@ -691,22 +763,12 @@ let revert_impl t =
     s.M.taken_branches <- es.M.taken_branches;
     s.M.dcache_stall <- es.M.dcache_stall;
     s.M.spec_checks <- es.M.spec_checks;
-    Array.blit e.e_buckets 0 m.M.buckets 0 (Array.length m.M.buckets);
-    Array.iteri (fun i v -> Bigarray.Array1.set m.M.gr i v) e.e_gr;
-    Array.blit e.e_nat 0 m.M.nat 0 (Array.length m.M.nat);
-    Array.blit e.e_fr 0 m.M.fr 0 (Array.length m.M.fr);
-    Array.blit e.e_fnat 0 m.M.fnat 0 (Array.length m.M.fnat);
-    Array.blit e.e_pr 0 m.M.pr 0 (Array.length m.M.pr);
-    Array.blit e.e_br 0 m.M.br 0 (Array.length m.M.br);
-    Array.blit e.e_ready 0 m.M.ready 0 (Array.length m.M.ready);
-    Array.blit e.e_fready 0 m.M.fready 0 (Array.length m.M.fready);
-    Array.blit e.e_hotc 0 m.M.hotc 0 (Array.length m.M.hotc);
-    Array.blit e.e_edgec 0 m.M.edgec 0 (Array.length m.M.edgec);
+    restore_tables t e.e_tables;
+    t.spare_tables <- e.e_tables :: t.spare_tables;
     restore_table ~src:e.e_alat ~dst:m.M.alat;
     m.M.ip <- e.e_ip;
     m.M.slot <- e.e_slot;
     m.M.last_exit <- e.e_last_exit;
-    Ipf.Dcache.restore m.M.dcache e.e_dcache;
     Btlib.Vos.restore t.vos e.e_vos;
     t.candidates <-
       List.filter
@@ -735,6 +797,7 @@ let commit_snapshot t =
   | [] -> invalid_arg "Engine.commit_snapshot: no snapshot epoch open"
   | e :: rest ->
     t.snapshots <- rest;
+    t.spare_tables <- e.e_tables :: t.spare_tables;
     (* the child's kills happened inside the parent's epoch too *)
     (match rest with
     | p :: _ when not (p.e_barrier || p.e_flushed) ->
@@ -1419,10 +1482,17 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
           Reconstruct.inject t.machine st;
           M.Exited (I.Dispatch st.Ia32.State.eip)
       in
+      (* The machine has returned, so no block is executing: a runtime
+         store into translated code (a system call's recv, an exception
+         frame) kills its block like any other write instead of raising
+         Smc_abort outside [Ipf.Exec.run]. [ran] is the block the machine
+         stopped in, for the exits that resume it or recover in it. *)
+      let ran = t.running_block in
+      t.running_block <- None;
       t.fuel <- t.fuel - (t.machine.M.stats.M.slots_retired - before) - 1;
-      handle stop
+      handle ran stop
     end
-  and handle stop =
+  and handle ran stop =
     (match (t.trace, stop) with
     | Some tr, M.Faulted f ->
       Obs.Trace.emit tr
@@ -1444,6 +1514,7 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
         (* a watchdog chunk expired, not the caller's fuel: check the
            clock and resume the machine from where it stopped *)
         check_watchdog t;
+        t.running_block <- ran;
         continue ()
       end
     | M.Exited (I.Dispatch target) -> (
@@ -1506,6 +1577,8 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
         charge_overhead t (cost t).Ipf.Cost.dispatch_cost;
         dispatch target)
     | M.Exited (I.Heat id) -> (
+      (* a heat session that replaces [ran] must re-dispatch *)
+      t.running_block <- ran;
       match on_heat t id with
       | Some entry -> dispatch entry
       | None -> continue ())
@@ -1608,7 +1681,7 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
           enter b
         end)
     | M.Exited (I.Guest_fault (ip, vec)) -> (
-      match t.running_block with
+      match ran with
       | None -> Out_of_fuel
       | Some b when b.Block.kind = Block.Hot -> (
         (* restore the covering commit region and roll forward: the

@@ -51,6 +51,11 @@ type t = {
       (** entries whose hot regeneration uses full avoidance (stage 3) *)
   mutable smc_pending : Block.t list;
   mutable running_block : Block.t option;
+      (** the block the machine entered, while it runs or waits to
+          resume in it (a heat session); [None] once the machine has
+          left it for the runtime, so a runtime store into
+          translated code (a system call's recv, an exception frame)
+          kills its block like any other write *)
   if_counts : (int, int ref) Hashtbl.t;  (** interpret-first profile *)
   if_taken : (int, int ref) Hashtbl.t;
   mutable fuel : int;
@@ -71,6 +76,9 @@ type t = {
       (** decode cache every engine-side interpretation shares *)
   mutable snapshots : epoch list;
       (** open snapshot epochs, innermost first; see {!snapshot} *)
+  mutable spare_tables : tables list;
+      (** machine-table copies of reverted or committed epochs, refilled
+          by the next {!snapshot} instead of allocating *)
   mutable snap_next_id : int;
   mutable max_cycles : int option;
       (** runaway-guest watchdog: when set, a structured [Bt_error]
@@ -122,6 +130,10 @@ and epoch
 (** Everything one {!snapshot} captured besides guest memory (which the
     [Ia32.Memory.Journal] epoch pushed alongside it holds). *)
 
+and tables
+(** One epoch's copies of the machine's fixed-size tables: registers,
+    timing arrays, hot and edge counters and the dcache model. *)
+
 exception Smc_abort
 (** Internal: the block the machine is executing — entered from the
     dispatcher or through a chain — modified its own source bytes;
@@ -149,7 +161,14 @@ val run : ?fuel:int -> t -> Ia32.State.t -> outcome
     through the page journal (O(pages touched)), plus the translator's
     accounting, machine timing state, dcache model, OS checkpoint and
     policy tables. Only legal at engine rest: before {!run} or after it
-    returned. Epochs nest. *)
+    returned. Epochs nest.
+
+    An epoch's copies of the machine's fixed-size tables (registers,
+    timing arrays, the 4096-slot hot and edge counters, the dcache
+    model) are recycled: {!revert} and {!commit_snapshot} hand them to
+    the next {!snapshot}, which refills them in place with
+    write-barrier-free copies. Only a closed epoch's copies are
+    recycled, so two open epochs never share one. *)
 
 val snapshot : ?barrier:bool -> t -> int
 (** Open a snapshot epoch; returns its id. With [barrier:true] (default

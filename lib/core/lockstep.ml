@@ -58,7 +58,10 @@ let arena_page p =
 (* Full architectural diff between the engine's precise state and the
    reference's, as a list of per-field descriptions (empty = equal). The
    x87 comparison is TOS-relative: a physical rotation recovery leaves
-   the engine's TOP legitimately different. *)
+   the engine's TOP legitimately different. Memory is compared on the
+   pages written since the last equal compare when both memories are
+   tracked (a session's are), with the full scan as the fallback on a
+   difference, so the first differing address is the full scan's. *)
 let diff_states (est : Ia32.State.t) (rst : Ia32.State.t) =
   let ds = ref [] in
   let add fmt = Printf.ksprintf (fun s -> ds := s :: !ds) fmt in
@@ -94,7 +97,7 @@ let diff_states (est : Ia32.State.t) (rst : Ia32.State.t) =
         rst.Ia32.State.xmm_hi.(i) rst.Ia32.State.xmm_lo.(i)
   done;
   (match
-     Ia32.Memory.first_diff ~skip:arena_page est.Ia32.State.mem
+     Ia32.Memory.Dirty.first_diff ~skip:arena_page est.Ia32.State.mem
        rst.Ia32.State.mem
    with
   | Some addr ->
@@ -150,6 +153,10 @@ let create ?config ?cost ?dcache ?(attach = fun (_ : Engine.t) -> ()) ~btlib
      the first run must already see it in the thread table, or reverting
      would not restore the main state. *)
   Btlib.Vos.register_main engine.Engine.vos st0;
+  (* Track the pages each side writes from here on: after the engine
+     mapped its profile arena, which the compare skips anyway. *)
+  Ia32.Memory.Dirty.track mem;
+  Ia32.Memory.Dirty.track ref_mem;
   attach engine;
   let base_commit = engine.Engine.on_commit in
   { engine; ref_mem; ref_vos; st0; rst0 = rst; btlib; base_commit }

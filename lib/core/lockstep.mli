@@ -40,7 +40,11 @@ val pp_divergence : Format.formatter -> divergence -> unit
 val diff_states : Ia32.State.t -> Ia32.State.t -> string list
 (** Full architectural diff (empty = equal). The x87 comparison is
     TOS-relative ({!Ia32.Fpu.logical_equal}); the memory comparison skips
-    the translator's profile arena. *)
+    the translator's profile arena. Memory is compared with
+    {!Ia32.Memory.Dirty.first_diff}: when both memories are tracked (a
+    session's are), only the pages written since the last equal compare
+    are examined, and a difference falls back to the full scan, so the
+    address reported is the full scan's first. *)
 
 type session
 (** A persistent differential session: the engine plus the reference
@@ -58,9 +62,12 @@ val create :
   Ia32.State.t ->
   session
 (** Build a session over a loaded guest. The reference gets a deep copy
-    of [mem] taken before the engine maps its runtime structures.
-    [attach] is called with the engine after creation, for installing a
-    chaos injector ({!Engine.t.on_dispatch}). *)
+    of [mem] taken before the engine maps its runtime structures. Both
+    memories are then tracked ({!Ia32.Memory.Dirty.track}), so each
+    commit point compares only the pages written since the last one that
+    matched; the first compare is a full one. [attach] is called with
+    the engine after creation, for installing a chaos injector
+    ({!Engine.t.on_dispatch}). *)
 
 val engine : session -> Engine.t
 val reference_mem : session -> Ia32.Memory.t

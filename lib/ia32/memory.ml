@@ -18,8 +18,15 @@ let prot_rwx = { read = true; write = true; exec = true }
    (the interpreter's decode cache) validate entries with one compare;
    because the counter is global and never reused, an unmap/remap cycle
    can never resurrect a stale generation (no ABA).
-   [data] is [zero_page] until the page's first store (demand-zero). *)
-type page = { mutable data : Bytes.t; mutable prot : prot; mutable gen : int }
+   [data] is [zero_page] until the page's first store (demand-zero).
+   [seen] is the memory's dirty epoch in which the page was last put on
+   the dirty list (see [dirty_epoch] below). *)
+type page = {
+  mutable data : Bytes.t;
+  mutable prot : prot;
+  mutable gen : int;
+  mutable seen : int;
+}
 
 (* The one shared, never-written buffer every fresh page reads from, as
    the host OS backs fresh mappings with a demand-zero page. Mapping,
@@ -65,6 +72,16 @@ type t = {
   mutable memo_no : int;
   mutable memo_pg : page;
   mutable journal : journal option;
+  (* Dirty-page tracking for pairwise compares ([Dirty]). 0 = off, and
+     every page's [seen] is then 0 too, so a store's check never fires.
+     Once on, [dirty] lists (possibly twice) every page number mutated
+     since the last equal compare: a page whose [seen] differs from
+     [dirty_epoch] is not on it yet. Bumping the epoch empties the list
+     without visiting the pages. [dirty_peer] is the memory that last
+     compare was against; the list says nothing about any other. *)
+  mutable dirty_epoch : int;
+  mutable dirty : int list;
+  mutable dirty_peer : t option;
 }
 
 let dummy_page =
@@ -72,6 +89,7 @@ let dummy_page =
     data = Bytes.create 0;
     prot = { read = false; write = false; exec = false };
     gen = 0;
+    seen = 0;
   }
 
 let create () =
@@ -83,6 +101,9 @@ let create () =
     memo_no = -1;
     memo_pg = dummy_page;
     journal = None;
+    dirty_epoch = 0;
+    dirty = [];
+    dirty_peer = None;
   }
 
 let bump_gen t pg =
@@ -123,6 +144,26 @@ let journal_touch_pg t no pg =
   | Some { epochs = e :: _; _ } -> if no <> e.last_no then record_pre_pg e no pg
   | Some { epochs = []; _ } -> ()
 
+(* Put page [no], held by record [pg], on the dirty list: one load and
+   compare per mutating call, whether or not tracking is on. A page
+   keeps its number on the list after its record leaves the table. *)
+let mark_dirty_pg t no pg =
+  if pg.seen <> t.dirty_epoch then begin
+    pg.seen <- t.dirty_epoch;
+    t.dirty <- no :: t.dirty
+  end
+
+(* A fresh page record, already on the dirty list when tracking is on. *)
+let new_page t no ~data ~prot ~gen =
+  if t.dirty_epoch > 0 then t.dirty <- no :: t.dirty;
+  { data; prot; gen; seen = t.dirty_epoch }
+
+let remove_page t no =
+  (match Hashtbl.find t.pages no with
+  | pg -> mark_dirty_pg t no pg
+  | exception Not_found -> ());
+  Hashtbl.remove t.pages no
+
 let map t ~addr ~len ~prot =
   let first = page_of addr and last = page_of (addr + len - 1) in
   for p = first to last do
@@ -131,8 +172,9 @@ let map t ~addr ~len ~prot =
     | None ->
       t.gen_counter <- t.gen_counter + 1;
       Hashtbl.replace t.pages p
-        { data = zero_page; prot; gen = t.gen_counter }
+        (new_page t p ~data:zero_page ~prot ~gen:t.gen_counter)
     | Some pg ->
+      mark_dirty_pg t p pg;
       pg.prot <- prot;
       bump_gen t pg
   done
@@ -141,7 +183,7 @@ let unmap t ~addr ~len =
   let first = page_of addr and last = page_of (addr + len - 1) in
   for p = first to last do
     journal_touch t p;
-    Hashtbl.remove t.pages p;
+    remove_page t p;
     Hashtbl.remove t.watched p
   done;
   t.memo_no <- -1
@@ -154,6 +196,7 @@ let protect t ~addr ~len ~prot =
     match Hashtbl.find_opt t.pages p with
     | Some pg ->
       journal_touch_pg t p pg;
+      mark_dirty_pg t p pg;
       pg.prot <- prot;
       bump_gen t pg
     | None -> ()
@@ -216,6 +259,7 @@ let fetch8 t addr =
 let write8_nowatch t addr v =
   let pg = find_page t addr Fault.Write in
   journal_touch_pg t (page_of addr) pg;
+  mark_dirty_pg t (page_of addr) pg;
   own_data pg;
   Bytes.set pg.data (offset_of addr) (Char.chr (Word.mask8 v));
   bump_gen t pg
@@ -258,6 +302,7 @@ let write_n t addr n v =
   (if offset_of addr + n <= page_size then begin
      let pg = find_page t addr Fault.Write in
      journal_touch_pg t (page_of addr) pg;
+     mark_dirty_pg t (page_of addr) pg;
      own_data pg;
      wr_le pg.data (offset_of addr) v 0 n;
      bump_gen t pg
@@ -304,6 +349,7 @@ let load_bytes t addr s =
       match Hashtbl.find t.pages (page_of a) with
       | pg ->
         journal_touch_pg t (page_of a) pg;
+        mark_dirty_pg t (page_of a) pg;
         own_data pg;
         Bytes.blit_string s i pg.data (offset_of a) n;
         bump_gen t pg;
@@ -336,7 +382,7 @@ let copy t =
   Hashtbl.iter
     (fun k pg ->
       Hashtbl.replace pages k
-        { data = copy_data pg.data; prot = pg.prot; gen = pg.gen })
+        { data = copy_data pg.data; prot = pg.prot; gen = pg.gen; seen = 0 })
     t.pages;
   {
     pages;
@@ -346,6 +392,9 @@ let copy t =
     memo_no = -1;
     memo_pg = dummy_page;
     journal = None;
+    dirty_epoch = 0;
+    dirty = [];
+    dirty_peer = None;
   }
 
 let watched_pages t = Hashtbl.fold (fun k () acc -> k :: acc) t.watched []
@@ -403,19 +452,21 @@ module Journal = struct
             touched := no :: !touched;
             j.restored <- j.restored + 1;
             match pre with
-            | Pre_absent -> Hashtbl.remove t.pages no
+            | Pre_absent -> remove_page t no
             | Pre_page { data; prot; gen } -> (
               (* The popped epoch's pre-images are referenced nowhere
                  else, so they may be adopted instead of copied; a blit
                  never targets [zero_page]. *)
               match Hashtbl.find_opt t.pages no with
               | Some pg ->
+                mark_dirty_pg t no pg;
                 if data == zero_page || pg.data == zero_page then
                   pg.data <- data
                 else Bytes.blit data 0 pg.data 0 page_size;
                 pg.prot <- prot;
                 pg.gen <- gen
-              | None -> Hashtbl.replace t.pages no { data; prot; gen }))
+              | None ->
+                Hashtbl.replace t.pages no (new_page t no ~data ~prot ~gen)))
           e.pre_images;
         t.memo_no <- -1;
         t.memo_pg <- dummy_page;
@@ -481,3 +532,55 @@ let first_diff ?(skip = fun _ -> false) a b =
   | exception Found addr -> Some addr
 
 let equal ?skip a b = first_diff ?skip a b = None
+
+(* Dirty-page compare. Invariant, for two memories that are each other's
+   peers: every page outside both dirty lists (and outside [skip]) holds
+   the same bytes on both sides, because the two were equal at their
+   last compare and neither has touched the page since. So equality
+   needs only the listed pages, and a difference falls back to the full
+   scan, which reports the first address in its own visit order. *)
+module Dirty = struct
+  let track t =
+    if t.dirty_epoch = 0 then begin
+      t.dirty_epoch <- 1;
+      t.dirty <- [];
+      t.dirty_peer <- None
+    end
+
+  let tracked t = t.dirty_epoch > 0
+
+  let pages t = List.sort_uniq compare t.dirty
+
+  let clear t ~peer =
+    t.dirty_epoch <- t.dirty_epoch + 1;
+    t.dirty <- [];
+    t.dirty_peer <- Some peer
+
+  let peer_of t m = match t.dirty_peer with Some p -> p == m | None -> false
+
+  let page_differs a b no =
+    match (Hashtbl.find_opt a.pages no, Hashtbl.find_opt b.pages no) with
+    | None, None -> false
+    | Some p, Some q -> p.data != q.data && not (Bytes.equal p.data q.data)
+    | Some _, None | None, Some _ -> true
+
+  let first_diff ?(skip = fun _ -> false) a b =
+    let listed_equal l =
+      List.for_all (fun no -> skip no || not (page_differs a b no)) l
+    in
+    if tracked a && tracked b then begin
+      let r =
+        if
+          peer_of a b && peer_of b a
+          && listed_equal a.dirty && listed_equal b.dirty
+        then None
+        else first_diff ~skip a b
+      in
+      if r = None then begin
+        clear a ~peer:b;
+        clear b ~peer:a
+      end;
+      r
+    end
+    else first_diff ~skip a b
+end

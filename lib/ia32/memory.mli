@@ -117,6 +117,42 @@ val first_diff : ?skip:(int -> bool) -> t -> t -> int option
 val equal : ?skip:(int -> bool) -> t -> t -> bool
 (** [equal ?skip a b] is [first_diff ?skip a b = None]. *)
 
+(** Dirty-page compares: {!first_diff} at the cost of the pages written
+    since the last equal compare, for a pair of memories compared again
+    and again (the lockstep vehicle's engine and reference memories).
+
+    A tracked memory lists every page that a mutating operation touched
+    since its last equal compare: stores, {!load_bytes}, [map], [unmap],
+    [protect], and each page {!Journal.revert} restores. An equal compare
+    empties both lists and makes the two memories each other's peer.
+    The invariant, for two peers always compared with the same [skip]:
+    a page on neither list holds the same bytes on both sides. A compare
+    of two memories that are not each other's peers (the first one after
+    {!track}, or one against a different memory) is a full one. Start
+    tracking after any bulk set-up (a mapped arena that [skip] excludes,
+    say), or those pages are listed for nothing.
+
+    The cost when off is one load and compare per mutating call. *)
+module Dirty : sig
+  val track : t -> unit
+  (** Start listing mutated pages (idempotent). [copy] never carries
+      tracking over. *)
+
+  val tracked : t -> bool
+
+  val pages : t -> int list
+  (** Sorted page numbers on the dirty list. *)
+
+  val first_diff : ?skip:(int -> bool) -> t -> t -> int option
+  (** The same result as {!first_diff}[ ?skip a b]. When the two are
+      tracked peers it checks only the pages on either list; if one of
+      them differs it falls back to the full {!first_diff}, so the
+      address reported is the one the full scan visits first. When both
+      are tracked, both lists are emptied (and the two become peers)
+      when the result is [None], and kept otherwise. With either side
+      untracked it is the full scan and touches no list. *)
+end
+
 (** Nested copy-on-write journal over page mutations.
 
     While attached, every mutating operation ([map]/[unmap]/[protect],
@@ -167,7 +203,8 @@ module Journal : sig
   val revert : t -> int list
   (** Pop the innermost epoch and restore every page it touched.
       Returns the touched page numbers (unordered) so callers can
-      invalidate derived state (translated blocks) per page.
+      invalidate derived state (translated blocks) per page. Each page
+      restored goes on the {!Dirty} list of a tracked memory.
       @raise Invalid_argument when no epoch is open. *)
 
   val commit : t -> unit

@@ -6,12 +6,14 @@
    the 32-bit-data IA-32 version of a pointer-chasing workload fits where
    the 64-bit native version does not. *)
 
+(* A level's tags and LRU ranks are flat [sets * assoc] arrays, set-major:
+   way [w] of set [s] is index [s * assoc + w]. *)
 type level = {
   set_mask : int; (* sets - 1; the set count is a power of two *)
   assoc : int;
   line_bits : int;
-  tags : int array array; (* [set].[way]; -1 = invalid *)
-  lru : int array array; (* smaller = older *)
+  tags : int array; (* -1 = invalid *)
+  lru : int array; (* smaller = older *)
   mutable tick : int;
   mutable hits : int;
   mutable misses : int;
@@ -29,39 +31,39 @@ let make_level ~size ~assoc ~line =
     set_mask = sets - 1;
     assoc;
     line_bits;
-    tags = Array.init sets (fun _ -> Array.make assoc (-1));
-    lru = Array.init sets (fun _ -> Array.make assoc 0);
+    tags = Array.make (sets * assoc) (-1);
+    lru = Array.make (sets * assoc) 0;
     tick = 0;
     hits = 0;
     misses = 0;
   }
 
-(* Way of [tags] holding [line] at or after [w], or -1. Top-level so a
-   probe allocates nothing. *)
-let rec find_way tags line w =
-  if w >= Array.length tags then -1
-  else if Array.unsafe_get tags w = line then w
-  else find_way tags line (w + 1)
+(* Way of the set starting at [base] holding [line] at or after [w], or
+   -1. Top-level so a probe allocates nothing. *)
+let rec find_way tags base assoc line w =
+  if w >= assoc then -1
+  else if Array.unsafe_get tags (base + w) = line then w
+  else find_way tags base assoc line (w + 1)
 
 (* true = hit; on miss the line is filled. *)
 let access_level l addr =
   let line = addr lsr l.line_bits in
-  let set = line land l.set_mask in
-  let tags = l.tags.(set) and lru = l.lru.(set) in
+  let base = (line land l.set_mask) * l.assoc in
+  let tags = l.tags and lru = l.lru in
   l.tick <- l.tick + 1;
-  let w = find_way tags line 0 in
+  let w = find_way tags base l.assoc line 0 in
   if w >= 0 then begin
-    lru.(w) <- l.tick;
+    lru.(base + w) <- l.tick;
     l.hits <- l.hits + 1;
     true
   end
   else begin
     let victim = ref 0 in
     for w = 1 to l.assoc - 1 do
-      if lru.(w) < lru.(!victim) then victim := w
+      if lru.(base + w) < lru.(base + !victim) then victim := w
     done;
-    tags.(!victim) <- line;
-    lru.(!victim) <- l.tick;
+    tags.(base + !victim) <- line;
+    lru.(base + !victim) <- l.tick;
     l.misses <- l.misses + 1;
     false
   end
@@ -111,36 +113,57 @@ let reset_stats t =
   t.l2.misses <- 0
 
 (* ---- checkpoint / restore: the timing model is pure state (tags, LRU
-   ranks, tick and hit/miss counters per level), so a snapshot is a deep
-   copy and restore blits it back in place. *)
+   ranks, tick and hit/miss counters per level), so a checkpoint is a
+   copy of it. [checkpoint_into] refills an existing checkpoint, so a
+   caller that recycles one allocates nothing; the int arrays are copied
+   by a typed loop, which stores without the write barrier [Array.blit]
+   pays per element into a major-heap array. *)
+
+let copy_ints ~(src : int array) ~(dst : int array) =
+  if Array.length dst <> Array.length src then
+    invalid_arg "Dcache: checkpoint geometry mismatch";
+  for i = 0 to Array.length src - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get src i)
+  done
 
 type level_checkpoint = {
-  k_tags : int array array;
-  k_lru : int array array;
-  k_tick : int;
-  k_hits : int;
-  k_misses : int;
+  k_tags : int array;
+  k_lru : int array;
+  mutable k_tick : int;
+  mutable k_hits : int;
+  mutable k_misses : int;
 }
 
 type checkpoint = { k_l1 : level_checkpoint; k_l2 : level_checkpoint }
 
 let checkpoint_level l =
   {
-    k_tags = Array.map Array.copy l.tags;
-    k_lru = Array.map Array.copy l.lru;
+    k_tags = Array.copy l.tags;
+    k_lru = Array.copy l.lru;
     k_tick = l.tick;
     k_hits = l.hits;
     k_misses = l.misses;
   }
 
+let checkpoint_level_into l k =
+  copy_ints ~src:l.tags ~dst:k.k_tags;
+  copy_ints ~src:l.lru ~dst:k.k_lru;
+  k.k_tick <- l.tick;
+  k.k_hits <- l.hits;
+  k.k_misses <- l.misses
+
 let restore_level l k =
-  Array.iteri (fun i a -> Array.blit k.k_tags.(i) 0 a 0 (Array.length a)) l.tags;
-  Array.iteri (fun i a -> Array.blit k.k_lru.(i) 0 a 0 (Array.length a)) l.lru;
+  copy_ints ~src:k.k_tags ~dst:l.tags;
+  copy_ints ~src:k.k_lru ~dst:l.lru;
   l.tick <- k.k_tick;
   l.hits <- k.k_hits;
   l.misses <- k.k_misses
 
 let checkpoint t = { k_l1 = checkpoint_level t.l1; k_l2 = checkpoint_level t.l2 }
+
+let checkpoint_into t k =
+  checkpoint_level_into t.l1 k.k_l1;
+  checkpoint_level_into t.l2 k.k_l2
 
 let restore t k =
   restore_level t.l1 k.k_l1;

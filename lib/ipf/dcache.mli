@@ -44,6 +44,13 @@ type checkpoint
 val checkpoint : t -> checkpoint
 (** Deep copy of the full timing state (tags, LRU ranks, counters). *)
 
+val checkpoint_into : t -> checkpoint -> unit
+(** Overwrite a checkpoint of a cache with the same geometry (taken from
+    this cache, typically) with the current state, allocating nothing —
+    snapshot epochs recycle their checkpoints this way.
+    @raise Invalid_argument on a geometry mismatch. *)
+
 val restore : t -> checkpoint -> unit
-(** Blit a checkpoint back in place — snapshot revert uses this so a
-    rerun sees bit-identical stall timing. *)
+(** Copy a checkpoint back in place — snapshot revert uses this so a
+    rerun sees bit-identical stall timing.
+    @raise Invalid_argument on a geometry mismatch. *)

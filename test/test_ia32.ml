@@ -1019,6 +1019,187 @@ let qcheck_first_diff =
       Memory.equal ~skip a b = (expected = []))
 
 (* ---------------------------------------------------------------- *)
+(* Memory.Dirty.first_diff against the full scan                     *)
+(* ---------------------------------------------------------------- *)
+
+(* One mutation of the pair: applied to [a], to [b] or to both, so the
+   two drift apart and come back together. Pages are 0x10..0x17; page
+   0x17 is skipped by every compare. *)
+type side = Side_a | Side_b | Both
+
+type dirty_op =
+  | D_write of side * int * int * int (* page, offset, byte *)
+  | D_map of side * int
+  | D_unmap of side * int
+  | D_protect of side * int * bool (* page, writable *)
+  | D_load of side * int * int (* page, fill seed: spans two pages *)
+  | D_push of side
+  | D_revert of side
+  | D_commit of side
+
+let show_side = function Side_a -> "a" | Side_b -> "b" | Both -> "ab"
+
+let show_dirty_op = function
+  | D_write (s, p, o, v) -> Printf.sprintf "write%s %x+%d=%d" (show_side s) p o v
+  | D_map (s, p) -> Printf.sprintf "map%s %x" (show_side s) p
+  | D_unmap (s, p) -> Printf.sprintf "unmap%s %x" (show_side s) p
+  | D_protect (s, p, w) -> Printf.sprintf "protect%s %x %b" (show_side s) p w
+  | D_load (s, p, seed) -> Printf.sprintf "load%s %x/%d" (show_side s) p seed
+  | D_push s -> "push" ^ show_side s
+  | D_revert s -> "revert" ^ show_side s
+  | D_commit s -> "commit" ^ show_side s
+
+let gen_dirty_op =
+  let open QCheck.Gen in
+  let side = frequency [ (3, return Both); (1, return Side_a); (1, return Side_b) ] in
+  let page = map (fun k -> 0x10 + k) (int_bound 7) in
+  frequency
+    [
+      ( 6,
+        map
+          (fun (((s, p), o), v) -> D_write (s, p, o, v))
+          (pair (pair (pair side page) (int_bound 7)) (int_bound 3)) );
+      (1, map (fun (s, p) -> D_map (s, p)) (pair side page));
+      (1, map (fun (s, p) -> D_unmap (s, p)) (pair side page));
+      (1, map (fun ((s, p), w) -> D_protect (s, p, w)) (pair (pair side page) bool));
+      (1, map (fun ((s, p), seed) -> D_load (s, p, seed)) (pair (pair side page) (int_bound 3)));
+      (2, map (fun s -> D_push s) side);
+      (2, map (fun s -> D_revert s) side);
+      (1, map (fun s -> D_commit s) side);
+    ]
+
+let arbitrary_dirty_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_dirty_op ops))
+    QCheck.Gen.(list_size (int_range 1 40) gen_dirty_op)
+
+let apply_dirty_op a b op =
+  let open Memory in
+  let on s f =
+    (match s with Side_a | Both -> f a | Side_b -> ());
+    match s with Side_b | Both -> f b | Side_a -> ()
+  in
+  let faults f m = try f m with Fault.Fault _ -> () in
+  let base p = p * page_size in
+  match op with
+  | D_write (s, p, o, v) ->
+    (* offsets near both ends of the page, and one straddling into the
+       next page *)
+    let off = [| 0; 1; 100; 2048; 4000; 4094; 4095; 4093 |].(o) in
+    on s (faults (fun m -> write32 m (base p + off) (v * 0x01010101)))
+  | D_map (s, p) -> on s (fun m -> map m ~addr:(base p) ~len:page_size ~prot:prot_rw)
+  | D_unmap (s, p) -> on s (fun m -> unmap m ~addr:(base p) ~len:page_size)
+  | D_protect (s, p, w) ->
+    on s (fun m ->
+        protect m ~addr:(base p) ~len:page_size ~prot:(if w then prot_rw else prot_rx))
+  | D_load (s, p, seed) ->
+    let data = String.init 6000 (fun i -> Char.chr ((i * (seed + 1)) land 0xFF)) in
+    on s (faults (fun m -> load_bytes m (base p + 3000) data))
+  | D_push s -> on s Journal.push
+  | D_revert s -> on s (fun m -> if Journal.depth m > 0 then ignore (Journal.revert m))
+  | D_commit s -> on s (fun m -> if Journal.depth m > 0 then Journal.commit m)
+
+(* Two equal memories, tracked from here on; the first compare is a
+   full one. After every step the dirty compare must report what the
+   full scan reports, and empty both lists exactly when that is [None]. *)
+let dirty_compare_holds ops =
+  let open Memory in
+  let fresh () =
+    let m = create () in
+    map m ~addr:(0x10 * page_size) ~len:(4 * page_size) ~prot:prot_rw;
+    write32 m (0x11 * page_size) 0xDEADBEEF;
+    m
+  in
+  let a = fresh () and b = fresh () in
+  Dirty.track a;
+  Dirty.track b;
+  let skip p = p = 0x17 in
+  let fmt = function Some x -> Printf.sprintf "%#x" x | None -> "None" in
+  List.iteri
+    (fun i op ->
+      apply_dirty_op a b op;
+      let la = Dirty.pages a and lb = Dirty.pages b in
+      let full = first_diff ~skip a b in
+      let got = Dirty.first_diff ~skip a b in
+      if got <> full then
+        QCheck.Test.fail_reportf "step %d (%s): dirty compare %s, full scan %s" i
+          (show_dirty_op op) (fmt got) (fmt full);
+      let la' = Dirty.pages a and lb' = Dirty.pages b in
+      match got with
+      | None ->
+        if la' <> [] || lb' <> [] then
+          QCheck.Test.fail_reportf "step %d (%s): lists kept after an equal compare"
+            i (show_dirty_op op)
+      | Some _ ->
+        if la' <> la || lb' <> lb then
+          QCheck.Test.fail_reportf "step %d (%s): lists changed by an unequal compare"
+            i (show_dirty_op op))
+    ops;
+  true
+
+let qcheck_dirty_compare =
+  QCheck.Test.make ~name:"dirty compare agrees with first_diff at every step"
+    ~count:400 arbitrary_dirty_ops dirty_compare_holds
+
+let dirty_tests =
+  [
+    QCheck_alcotest.to_alcotest qcheck_dirty_compare;
+    Alcotest.test_case "untracked memories take the full scan" `Quick (fun () ->
+        let a = Memory.create () in
+        Memory.map a ~addr:0x10000 ~len:Memory.page_size ~prot:Memory.prot_rw;
+        let b = Memory.copy a in
+        Memory.Dirty.track a;
+        Memory.write8 b 0x10020 7;
+        check (Alcotest.option int) "difference found" (Some 0x10020)
+          (Memory.Dirty.first_diff a b);
+        check bool "copy is untracked" false (Memory.Dirty.tracked b);
+        Memory.write8 a 0x10020 7;
+        check (Alcotest.option int) "equal" None (Memory.Dirty.first_diff a b);
+        check (Alcotest.list int) "a tracked list is kept without a tracked partner"
+          [ 0x10 ] (Memory.Dirty.pages a));
+    Alcotest.test_case "a compare against another memory is a full one" `Quick
+      (fun () ->
+        let open Memory in
+        let fresh () =
+          let m = create () in
+          map m ~addr:0x10000 ~len:(2 * page_size) ~prot:prot_rw;
+          m
+        in
+        let a = fresh () and b = fresh () and c = fresh () in
+        write8 c 0x11005 9;
+        List.iter Dirty.track [ a; b; c ];
+        let opt = Alcotest.option int in
+        check opt "a and b equal" None (Dirty.first_diff a b);
+        (* c differs on a page neither list names *)
+        check opt "c's difference found" (Some 0x11005) (Dirty.first_diff a c);
+        write8 a 0x11005 9;
+        check opt "a and c equal" None (Dirty.first_diff a c);
+        (* a's list was emptied against c, so b's difference is on no
+           list a shares with b *)
+        check opt "b's difference found" (Some 0x11005) (Dirty.first_diff a b));
+    Alcotest.test_case "two differing pages: the full scan's first address"
+      `Quick (fun () ->
+        (* Both memories are tracked and equal; then each side writes a
+           different page. The compare reports the address the full scan
+           visits first, whichever list names it. *)
+        let a = Memory.create () in
+        Memory.map a ~addr:0x10000 ~len:(8 * Memory.page_size) ~prot:Memory.prot_rw;
+        let b = Memory.copy a in
+        Memory.Dirty.track a;
+        Memory.Dirty.track b;
+        check (Alcotest.option int) "equal at the start" None
+          (Memory.Dirty.first_diff a b);
+        Memory.write8 a 0x15123 1;
+        Memory.write8 b 0x12456 2;
+        let full = Memory.first_diff a b in
+        check bool "full scan finds a difference" true (full <> None);
+        check (Alcotest.option int) "same address as the full scan" full
+          (Memory.Dirty.first_diff a b);
+        check (Alcotest.list int) "a's list kept" [ 0x15 ] (Memory.Dirty.pages a);
+        check (Alcotest.list int) "b's list kept" [ 0x12 ] (Memory.Dirty.pages b));
+  ]
+
+(* ---------------------------------------------------------------- *)
 (* Interpreter                                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -1544,6 +1725,7 @@ let () =
       ("roundtrip-unit", roundtrip_unit_tests);
       ("roundtrip-qcheck", [ QCheck_alcotest.to_alcotest qcheck_roundtrip ]);
       ("first-diff", [ QCheck_alcotest.to_alcotest qcheck_first_diff ]);
+      ("dirty-compare", dirty_tests);
       ("roundtrip-fuzzgen", fuzzgen_roundtrip_tests);
       ("interp", interp_tests);
       ("asm", asm_tests);

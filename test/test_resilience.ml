@@ -140,6 +140,56 @@ let smc_abort_test =
       check int "patched value executed after precise restart" 2
         (Memory.read32 mem (image.Asm.lookup "out")))
 
+let recv_into_own_block_test =
+  Alcotest.test_case "a system call writes into its own block's code" `Quick
+    (fun () ->
+      (* Each iteration's recv overwrites the imm32 of the block's first
+         instruction, in the block that issued it. The machine has
+         returned to the runtime by then, so the store kills the block
+         like any other write: the loop's back edge must retranslate and
+         run the received value. The request holds two values; the third
+         recv transfers nothing. *)
+      let open Insn in
+      let code =
+        Asm.(
+          [
+            label "start";
+            i (Mov (S32, R Esi, I 3));
+            label "loop";
+            label "patch";
+            i (Mov (S32, R Edi, I 111));
+            i (Mov (S32, R Eax, I 102));
+            i (Mov (S32, R Ebx, I 2));
+            with_lab "patch" (fun a -> Mov (S32, R Ecx, I (a + 1)));
+            i (Mov (S32, R Edx, I 4));
+            i (Int_n 0x80);
+            with_lab "out" (fun a -> Alu (Add, S32, M (Insn.mem_abs a), R Edi));
+            i (Dec (S32, R Esi));
+            jcc Ne "loop";
+          ]
+          @ exit0)
+      in
+      let image = Asm.build ~code ~data:Asm.[ label "out"; space 8 ] () in
+      let mem = Memory.create () in
+      let st = Asm.load ~writable_code:true image mem in
+      let s = L.create ~btlib:(module Btlib.Linuxsim) mem st in
+      let le32 v = String.init 4 (fun k -> Char.chr ((v lsr (8 * k)) land 0xFF)) in
+      let payload = le32 222 ^ le32 333 in
+      Btlib.Vos.bind_request (L.engine s).E.vos payload;
+      Btlib.Vos.bind_request (L.reference_vos s) payload;
+      let report = L.run_in ~fuel:10_000_000 s in
+      (match report.L.divergence with
+      | Some d -> Alcotest.failf "diverged:@.%a" (fun ppf -> L.pp_divergence ppf) d
+      | None -> ());
+      (match report.L.outcome with
+      | Some (E.Exited (0, _)) -> ()
+      | _ -> Alcotest.fail "expected clean exit");
+      check int "each iteration ran the bytes the one before received"
+        (111 + 222 + 333)
+        (Memory.read32 mem (image.Asm.lookup "out"));
+      check bool "the write invalidated the block" true
+        ((L.engine s).E.acct.Ia32el.Account.smc_invalidations > 0))
+
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder: invalidation storm -> stage-2/3 -> interp-only   *)
 (* ------------------------------------------------------------------ *)
@@ -259,6 +309,67 @@ let seeded_bug_test =
             "0x400016: int 0x80";
           ])
         d.L.window)
+
+(* Guest memory that differs on two pages: the diagnosis names the
+   address the full scan visits first, though the compare itself only
+   looks at the pages written since the last equal commit point. *)
+let two_page_memory_diff_test =
+  Alcotest.test_case "memory differing on two pages: the full scan's address"
+    `Quick (fun () ->
+      let open Insn in
+      let code =
+        Asm.(
+          [
+            label "start";
+            i (Mov (S32, R Ecx, I 40));
+            label "loop";
+          ]
+          @ C.kernel_work 5
+          @ [ i (Dec (S32, R Ecx)); jcc Ne "loop" ]
+          @ exit0)
+      in
+      let image =
+        Asm.build ~code ~data:Asm.[ label "buf"; space (3 * Memory.page_size) ] ()
+      in
+      let mem = Memory.create () in
+      let st = Asm.load image mem in
+      let buf = image.Asm.lookup "buf" in
+      let events = ref 0 in
+      let attach (e : E.t) =
+        e.E.on_dispatch <-
+          Some
+            (fun _ ->
+              incr events;
+              if !events = 10 then begin
+                Memory.write8 e.E.mem (buf + 0x2345) 0xAA;
+                Memory.write8 e.E.mem (buf + 0x123) 0xBB
+              end)
+      in
+      let s = L.create ~attach ~btlib:(module Btlib.Linuxsim) mem st in
+      let report = L.run_in ~fuel:10_000_000 s in
+      let d =
+        match report.L.divergence with
+        | Some d -> d
+        | None -> Alcotest.fail "the memory sabotage was not caught"
+      in
+      let arena p =
+        p >= Ia32el.Block.arena_base lsr Memory.page_bits
+        && p < (Ia32el.Block.arena_base + Ia32el.Block.arena_size) lsr Memory.page_bits
+      in
+      let full =
+        match Memory.first_diff ~skip:arena mem (L.reference_mem s) with
+        | Some a -> a
+        | None -> Alcotest.fail "the full scan finds no difference"
+      in
+      check bool "one of the two sabotaged bytes" true
+        (full = buf + 0x2345 || full = buf + 0x123);
+      check strings "diagnosis"
+        [
+          Printf.sprintf
+            "memory: first difference at %#x (engine %02x vs reference 00)"
+            full (Memory.read8 mem full);
+        ]
+        d.L.diffs)
 
 (* The window shows each instruction as it was executed: a store that
    rewrites an instruction between two of its executions leaves both
@@ -433,8 +544,10 @@ let () =
       ( "engine",
         [
           smc_abort_test;
+          recv_into_own_block_test;
           degradation_test;
           seeded_bug_test;
+          two_page_memory_diff_test;
           smc_window_test;
           unfetchable_window_test;
         ] );

@@ -238,6 +238,104 @@ let warm_revert_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
+(* Recycled epoch tables                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The machine tables a snapshot copies into recycled buffers: the hot
+   and edge counters, the dcache model (tags, LRU ranks, hits, misses)
+   and the general registers, with the clock. *)
+type tables = {
+  hotc : int array;
+  edgec : int array;
+  dcache : Ipf.Dcache.checkpoint;
+  gr : int64 list;
+  clock : int;
+}
+
+let tables (eng : E.t) =
+  let m = eng.E.machine in
+  {
+    hotc = Array.copy m.Ipf.Machine.hotc;
+    edgec = Array.copy m.Ipf.Machine.edgec;
+    dcache = Ipf.Dcache.checkpoint m.Ipf.Machine.dcache;
+    gr = List.init 128 (Bigarray.Array1.get m.Ipf.Machine.gr);
+    clock = E.clock eng;
+  }
+
+let tables_t =
+  Alcotest.testable
+    (fun ppf t ->
+      Format.fprintf ppf "clock=%d hotc-sum=%d edgec-sum=%d" t.clock
+        (Array.fold_left ( + ) 0 t.hotc)
+        (Array.fold_left ( + ) 0 t.edgec))
+    ( = )
+
+let epoch_table_tests =
+  let prog = find_prog ~want:[ "alu"; "mem" ] ~max_insns:32 in
+  let image = F.build_image prog in
+  (* an engine that has run once, so its counters and dcache are warm *)
+  let warmed () =
+    let eng, tr, st = fresh_engine Ia32el.Config.default image in
+    Btlib.Vos.register_main eng.E.vos st;
+    ignore (observe_run eng tr st);
+    eng
+  in
+  (* what a run does to the tables, distinct for each [k] *)
+  let perturb (eng : E.t) k =
+    let m = eng.E.machine in
+    for i = 0 to 99 do
+      let j = ((i * 37) + k) land (Ipf.Machine.counter_slots - 1) in
+      m.Ipf.Machine.hotc.(j) <- m.Ipf.Machine.hotc.(j) + k;
+      m.Ipf.Machine.edgec.(j) <- m.Ipf.Machine.edgec.(j) + 1;
+      ignore (Ipf.Dcache.access m.Ipf.Machine.dcache ((k * 0x10000) + (i * 64)));
+      Bigarray.Array1.set m.Ipf.Machine.gr (1 + (i land 63)) (Int64.of_int (k * i))
+    done
+  in
+  [
+    Alcotest.test_case "a warm epoch nested in a barrier epoch: commit, revert"
+      `Quick (fun () ->
+        let eng = warmed () in
+        ignore (E.snapshot ~barrier:true eng);
+        let outer = tables eng in
+        perturb eng 1;
+        check bool "the tables moved" true (tables eng <> outer);
+        ignore (E.snapshot eng);
+        perturb eng 2;
+        E.commit_snapshot eng;
+        (* the next epoch refills the committed child's tables; they
+           must not be the outer epoch's, which is still open *)
+        ignore (E.snapshot eng);
+        let inner = tables eng in
+        perturb eng 3;
+        ignore (E.revert eng);
+        check tables_t "the recycled epoch reverts to its snapshot" inner
+          (tables eng);
+        ignore (E.revert eng);
+        check tables_t "the outer epoch reverts to its snapshot" outer
+          (tables eng));
+    Alcotest.test_case "a recycled set never backs two open epochs" `Quick
+      (fun () ->
+        let eng = warmed () in
+        ignore (E.snapshot eng);
+        perturb eng 1;
+        ignore (E.revert eng);
+        check int "one spare set" 1 (List.length eng.E.spare_tables);
+        ignore (E.snapshot eng);
+        check int "the next snapshot takes it" 0
+          (List.length eng.E.spare_tables);
+        let first = tables eng in
+        perturb eng 2;
+        ignore (E.snapshot eng);
+        let second = tables eng in
+        perturb eng 3;
+        ignore (E.revert eng);
+        check tables_t "inner epoch" second (tables eng);
+        ignore (E.revert eng);
+        check tables_t "outer epoch" first (tables eng);
+        check int "both sets spare again" 2 (List.length eng.E.spare_tables));
+  ]
+
+(* ------------------------------------------------------------------ *)
 (* Warm revert by content                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -988,6 +1086,7 @@ let () =
       ("revert-rerun-matrix", matrix_tests);
       ("smc-threads", smc_thread_tests);
       ("warm-revert", warm_revert_tests);
+      ("epoch-tables", epoch_table_tests);
       ("warm-revert-by-content", by_content_tests);
       ("arch-layer", arch_layer_tests);
       ("capsules", capsule_tests);
