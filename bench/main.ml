@@ -463,6 +463,93 @@ let fuzz_rate ~min_time =
       in
       Float.of_int (Harness.Fuzz.campaign cfg).Harness.Fuzz.executions)
 
+(* Host cost of [Ipf.Exec]'s per-group dispatch. Two synthetic tcaches
+   hold the same 192 independent adds (ending in a branch back to the
+   first), one with a stop bit after every slot and one after every 6th.
+   Per slot they cost G + S and G / 6 + S, where G is the fixed cost of
+   a group and S that of a slot. *)
+type exec_costs = {
+  group_ns : float;
+  slot_ns : float;
+  words_per_compiled_slot : float;
+}
+
+let synthetic_tcache ~stop_every =
+  let module I = Ipf.Insn in
+  let tc = Ipf.Tcache.create () in
+  let nb = 64 in
+  for b = 0 to nb - 1 do
+    let k s = (3 * b) + s in
+    let slot s =
+      if k s = (3 * nb) - 1 then I.mk (I.Br (I.To 0))
+      else I.mk (I.Add (16 + (k s mod 6), 4, 5))
+    in
+    ignore
+      (Ipf.Tcache.append tc
+         {
+           Ipf.Bundle.template = Ipf.Bundle.MII;
+           slots = Array.init 3 slot;
+           stops = Array.init 3 (fun s -> (k s + 1) mod stop_every = 0);
+         })
+  done;
+  tc
+
+(* Nanoseconds per slot of the two tcaches, runs alternated; the fastest
+   run of each, as the host's other load only adds. *)
+let ns_per_slot ~min_time =
+  let fuel = 1_000_000 in
+  let runner stop_every =
+    let m =
+      Ipf.Machine.create (Ia32.Memory.create ()) (synthetic_tcache ~stop_every)
+    in
+    let x = Ipf.Exec.create m in
+    fun () ->
+      m.Ipf.Machine.ip <- 0;
+      m.Ipf.Machine.slot <- 0;
+      ignore (Ipf.Exec.run ~fuel x)
+  in
+  let one = runner 1 and six = runner 6 in
+  let best1 = ref Float.infinity and best6 = ref Float.infinity in
+  let elapsed = ref 0. in
+  while !elapsed < min_time do
+    let t1, () = wall one in
+    let t6, () = wall six in
+    elapsed := !elapsed +. t1 +. t6;
+    best1 := Float.min !best1 t1;
+    best6 := Float.min !best6 t6
+  done;
+  let ns t = 1e9 *. t /. Float.of_int fuel in
+  (ns !best1, ns !best6)
+
+(* Minor words one compiled slot allocates: compile the program at every
+   bundle of a finished gzip run's tcache on a fresh cache. *)
+let words_per_compiled_slot () =
+  let r = B.run_el Workloads.Spec_int.gzip ~scale:1 in
+  match r.B.engine with
+  | None -> Float.nan
+  | Some e ->
+    let x = Ipf.Exec.create e.Ia32el.Engine.machine in
+    let w0 = Gc.minor_words () in
+    for b = 0 to Ipf.Tcache.length e.Ia32el.Engine.tcache - 1 do
+      ignore (Ipf.Exec.compile_at x (3 * b))
+    done;
+    (Gc.minor_words () -. w0) /. Float.of_int (Ipf.Exec.compiled_slots x)
+
+let exec_costs ~min_time =
+  let one, six = ns_per_slot ~min_time in
+  let group_ns = (one -. six) *. 6. /. 5. in
+  {
+    group_ns;
+    slot_ns = one -. group_ns;
+    words_per_compiled_slot = words_per_compiled_slot ();
+  }
+
+let print_exec_costs c =
+  Printf.printf
+    "machine dispatch           : %.1f ns/group, %.1f ns/slot, %.1f minor \
+     words/compiled slot\n"
+    c.group_ns c.slot_ns c.words_per_compiled_slot
+
 (* Fork-server inputs per wall second: one persistent session, inputs
    served by snapshot / mutate / run / revert with warm translations.
    Same work unit as [fuzz_rate] (lockstep-checked programs), so the
@@ -762,7 +849,7 @@ let serve_rates ~min_time =
    instance per request, tcache attached to it) and the way they do now
    (one session, rewound after every request). Host milliseconds per
    request for the instance build, the run (metrics JSON included) and
-   the rewind; instances built and group programs compiled per request,
+   the rewind; instances built and block programs compiled per request,
    the latter from the second request on (the first compiles the same in
    both). *)
 type serve_layers = {
@@ -770,7 +857,7 @@ type serve_layers = {
   sl_build_ms : float;
   sl_run_ms : float;
   sl_revert_ms : float;
-  sl_compiles : float; (* group compiles per request after the first *)
+  sl_compiles : float; (* program compiles per request after the first *)
 }
 
 let serve_session_rows ~requests =
@@ -856,6 +943,7 @@ let perf ~scale ~min_time () =
      as ratios (decode cache on/off) and against pre-change baselines";
   let config = Ia32el.Config.default in
   let mach_pre = machine_rate ~scale ~min_time config in
+  let dispatch = exec_costs ~min_time in
   let interp_cached = interp_rate ~scale ~min_time ~cache:true in
   let interp_uncached = interp_rate ~scale ~min_time ~cache:false in
   let el_s =
@@ -905,6 +993,7 @@ let perf ~scale ~min_time () =
   let lock_factor = lock_s /. el_s in
   Printf.printf "machine core               : %8.2f Mslots/s\n"
     (mach_pre /. 1e6);
+  print_exec_costs dispatch;
   Printf.printf "interpreter, decode cache   : %8.2f Minsns/s\n"
     (interp_cached /. 1e6);
   Printf.printf "interpreter, re-decoding    : %8.2f Minsns/s\n"
@@ -954,7 +1043,7 @@ let perf ~scale ~min_time () =
   let layers name l =
     Printf.printf
       "  %-7s per request       : %.3f builds, %.3f ms build, %.3f ms run, \
-       %.3f ms rewind, %.1f group compiles\n"
+       %.3f ms rewind, %.1f program compiles\n"
       name l.sl_builds l.sl_build_ms l.sl_run_ms l.sl_revert_ms l.sl_compiles
   in
   Printf.printf "one worker, %d requests in process:\n" session_requests;
@@ -965,7 +1054,8 @@ let perf ~scale ~min_time () =
     not
       (List.for_all finite
          [
-           mach_pre; interp_cached; interp_uncached; lock_factor;
+           mach_pre; dispatch.slot_ns; dispatch.words_per_compiled_slot;
+           interp_cached; interp_uncached; lock_factor;
            fuzz_ps; forkserver_ps; threads_cps; futex_cps; cold_s; warm_s;
            aot_s; serve_load.Serve.guests_per_s; serve_load.Serve.lat_p50_ms;
            serve_load.Serve.lat_p95_ms; serve_load.Serve.lat_p99_ms;
@@ -1061,6 +1151,20 @@ let perf ~scale ~min_time () =
                  [forkserver_split] at that commit (the full scan
                  examines every mapped page), alternated with runs of
                  the live row below on one host *)
+              (* the execution core before block programs: medians of
+                 eight runs of [exec_costs] (--min-time 2) and of five of
+                 the serve session row at that commit, alternated with
+                 runs of the change on one host *)
+              ( "machine_dispatch",
+                Obj
+                  [
+                    ("rev", Str "6ef5d9e");
+                    ("group_ns", Float 17.9);
+                    ("slot_ns", Float 11.2);
+                    ("words_per_compiled_slot", Float 139.3);
+                    ("serve_session_run_ms", Float 1.435);
+                    ("serve_session_group_compiles", Float 6.0);
+                  ] );
               ( "forkserver_split",
                 Obj
                   [
@@ -1076,6 +1180,9 @@ let perf ~scale ~min_time () =
           Obj
             [
               ("predecode_slots_per_s", Float mach_pre);
+              ("group_ns", Float dispatch.group_ns);
+              ("slot_ns", Float dispatch.slot_ns);
+              ("words_per_compiled_slot", Float dispatch.words_per_compiled_slot);
             ] );
         ( "interpreter",
           Obj

@@ -3,7 +3,9 @@
    statistics (blocks translated, heating rate, speculation success,
    commit-point density, misalignment events). *)
 
-(* Buckets for machine-executed cycles (indexes into Machine.buckets). *)
+(* Buckets for machine-executed cycles (indexes into Machine.buckets).
+   Cold is 0, the machine's bucket for bundles nobody marked: cold
+   translations, stubs and the rest need no marking. *)
 let bucket_cold = 0
 let bucket_hot = 1
 

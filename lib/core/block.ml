@@ -169,12 +169,6 @@ type cache = {
      them, so install order never changes which addresses a block's
      profile slots occupy. *)
   mutable pins : (int * int) list; (* (start, byte length) *)
-  (* Bumped whenever a bundle index may change owner — only a flush,
-     which recycles every index. Registration only gives fresh bundles
-     their first owner, so callers caching bundle->block attributions of
-     owned bundles (the engine's cycle-bucket memo) detect staleness
-     with one integer compare. *)
-  mutable owner_gen : int;
   (* Cold translations killed inside a warm epoch or dropped by a warm
      revert, newest first per entry: a later dispatch miss at the entry
      wakes one whose source matches memory again instead of
@@ -196,7 +190,6 @@ let create_cache () =
     next_id = 0;
     arena_next = arena_base;
     pins = [];
-    owner_gen = 0;
     dormant = Hashtbl.create 16;
   }
 

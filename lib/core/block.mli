@@ -105,11 +105,6 @@ type cache = {
   mutable pins : (int * int) list;
       (** (start, byte length) arena ranges claimed at recorded addresses
           by blocks installed from a persistent cache *)
-  mutable owner_gen : int;
-      (** bumped whenever a bundle index may change owner: a flush, which
-          recycles every index. {!register} only gives fresh bundles
-          their first owner, so an attribution cached for an owned
-          bundle stays valid until [owner_gen] moves. *)
   dormant : (int, killed list) Hashtbl.t;
       (** cold translations killed inside a warm epoch or dropped by a
           warm revert, newest first per entry ({!retire}, {!wake});

@@ -167,6 +167,14 @@ let keeper t =
 
 let kill t b = Block.invalidate ?keep:(keeper t) t.cache t.tcache b
 
+(* Register a hot translation and attribute its bundles' cycles to the
+   hot bucket; every other bundle stays in the machine's bucket 0, cold
+   (a flush puts them all back). *)
+let register_hot t (b : Block.t) =
+  Block.register t.cache b;
+  M.set_bucket t.machine ~start:b.Block.tstart ~len:b.Block.tlen
+    Account.bucket_hot
+
 (* Whether the machine is executing [b]'s code right now. Chained
    execution moves from block to block without coming back to the
    engine, so [running_block] only says that the machine is running (and
@@ -347,38 +355,6 @@ let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
   machine.M.dc_skip_hi <- Block.arena_base + Block.arena_size;
   vos.Btlib.Vos.clock <- (fun _ -> now t);
   vos.Btlib.Vos.quantum <- config.Config.quantum;
-  (* bucket attribution: cold vs hot cycles. Charged once per issue
-     group, so the hash lookup is memoized per bundle index. Only owned
-     bundles are memoized: a bundle's owner is set once, at registration,
-     and a block's [kind] is immutable, so an answer goes stale only when
-     a flush recycles the indices ([owner_gen]) — registering a block
-     costs the memo nothing. *)
-  let bucket_memo = ref [||] in
-  let bucket_gen = ref (-1) in
-  machine.M.bucket_fn <-
-    (fun bundle ->
-      if !bucket_gen <> cache.Block.owner_gen then begin
-        bucket_gen := cache.Block.owner_gen;
-        Array.fill !bucket_memo 0 (Array.length !bucket_memo) (-1)
-      end;
-      if bundle >= Array.length !bucket_memo then begin
-        let grown = Array.make (max 1024 (2 * (bundle + 1))) (-1) in
-        Array.blit !bucket_memo 0 grown 0 (Array.length !bucket_memo);
-        bucket_memo := grown
-      end;
-      let memo = !bucket_memo in
-      let v = Array.unsafe_get memo bundle in
-      if v >= 0 then v
-      else
-        match Block.find_by_bundle cache bundle with
-        | Some b ->
-          let v =
-            if b.Block.kind = Block.Hot then Account.bucket_hot
-            else Account.bucket_cold
-          in
-          Array.unsafe_set memo bundle v;
-          v
-        | None -> Account.bucket_cold);
   (* SMC detection: watch writes to translated-from pages *)
   Ia32.Memory.set_write_watch mem
     (Some
@@ -471,7 +447,7 @@ let flush_translations t =
   Hashtbl.reset t.cache.Block.by_entry;
   Hashtbl.reset t.cache.Block.by_id;
   Hashtbl.reset t.cache.Block.bundle_owner;
-  t.cache.Block.owner_gen <- t.cache.Block.owner_gen + 1;
+  M.clear_buckets m;
   Hashtbl.reset t.cache.Block.by_page;
   Hashtbl.reset t.cache.Block.dormant;
   t.cache.Block.arena_next <- Block.arena_base;
@@ -1038,7 +1014,7 @@ let run_hot_session t =
             t.acct.Account.hot_insns + Array.length hot_block.Block.insns;
           (* the cold block is superseded *)
           kill t b;
-          Block.register t.cache hot_block;
+          register_hot t hot_block;
           (match t.running_block with
           | Some cur when cur.Block.id = b.Block.id -> replaced_current := true
           | _ -> ())
@@ -1381,7 +1357,7 @@ let run ?(fuel = max_int) t (st0 : Ia32.State.t) =
           Obs.Hist.record h.Obs.Hist.translate_block cycles;
           Obs.Hist.record h.Obs.Hist.trace_length (Array.length hb.Block.insns)
         | None -> ());
-        Block.register t.cache hb;
+        register_hot t hb;
         enter hb
       | None -> (
         match translate_cold t eip with

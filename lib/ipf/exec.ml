@@ -1,4 +1,4 @@
-(* The IPF execution core: instruction semantics and issue-group programs
+(* The IPF execution core: instruction semantics and block programs
    (DESIGN.md §10.1).
 
    [compile_insn] turns one instruction into a closure over its resolved
@@ -7,34 +7,44 @@
    function of the tcache contents, so it is resolved once per issue
    group rather than per executed slot.
 
-   A group program is compiled lazily for an entry position (bundle,
-   slot). Where the group ends (stop bit, intra-group RAW split — both
-   static, since predicated-off slots still commit timing), its slot
-   weight, retired-slot and speculation-check counts, its deduplicated
-   GR/FR sources and its ordered write list are all fixed at compile
-   time, as prefix aggregates per slot offset. At run time a group runs
-   only its semantic closures back to back — the qualifying-predicate
-   test, the call and a check of the result — and then charges the group
-   from the aggregates. Any side exit (taken branch, cache exit, fuel,
-   [Machine_fault], or an exception such as the engine's SMC abort)
+   A program is compiled lazily for an entry position (bundle, slot) and
+   covers the fall-through chain of issue groups from there: it ends with
+   the first group holding an unconditional branch (a translated block
+   ends in one), with a group that runs off the end of the tcache, or
+   where the next group would start past it. Where each group ends (stop
+   bit, intra-group RAW split — both static, since predicated-off slots
+   still commit timing), its issue span, retired-slot and
+   speculation-check counts, its deduplicated GR/FR sources, its ordered
+   write list and the bundle a finished group is charged to are fixed at
+   compile time; so are the same aggregates for every prefix of a group.
+   At run time the groups run their semantic closures back to back — the
+   qualifying-predicate test, the call and a check of the result — and
+   between two groups the program does only the finished group's charge,
+   from its compile-time fields. Any side exit (taken branch, cache exit,
+   fuel, [Machine_fault], or an exception such as the engine's SMC abort)
    settles from the prefix up to the exiting slot, so cycles, buckets,
    counters, [ip]/[slot] and [last_exit] are what a slot-by-slot
    accumulation gives.
 
-   Programs are validated by the tcache stamps of every bundle they span:
-   every tcache mutation ([append], [patch_slot], [patch_dispatch],
-   [invalidate_range], [restore_range], [clear]) bumps the generation and
-   stamps what it touched, so one generation compare per group entry
+   Programs are validated by the tcache stamps of every bundle they span,
+   once per program entry: every tcache mutation ([append], [patch_slot],
+   [patch_dispatch], [invalidate_range], [restore_range], [clear]) bumps
+   the generation and stamps what it touched, so one generation compare
    suffices until something changes, and chain patching or SMC
-   invalidation recompiles exactly the groups they rewrite. A program
-   whose stamps fail is still reused when the bundles it spans hold the
-   same content again ([same_content]): after a flush, a replayed run
+   invalidation recompile exactly the programs they rewrite. Inside a
+   program only a store can change the tcache (through the engine's write
+   watch), and every store checks the program's stamps. A program whose
+   stamps fail is still reused when the bundles it spans hold the same
+   content again ([same_content]): after a flush, a replayed run
    re-installs its blocks at the same indices, and a revived block's
-   bundles come back as they were.
+   bundles come back as they were. Each entry position keeps its current
+   program and the one before it, so a position that alternates between
+   two contents (a chain patch that a replayed run meets unpatched first)
+   takes both back.
 
    [reference_run] runs the same closures one fetched slot at a time and
    derives the timing per slot, with [Machine]'s cost primitives. It is
-   the oracle test_exec.ml compares the group accounting against:
+   the oracle test_exec.ml compares the program accounting against:
    simulated cycles, bucket attribution, every stats counter and the
    observable fault/exit behaviour must be bit-identical. *)
 
@@ -51,53 +61,100 @@ let enc = function
   | Insn.Rbr b -> 320 + b
   | Insn.Rmem -> 328
 
-(* One executed slot of a group. [run] is the slot's [compile_insn]
+(* One executed slot of a program. [run] is the slot's [compile_insn]
    closure, which encodes control flow as an int (no variant to
    allocate). Unpredicated nops get no uop at all. *)
 type uop = {
   run : unit -> int;
   qp : int; (* -1 = always enabled *)
-  at : int; (* slot offset within the group *)
+  at : int; (* slot offset within the program *)
   br_ind : bool;
   exit_ : Insn.exit_reason option;
-}
-
-(* One issue group, entered at [lin] = 3 * bundle + slot. [pre] holds, for
-   every slot offset o in [0, n], five aggregates of the slots before o:
-   issue span (their weight over the issue width, rounded up), retired
-   slots, speculation checks, and how many entries of [srcs] and [evs]
-   those slots contribute. *)
-type prog = {
-  lin : int;
-  n : int; (* slots in the group *)
-  uops : uop array;
-  pre : int array;
-  srcs : int array; (* distinct GR/FR sources, first-read order *)
-  evs : int array; (* GR/FR writes in slot order: latency lsl 8 lor id *)
-  closed : bool; (* false: the group runs off the end of the tcache *)
-  insns : Insn.t array; (* the group's slots: a restart's carry, reuse *)
-  split : Insn.t option; (* the slot a RAW split ended the group before *)
-  carry : Insn.t array; (* slots of the same group already run *)
-  span : int array; (* bundles the group covers ... *)
-  stamps : int array; (* ... and their tcache stamps *)
-  mutable vgen : int; (* tcache generation at the last validation *)
-  mutable next : prog; (* fall-through successor *)
   mutable jump : prog; (* most recent taken-branch target *)
 }
+
+(* One issue group of a program: slots [off, off + n) of the program, uops
+   [ulo, uhi). A finished group is charged from [span]/[ret]/[spec], the
+   sources [slo, shi) and the writes [elo, ehi) of the program's lists, to
+   bundle [bundle]. [agg] indexes its prefix aggregates in the program's
+   [pre]: for every slot offset o in [0, n], five aggregates of the slots
+   before o — issue span (their weight over the issue width, rounded up),
+   retired slots, speculation checks, and where their sources and writes
+   end in the program's lists. A side exit settles from those. *)
+and group = {
+  off : int;
+  n : int;
+  ulo : int;
+  uhi : int;
+  span : int;
+  ret : int;
+  spec : int;
+  slo : int;
+  shi : int;
+  elo : int;
+  ehi : int;
+  bundle : int;
+  agg : int;
+  stop : bool; (* a stop bit ended the group (not a RAW split, not the end) *)
+}
+
+(* The fall-through chain of groups entered at [lin] = 3 * bundle + slot. *)
+and prog = {
+  lin : int;
+  uops : uop array;
+  groups : group array;
+  pre : int array;
+  srcs : int array; (* distinct GR/FR sources per group, first-read order *)
+  evs : int array; (* GR/FR writes per group in slot order: latency lsl 8 lor id *)
+  closed : bool; (* false: the last group runs off the end of the tcache *)
+  insns : Insn.t array; (* the program's slots: a restart's carry, reuse *)
+  split : Insn.t option; (* the slot a RAW split ended the last group before *)
+  carry : Insn.t array; (* slots of the first group already run *)
+  bundles : int array; (* bundles the program covers ... *)
+  stamps : int array; (* ... and their tcache stamps *)
+  mutable vgen : int; (* tcache generation at the last validation *)
+  mutable next : prog; (* where the last group falls through to *)
+}
+
+(* Compile-time scratch: a growable buffer, copied out once per program. *)
+type 'a vec = { mutable a : 'a array; mutable len : int }
+
+let vec x = { a = Array.make 256 x; len = 0 }
+
+let push v x =
+  if v.len = Array.length v.a then begin
+    let a = Array.make (2 * v.len) x in
+    Array.blit v.a 0 a 0 v.len;
+    v.a <- a
+  end;
+  Array.unsafe_set v.a v.len x;
+  v.len <- v.len + 1
+
+let contents v = Array.sub v.a 0 v.len
 
 type t = {
   m : M.t;
   tc : Tcache.t;
   mutable progs : prog array; (* by entry position [lin] *)
+  mutable prev : prog array; (* the program [progs] held before *)
   mutable gen : int; (* tcache generation, refreshed after every store *)
   mutable fuel : int;
-  mutable running : int; (* entry position of the group running *)
+  mutable cur : prog; (* the program running ... *)
+  mutable gi : int; (* ... the index of its group running ... *)
+  mutable stall0 : int; (* ... and the dcache-stall counter at its start *)
   mutable k : int; (* index of the uop running, for exception exits *)
   mutable res : int; (* result of the uop that left the group *)
-  (* compile-time scratch: epoch-marked write and source sets *)
+  mutable compiles : int; (* programs compiled *)
+  mutable compiled_slots : int; (* slots they cover *)
+  (* compile-time scratch: epoch-marked write and source sets, one epoch
+     per group, and the buffers a program is built in *)
   wmark : int array;
   smark : int array;
   mutable epoch : int;
+  s_insns : Insn.t vec;
+  s_pre : int vec;
+  s_srcs : int vec;
+  s_evs : int vec;
 }
 
 exception Stale_group
@@ -105,35 +162,46 @@ exception Stale_group
 let rec dummy =
   {
     lin = -1;
-    n = 0;
     uops = [||];
-    pre = [| 0; 0; 0; 0; 0 |];
+    groups = [||];
+    pre = [||];
     srcs = [||];
     evs = [||];
     closed = true;
     insns = [||];
     split = None;
     carry = [||];
-    span = [| 0 |];
+    bundles = [| 0 |];
     stamps = [| 0 |] (* stamps are >= 1 or -1: never valid *);
     vgen = -1;
     next = dummy;
-    jump = dummy;
   }
+
+let nil_uop =
+  { run = (fun () -> -1); qp = -1; at = 0; br_ind = false; exit_ = None; jump = dummy }
 
 let create m =
   {
     m;
     tc = m.M.tcache;
     progs = Array.make 3072 dummy;
+    prev = Array.make 3072 dummy;
     gen = 0;
     fuel = 0;
-    running = 0;
+    cur = dummy;
+    gi = 0;
+    stall0 = 0;
     k = 0;
     res = 0;
+    compiles = 0;
+    compiled_slots = 0;
     wmark = Array.make nres 0;
     smark = Array.make nres 0;
     epoch = 0;
+    s_insns = vec (Insn.mk (Insn.Nop Insn.I));
+    s_pre = vec 0;
+    s_srcs = vec 0;
+    s_evs = vec 0;
   }
 
 let rec stamps_ok tc span stamps i =
@@ -233,10 +301,10 @@ let[@inline] eval_cmp rel a b =
   | Insn.Cgeu -> Int64.unsigned_compare a b >= 0
 
 (* A store can reach the engine's SMC write watch, which may rewrite
-   tcache bundles while the group runs. [span]/[stamps] are the group's
-   bundles and their stamps at compile time: if one changed, the rest of
-   the group must come from the new bundles, as a per-slot fetch would
-   see them. With no span ([reference_run]) this never raises. *)
+   tcache bundles while the program runs. [span]/[stamps] are the
+   program's bundles and their stamps: if one changed, the rest of the
+   program must come from the new bundles, as a per-slot fetch would see
+   them. With no span ([reference_run]) this never raises. *)
 let after_store t span stamps =
   let gen = Tcache.generation t.tc in
   if gen <> t.gen then begin
@@ -758,8 +826,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
       if c < M.edgec_saturate then edgec.(s) <- c + 1;
       -1
   | Nop _ -> fun () -> -1
-
-(* ---- group compilation ------------------------------------------------- *)
+(* ---- program compilation ----------------------------------------------- *)
 
 let is_nop (insn : Insn.t) =
   match insn.Insn.sem with Insn.Nop _ -> true | _ -> false
@@ -773,116 +840,175 @@ let exit_of (insn : Insn.t) =
   | Insn.Hotc (_, _, id) -> Some (Insn.Heat id)
   | _ -> None
 
-(* Compile the issue group entered at [lin0]. The group ends at a stop bit,
+(* A slot that always leaves: no later slot of its program can run. *)
+let unconditional (insn : Insn.t) =
+  (match insn.Insn.qp with None | Some 0 -> true | Some _ -> false)
+  && match insn.Insn.sem with Insn.Br _ | Insn.Br_ind _ -> true | _ -> false
+
+(* How a group scan ended. *)
+type ending = Stop | Split of Insn.t | Open
+
+(* Compile the program entered at [lin0]. Each group ends at a stop bit,
    before a slot that reads something the group already wrote (a RAW
    split; predicate and memory resources count), or where the tcache
-   ends. [carry] are slots of the same group that already ran — a
-   mid-group restart after a store rewrote the rest of the group: they
-   count in the aggregates but run no uops. *)
+   ends. [carry] are slots of the first group that already ran — a
+   mid-group restart after a store rewrote bundles of the program: they
+   count in the aggregates but run no uops. The scratch buffers in [t]
+   collect everything and are copied out once, so a compiled slot costs
+   its closure, its uop and its share of the arrays. *)
 let compile t ~carry lin0 =
   let m = t.m and tc = t.tc in
-  t.epoch <- t.epoch + 1;
-  let ep = t.epoch in
-  let w = ref 0 and ret = ref 0 and spec = ref 0 in
-  let srcs = ref [] and ns = ref 0 and evs = ref [] and nev = ref 0 in
-  let pre = ref [] and span = ref [] and insns = ref [] in
   let slots = m.M.cost.Cost.issue_slots in
-  let record () =
-    pre := !nev :: !ns :: !spec :: !ret :: ((!w + slots - 1) / slots) :: !pre
-  in
-  let account insn reads =
-    w := !w + M.slot_weight insn;
-    List.iter
-      (fun r ->
-        let e = enc r in
-        if e < 256 && t.smark.(e) <> ep then begin
-          t.smark.(e) <- ep;
-          srcs := e :: !srcs;
-          incr ns
-        end)
-      reads;
-    let lat = M.latency_of m insn in
-    List.iter
-      (fun r ->
-        let e = enc r in
-        t.wmark.(e) <- ep;
-        if e < 256 then begin
-          evs := (lat lsl 8) lor e :: !evs;
-          incr nev
-        end)
-      (Insn.writes insn)
-  in
-  Array.iter (fun insn -> account insn (Insn.reads insn)) carry;
-  let split = ref None in
-  (* returns (closed, n) *)
-  let rec scan lin =
-    record ();
-    let b = lin / 3 and s = lin mod 3 and o = lin - lin0 in
-    if (o > 0 || Array.length carry > 0) && b >= Tcache.length tc then begin
-      span := (b, Tcache.stamp tc b) :: !span;
-      (false, o)
-    end
-    else begin
-      (* at the entry an out-of-range index raises, like a fetch *)
-      let bundle = Tcache.get tc b in
-      if s = 0 || o = 0 then span := (b, Tcache.stamp tc b) :: !span;
-      let insn = bundle.Bundle.slots.(s) in
-      let reads = Insn.reads insn in
-      if List.exists (fun r -> t.wmark.(enc r) = ep) reads then begin
-        split := Some insn;
-        (true, o)
+  let ins = t.s_insns and pre = t.s_pre and srcs = t.s_srcs in
+  let evs = t.s_evs in
+  List.iter (fun v -> v.len <- 0) [ pre; srcs; evs ];
+  ins.len <- 0;
+  let groups = ref [] in
+  (* the program covers bundles [lin0 / 3, !last] *)
+  let last = ref (lin0 / 3) in
+  let nu = ref 0 and closed = ref true and split = ref None in
+  (* scan the group at program offset [off]; returns the offset of the
+     next group, or -1 where the program ends *)
+  let group off ~first =
+    t.epoch <- t.epoch + 1;
+    let ep = t.epoch in
+    let w = ref 0 and ret = ref 0 and spec = ref 0 and leaves = ref false in
+    let slo = srcs.len and elo = evs.len and p = pre.len and ulo = !nu in
+    let account insn reads =
+      w := !w + M.slot_weight insn;
+      List.iter
+        (fun r ->
+          let e = enc r in
+          if e < 256 && t.smark.(e) <> ep then begin
+            t.smark.(e) <- ep;
+            push srcs e
+          end)
+        reads;
+      let lat = M.latency_of m insn in
+      List.iter
+        (fun r ->
+          let e = enc r in
+          t.wmark.(e) <- ep;
+          if e < 256 then push evs ((lat lsl 8) lor e))
+        (Insn.writes insn)
+    in
+    if first then Array.iter (fun insn -> account insn (Insn.reads insn)) carry;
+    let record () =
+      push pre ((!w + slots - 1) / slots);
+      push pre !ret;
+      push pre !spec;
+      push pre srcs.len;
+      push pre evs.len
+    in
+    let rec scan o =
+      record ();
+      let lin = lin0 + off + o in
+      let b = lin / 3 and s = lin mod 3 in
+      if (o > 0 || Array.length carry > 0) && b >= Tcache.length tc then begin
+        last := b;
+        (o, Open)
       end
       else begin
-        account insn reads;
-        if not (is_nop insn) then incr ret;
-        (match insn.Insn.sem with
-        | Insn.Br (Insn.Out (Insn.Spec_fail _)) -> incr spec
-        | _ -> ());
-        insns := insn :: !insns;
-        if bundle.Bundle.stops.(s) then begin
-          record ();
-          (true, o + 1)
+        (* at the entry an out-of-range index raises, like a fetch *)
+        let bundle = Tcache.get tc b in
+        last := b;
+        let insn = bundle.Bundle.slots.(s) in
+        let reads = Insn.reads insn in
+        if List.exists (fun r -> t.wmark.(enc r) = ep) reads then (o, Split insn)
+        else begin
+          account insn reads;
+          if not (is_nop insn) then begin
+            incr ret;
+            incr nu
+          end;
+          (match insn.Insn.sem with
+          | Insn.Br (Insn.Out (Insn.Spec_fail _)) -> incr spec
+          | _ -> ());
+          if unconditional insn then leaves := true;
+          push ins insn;
+          if bundle.Bundle.stops.(s) then begin
+            record ();
+            (o + 1, Stop)
+          end
+          else scan (o + 1)
         end
-        else scan (lin + 1)
       end
-    end
+    in
+    let n, ending = scan 0 in
+    let q = p + (5 * n) in
+    groups :=
+      {
+        off;
+        n;
+        ulo;
+        uhi = !nu;
+        span = pre.a.(q);
+        ret = pre.a.(q + 1);
+        spec = pre.a.(q + 2);
+        slo;
+        shi = pre.a.(q + 3);
+        elo;
+        ehi = pre.a.(q + 4);
+        bundle = (lin0 + off + n) / 3;
+        agg = p;
+        stop = (match ending with Stop -> true | Split _ | Open -> false);
+      }
+      :: !groups;
+    match ending with
+    | Open ->
+      closed := false;
+      -1
+    | Split x when !leaves ->
+      split := Some x;
+      -1
+    | Split _ -> off + n
+    | Stop ->
+      if (not !leaves) && (lin0 + off + n) / 3 < Tcache.length tc then off + n
+      else -1
   in
-  let closed, n = scan lin0 in
-  let insns = Array.of_list (List.rev !insns) in
-  let span_l = List.rev !span in
-  let span = Array.of_list (List.map fst span_l) in
-  let stamps = Array.of_list (List.map snd span_l) in
-  let uops = ref [] in
-  for o = n - 1 downto 0 do
-    let insn = insns.(o) in
-    if not (is_nop insn) then
-      uops :=
-        {
-          run = compile_insn t ~span ~stamps insn;
-          qp = (match insn.Insn.qp with Some p when p <> 0 -> p | _ -> -1);
-          at = o;
-          br_ind =
-            (match insn.Insn.sem with Insn.Br_ind _ -> true | _ -> false);
-          exit_ = exit_of insn;
-        }
-        :: !uops
-  done;
+  let rec chain off ~first =
+    let next = group off ~first in
+    if next >= 0 then chain next ~first:false
+  in
+  chain 0 ~first:true;
+  let insns = contents ins in
+  let span = Array.init (!last - (lin0 / 3) + 1) (fun i -> (lin0 / 3) + i) in
+  let stamps = Array.map (Tcache.stamp tc) span in
+  let uops = Array.make !nu nil_uop in
+  let k = ref 0 in
+  Array.iteri
+    (fun o insn ->
+      if not (is_nop insn) then begin
+        uops.(!k) <-
+          {
+            run = compile_insn t ~span ~stamps insn;
+            qp = (match insn.Insn.qp with Some p when p <> 0 -> p | _ -> -1);
+            at = o;
+            br_ind =
+              (match insn.Insn.sem with Insn.Br_ind _ -> true | _ -> false);
+            exit_ = exit_of insn;
+            jump = dummy;
+          };
+        incr k
+      end)
+    insns;
+  t.compiles <- t.compiles + 1;
+  t.compiled_slots <- t.compiled_slots + Array.length insns;
   {
     lin = lin0;
-    n;
-    uops = Array.of_list !uops;
-    pre = Array.of_list (List.rev !pre);
-    srcs = Array.of_list (List.rev !srcs);
-    evs = Array.of_list (List.rev !evs);
-    closed;
+    uops;
+    groups = Array.of_list (List.rev !groups);
+    pre = contents pre;
+    srcs = contents srcs;
+    evs = contents evs;
+    closed = !closed;
     insns;
     split = !split;
     carry;
-    span;
+    bundles = span;
     stamps;
     vgen = t.gen;
     next = dummy;
-    jump = dummy;
   }
 
 (* ---- running ----------------------------------------------------------- *)
@@ -891,45 +1017,51 @@ let[@inline] set_pos (m : M.t) lin =
   m.M.ip <- lin / 3;
   m.M.slot <- lin mod 3
 
-let[@inline] valid t g =
-  g.vgen = t.gen
-  || stamps_ok t.tc g.span g.stamps 0
+let[@inline] valid t c =
+  c.vgen = t.gen
+  || stamps_ok t.tc c.bundles c.stamps 0
      && begin
-       g.vgen <- t.gen;
+       c.vgen <- t.gen;
        true
      end
 
-(* Whether the tcache holds, from [g]'s entry on, what [g] was compiled
-   from, so compiling there now would give [g] again: the same slots up
-   to where the group ended, no stop bit before its last slot, and a
-   stop bit after it unless a RAW split ended the group — then the slot
-   it split before must read the same resources, the group's writes
-   being the same. Only a group that closed and has no carry depends on
-   nothing else: not on the end of the tcache, nor on slots run before
-   its entry. Top-level and allocation-free where the slots are the very
-   ones compiled from: a warm revert revives a block many times. *)
-let rec same_slots tc g o =
+(* Whether the tcache holds, from [c]'s entry on, what [c] was compiled
+   from, so compiling there now would give [c] again: the same slots, no
+   stop bit inside a group, one after each group a stop bit ended, and,
+   where a RAW split ended the last group, a next slot that reads the
+   same resources — the group's writes being the same. (A RAW split
+   inside the program is covered by the slots: the one it split before
+   is the next group's first.) Only a program that closed and has no
+   carry depends on nothing else: not on the end of the tcache, nor on
+   slots run before its entry. Top-level and allocation-free where the
+   slots are the very ones compiled from: a warm revert revives a block
+   many times. *)
+let rec same_slots tc c (g : group) o =
   o >= g.n
   ||
-  let lin = g.lin + o in
+  let lin = c.lin + g.off + o in
   let b = lin / 3 in
   b < Tcache.length tc
   &&
   let bundle = Tcache.get tc b and s = lin - (3 * b) in
   let insn = Array.unsafe_get bundle.Bundle.slots s
-  and want = Array.unsafe_get g.insns o in
+  and want = Array.unsafe_get c.insns (g.off + o) in
   (insn == want || insn = want)
-  && Array.unsafe_get bundle.Bundle.stops s
-     = (o = g.n - 1 && match g.split with None -> true | Some _ -> false)
-  && same_slots tc g (o + 1)
+  && Array.unsafe_get bundle.Bundle.stops s = (o = g.n - 1 && g.stop)
+  && same_slots tc c g (o + 1)
 
-let same_content tc g =
-  g != dummy && g.closed && Array.length g.carry = 0 && same_slots tc g 0
+let rec same_groups tc c i =
+  i >= Array.length c.groups
+  || same_slots tc c (Array.unsafe_get c.groups i) 0 && same_groups tc c (i + 1)
+
+let same_content tc c =
+  c != dummy && c.closed && Array.length c.carry = 0 && same_groups tc c 0
   &&
-  match g.split with
+  match c.split with
   | None -> true
   | Some want ->
-    let lin = g.lin + g.n in
+    let g = c.groups.(Array.length c.groups - 1) in
+    let lin = c.lin + g.off + g.n in
     lin / 3 < Tcache.length tc
     &&
     let insn = (Tcache.get tc (lin / 3)).Bundle.slots.(lin mod 3) in
@@ -937,59 +1069,81 @@ let same_content tc g =
 
 (* Take a program whose stamps failed back by content: its stamps are
    updated in place, which its store closures see too. *)
-let revalidate t g =
-  same_content t.tc g
+let revalidate t c =
+  same_content t.tc c
   && begin
-    for i = 0 to Array.length g.span - 1 do
-      g.stamps.(i) <- Tcache.stamp t.tc g.span.(i)
+    for i = 0 to Array.length c.bundles - 1 do
+      c.stamps.(i) <- Tcache.stamp t.tc c.bundles.(i)
     done;
-    g.vgen <- t.gen;
+    c.vgen <- t.gen;
     true
   end
 
-(* The validated program entered at [lin], compiled on a miss. [ip]/[slot]
-   point at [lin] first, so an out-of-range index raises through
-   [Tcache.get] exactly where [reference_run]'s fetch would. *)
+(* A program leaving its position's current slot drops its links, so
+   stale programs cannot keep chains of stale ones alive. *)
+let unlink c =
+  c.next <- dummy;
+  Array.iter (fun u -> u.jump <- dummy) c.uops
+
+(* The validated program entered at [lin]: the current one, else the
+   previous one taken back (the two swap), else a fresh compile, which
+   demotes the current one. [ip]/[slot] point at [lin] first, so an
+   out-of-range index raises through [Tcache.get] exactly where
+   [reference_run]'s fetch would. *)
 let prog_at t lin =
   if
     lin >= 0
     && lin < Array.length t.progs
-    && (valid t t.progs.(lin) || revalidate t t.progs.(lin))
-  then t.progs.(lin)
+    &&
+    let c = Array.unsafe_get t.progs lin in
+    valid t c || revalidate t c
+    ||
+    let p = Array.unsafe_get t.prev lin in
+    (valid t p || revalidate t p)
+    && begin
+      unlink c;
+      t.prev.(lin) <- c;
+      t.progs.(lin) <- p;
+      true
+    end
+  then Array.unsafe_get t.progs lin
   else begin
     set_pos t.m lin;
-    let g = compile t ~carry:[||] lin in
+    let c = compile t ~carry:[||] lin in
     let len = Array.length t.progs in
     if lin >= len then begin
-      let progs = Array.make (max (2 * len) (lin + 1)) dummy in
-      Array.blit t.progs 0 progs 0 len;
-      t.progs <- progs
+      let grow a =
+        let b = Array.make (max (2 * len) (lin + 1)) dummy in
+        Array.blit a 0 b 0 len;
+        b
+      in
+      t.progs <- grow t.progs;
+      t.prev <- grow t.prev
     end;
-    (* the replaced program may still be linked from others: drop its
-       own links so stale programs cannot keep chains of stale ones alive *)
     let old = t.progs.(lin) in
-    old.next <- dummy;
-    old.jump <- dummy;
-    t.progs.(lin) <- g;
-    g
+    unlink old;
+    unlink t.prev.(lin);
+    t.prev.(lin) <- old;
+    t.progs.(lin) <- c;
+    c
   end
 
-(* Close the group formed by its first slots: weight and sources up to
-   offset [ow], writes up to offset [oe] (a faulting slot issues but
-   commits nothing), charged to bundle [ip]. [M.close_group]'s accounting,
+(* Close a group of [c]: issue span [span], sources [g.slo, shi), writes
+   [g.elo, ehi), charged to bundle [ip]. [M.close_group]'s accounting,
    replicated locally: the build's -opaque keeps cross-module calls
    opaque, and this runs once per group. *)
-let[@inline] flush t g ~ow ~oe ip stall0 =
-  let pre = g.pre in
-  let span = pre.(5 * ow) in
+let[@inline] close t c (g : group) ~span ~shi ~ehi ip stall0 =
   if span > 0 then begin
     let m = t.m in
     let stats = m.M.stats in
     let issue = ref (stats.M.cycles + 1) in
-    let srcs = g.srcs in
-    for i = 0 to pre.((5 * ow) + 3) - 1 do
+    let srcs = c.srcs in
+    for i = g.slo to shi - 1 do
       let r = Array.unsafe_get srcs i in
-      let v = if r < 128 then m.M.ready.(r) else m.M.fready.(r - 128) in
+      let v =
+        if r < 128 then Array.unsafe_get m.M.ready r
+        else Array.unsafe_get m.M.fready (r - 128)
+      in
       if v > !issue then issue := v
     done;
     let issue = !issue in
@@ -998,95 +1152,203 @@ let[@inline] flush t g ~ow ~oe ip stall0 =
     in
     if delta > 0 then begin
       stats.M.cycles <- stats.M.cycles + delta;
-      let b = m.M.bucket_fn ip in
-      m.M.buckets.(b land 7) <- m.M.buckets.(b land 7) + delta;
+      let bo = m.M.bucket_of in
+      let b = if ip < Array.length bo then Array.unsafe_get bo ip land 7 else 0 in
+      let bk = m.M.buckets in
+      Array.unsafe_set bk b (Array.unsafe_get bk b + delta);
       match m.M.charge_probe with Some f -> f ip delta | None -> ()
     end;
     stats.M.groups <- stats.M.groups + 1;
-    let evs = g.evs in
-    for e = 0 to pre.((5 * oe) + 4) - 1 do
+    let evs = c.evs in
+    for e = g.elo to ehi - 1 do
       let x = Array.unsafe_get evs e in
       let r = x land 255 and ready = issue + (x lsr 8) in
-      if r < 128 then m.M.ready.(r) <- ready else m.M.fready.(r - 128) <- ready
+      if r < 128 then Array.unsafe_set m.M.ready r ready
+      else Array.unsafe_set m.M.fready (r - 128) ready
     done
   end
 
-(* Retired-slot and speculation-check counts of the first slots. *)
-let[@inline] count t g ~oret ~ospec =
-  let stats = t.m.M.stats in
-  stats.M.slots_retired <- stats.M.slots_retired + g.pre.((5 * oret) + 1);
-  stats.M.spec_checks <- stats.M.spec_checks + g.pre.((5 * ospec) + 2)
+(* Close a group after its first slots, from the prefix aggregates:
+   weight and sources up to offset [ow], writes up to offset [oe] (a
+   faulting slot issues but commits nothing). *)
+let settle t c (g : group) ~ow ~oe ip stall0 =
+  let pre = c.pre in
+  close t c g
+    ~span:pre.(g.agg + (5 * ow))
+    ~shi:pre.(g.agg + (5 * ow) + 3)
+    ~ehi:pre.(g.agg + (5 * oe) + 4)
+    ip stall0
 
-(* The group's straight-line body: run uops [i, lim) until one leaves. *)
-let rec exec t (pr : bool array) uops i lim =
-  if i >= lim then i
-  else begin
-    let u = Array.unsafe_get uops i in
-    if u.qp >= 0 && not (Array.unsafe_get pr u.qp) then
-      exec t pr uops (i + 1) lim
-    else begin
-      t.k <- i;
-      let r = u.run () in
-      if r = -1 then exec t pr uops (i + 1) lim
-      else begin
-        t.res <- r;
-        i
-      end
+(* Retired-slot and speculation-check counts of a group's first slots. *)
+let count t c (g : group) ~oret ~ospec =
+  let stats = t.m.M.stats in
+  stats.M.slots_retired <- stats.M.slots_retired + c.pre.(g.agg + (5 * oret) + 1);
+  stats.M.spec_checks <- stats.M.spec_checks + c.pre.(g.agg + (5 * ospec) + 2)
+
+(* Run uop [i] unless its predicate is off: whether the group goes on. *)
+let[@inline] step t (pr : bool array) uops i =
+  let u = Array.unsafe_get uops i in
+  (u.qp >= 0 && not (Array.unsafe_get pr u.qp))
+  || begin
+    t.k <- i;
+    let r = u.run () in
+    r = -1
+    || begin
+      t.res <- r;
+      false
     end
   end
 
-(* uops of slots before offset [f]: what the remaining fuel covers *)
+(* A group's straight-line body: run uops [i, lim) until one leaves. *)
+let rec exec t pr uops i lim =
+  if i < lim && step t pr uops i then exec t pr uops (i + 1) lim else i
+
+(* uops of slots before program offset [f]: what the remaining fuel covers *)
 let rec fuel_lim uops f i =
   if i < Array.length uops && (Array.unsafe_get uops i).at < f then
     fuel_lim uops f (i + 1)
   else i
 
-(* Run group [g], which opened when the dcache-stall counter read
-   [stall0], and chain on. Every exit settles the group from the prefix
-   aggregates of the slots it got through. *)
-let rec go t g stall0 =
-  t.running <- g.lin;
+(* How [groups] left a program (a side exit returns its uop's index). *)
+let fuel_inside = -1 (* the fuel ran out inside group [t.gi] *)
+let fuel_after = -2 (* ... at the end of group [t.gi], which is charged *)
+let fell_through = -3 (* the last group finished and is charged *)
+let ran_off = -4 (* the last group ran off the end of the tcache *)
+
+(* Run [c]'s groups from [gi] on, the first opened when the dcache-stall
+   counter read [stall0], while each runs to its end: between two groups
+   only the finished one's charge, from its compile-time fields. [t.gi]
+   and [t.stall0] say which group is open, for the exits. *)
+let rec groups t c gi stall0 =
+  let g = Array.unsafe_get c.groups gi in
+  t.gi <- gi;
+  t.stall0 <- stall0;
   let f = t.fuel in
-  let lim = if f >= g.n then Array.length g.uops else fuel_lim g.uops f 0 in
-  match exec t t.m.M.pr g.uops 0 lim with
-  | x when x < lim -> side_exit t g (Array.unsafe_get g.uops x) stall0
-  | _ when f >= g.n -> finish t g stall0
-  | _ ->
-    (* fuel runs out at offset [f] *)
-    t.fuel <- 0;
-    count t g ~oret:f ~ospec:f;
-    flush t g ~ow:f ~oe:f ((g.lin + f) / 3) stall0;
-    set_pos t.m (g.lin + f);
+  if f < g.n then begin
+    let lim = fuel_lim c.uops (g.off + f) g.ulo in
+    let x = exec t t.m.M.pr c.uops g.ulo lim in
+    if x < lim then x else fuel_inside
+  end
+  else begin
+    let x =
+      if g.uhi - g.ulo <> 1 then exec t t.m.M.pr c.uops g.ulo g.uhi
+      else if step t t.m.M.pr c.uops g.ulo then g.uhi (* the commonest *)
+      else g.ulo
+    in
+    if x < g.uhi then x
+    else begin
+      let stats = t.m.M.stats in
+      t.fuel <- f - g.n;
+      stats.M.slots_retired <- stats.M.slots_retired + g.ret;
+      stats.M.spec_checks <- stats.M.spec_checks + g.spec;
+      if gi + 1 < Array.length c.groups then begin
+        close t c g ~span:g.span ~shi:g.shi ~ehi:g.ehi g.bundle stall0;
+        if f = g.n then fuel_after
+        else groups t c (gi + 1) stats.M.dcache_stall
+      end
+      else if c.closed then begin
+        close t c g ~span:g.span ~shi:g.shi ~ehi:g.ehi g.bundle stall0;
+        if f = g.n then fuel_after else fell_through
+      end
+      else ran_off
+    end
+  end
+
+(* Enter program [c] at group [gi] and go on until the run stops. Every
+   exit settles the open group from the prefix aggregates of the slots it
+   got through. *)
+let rec enter t c gi stall0 =
+  t.cur <- c;
+  match groups t c gi stall0 with
+  | x when x >= 0 -> side_exit t c x
+  | x when x = fell_through ->
+    let next = c.lin + Array.length c.insns in
+    let h = c.next in
+    let h =
+      if h.lin = next && valid t h then h
+      else begin
+        let h = prog_at t next in
+        c.next <- h;
+        h
+      end
+    in
+    enter t h 0 t.m.M.stats.M.dcache_stall
+  | x when x = fuel_after ->
+    let g = Array.unsafe_get c.groups t.gi in
+    set_pos t.m (c.lin + g.off + g.n);
     M.Fuel
+  | x when x = fuel_inside ->
+    let g = Array.unsafe_get c.groups t.gi in
+    let f = t.fuel and glin = c.lin + g.off in
+    t.fuel <- 0;
+    count t c g ~oret:f ~ospec:f;
+    settle t c g ~ow:f ~oe:f ((glin + f) / 3) t.stall0;
+    set_pos t.m (glin + f);
+    M.Fuel
+  | _ ->
+    (* the last group runs past the last bundle: [reference_run]'s next
+       fetch raises with the group still open *)
+    let g = Array.unsafe_get c.groups t.gi in
+    let next = c.lin + g.off + g.n in
+    set_pos t.m next;
+    if t.fuel <= 0 then begin
+      close t c g ~span:g.span ~shi:g.shi ~ehi:g.ehi g.bundle t.stall0;
+      M.Fuel
+    end
+    else begin
+      ignore (Tcache.get t.tc (next / 3));
+      assert false
+    end
   | exception M.Machine_fault (kind, addr, size, store) ->
-    let o = g.uops.(t.k).at in
-    count t g ~oret:o ~ospec:(o + 1);
-    flush t g ~ow:(o + 1) ~oe:o ((g.lin + o) / 3) stall0;
+    let g = Array.unsafe_get c.groups t.gi in
+    let o = c.uops.(t.k).at - g.off and glin = c.lin + g.off in
+    count t c g ~oret:o ~ospec:(o + 1);
+    settle t c g ~ow:(o + 1) ~oe:o ((glin + o) / 3) t.stall0;
     let m = t.m in
-    set_pos m (g.lin + o);
+    set_pos m (glin + o);
     M.Faulted { M.kind; addr; size; store; ip = m.M.ip; slot = m.M.slot }
-  | exception Stale_group ->
-    (* a store rewrote bundles the rest of this group comes from: finish
-       the group from the new contents *)
-    let o = g.uops.(t.k).at + 1 in
-    t.fuel <- t.fuel - o;
-    count t g ~oret:o ~ospec:o;
-    let carry = Array.append g.carry (Array.sub g.insns 0 o) in
-    go t (compile t ~carry (g.lin + o)) stall0
+  | exception Stale_group -> stale t c
   | exception e ->
     (* the open group is dropped, as when [reference_run] unwinds *)
-    let o = g.uops.(t.k).at in
-    count t g ~oret:o ~ospec:(o + 1);
-    set_pos t.m (g.lin + o);
+    let g = Array.unsafe_get c.groups t.gi in
+    let o = c.uops.(t.k).at - g.off in
+    count t c g ~oret:o ~ospec:(o + 1);
+    set_pos t.m (c.lin + g.off + o);
     raise e
 
-and side_exit t g u stall0 =
-  let m = t.m in
-  let lin = g.lin + u.at in
-  let o = u.at + 1 and ip = lin / 3 in
+(* A store rewrote bundles of [c]: the rest comes from the new contents. *)
+and stale t c =
+  let gi = t.gi and stall0 = t.stall0 in
+  let g = Array.unsafe_get c.groups gi in
+  let o = c.uops.(t.k).at - g.off + 1 and glin = c.lin + g.off in
   t.fuel <- t.fuel - o;
-  count t g ~oret:o ~ospec:o;
-  flush t g ~ow:o ~oe:o ip stall0;
+  count t c g ~oret:o ~ospec:o;
+  if o = g.n && g.stop then begin
+    (* the stop bit after the store, fetched before it ran, closes the
+       group: it is done, and the next one starts a fresh program *)
+    close t c g ~span:g.span ~shi:g.shi ~ehi:g.ehi g.bundle stall0;
+    if t.fuel <= 0 then begin
+      set_pos t.m (glin + o);
+      M.Fuel
+    end
+    else enter t (prog_at t (glin + o)) 0 t.m.M.stats.M.dcache_stall
+  end
+  else begin
+    (* finish the group from the new contents, the slots it ran carried *)
+    let run = Array.sub c.insns g.off o in
+    let carry = if gi = 0 then Array.append c.carry run else run in
+    enter t (compile t ~carry (glin + o)) 0 stall0
+  end
+
+and side_exit t c x =
+  let m = t.m in
+  let g = Array.unsafe_get c.groups t.gi in
+  let u = Array.unsafe_get c.uops x in
+  let lin = c.lin + u.at in
+  let o = u.at - g.off + 1 and ip = lin / 3 in
+  t.fuel <- t.fuel - o;
+  count t c g ~oret:o ~ospec:o;
+  settle t c g ~ow:o ~oe:o ip t.stall0;
   let r = t.res in
   if r = -2 then begin
     m.M.last_exit <- (ip, lin mod 3);
@@ -1102,55 +1364,16 @@ and side_exit t g u stall0 =
     m.M.slot <- 0;
     if t.fuel <= 0 then M.Fuel
     else begin
-      let h = g.jump in
+      let h = u.jump in
       let h =
         if h.lin = 3 * r && valid t h then h
         else begin
           let h = prog_at t (3 * r) in
-          g.jump <- h;
+          u.jump <- h;
           h
         end
       in
-      go t h m.M.stats.M.dcache_stall
-    end
-  end
-
-and finish t g stall0 =
-  let m = t.m in
-  let n = g.n in
-  let next = g.lin + n in
-  t.fuel <- t.fuel - n;
-  count t g ~oret:n ~ospec:n;
-  if g.closed then begin
-    flush t g ~ow:n ~oe:n (next / 3) stall0;
-    if t.fuel <= 0 then begin
-      set_pos m next;
-      M.Fuel
-    end
-    else begin
-      let h = g.next in
-      let h =
-        if valid t h then h
-        else begin
-          let h = prog_at t next in
-          g.next <- h;
-          h
-        end
-      in
-      go t h m.M.stats.M.dcache_stall
-    end
-  end
-  else begin
-    (* the group runs past the last bundle: [reference_run]'s next
-       fetch raises with the group still open *)
-    set_pos m next;
-    if t.fuel <= 0 then begin
-      flush t g ~ow:n ~oe:n (next / 3) stall0;
-      M.Fuel
-    end
-    else begin
-      ignore (Tcache.get t.tc (next / 3));
-      assert false
+      enter t h 0 m.M.stats.M.dcache_stall
     end
   end
 
@@ -1159,9 +1382,11 @@ let run ?(fuel = max_int) t =
   t.gen <- Tcache.generation t.tc;
   t.fuel <- fuel;
   if fuel <= 0 then M.Fuel
-  else go t (prog_at t ((3 * m.M.ip) + m.M.slot)) m.M.stats.M.dcache_stall
+  else enter t (prog_at t ((3 * m.M.ip) + m.M.slot)) 0 m.M.stats.M.dcache_stall
 
-let running_bundle t = t.running / 3
+let running_bundle t =
+  let c = t.cur in
+  if c == dummy then 0 else (c.lin + c.groups.(t.gi).off) / 3
 
 (* ---- per-slot reference loop -------------------------------------------- *)
 
@@ -1270,11 +1495,11 @@ let reference_run ?(fuel = max_int) t =
   in
   step ()
 
-(* Diagnostics for tests. [compile] opens one scratch epoch per
-   program, so the epoch counts the programs compiled. *)
-let compiled t = t.epoch
+(* Diagnostics for tests. *)
+let compiled t = t.compiles
+let compiled_slots t = t.compiled_slots
 
-let reusable t g = stamps_ok t.tc g.span g.stamps 0 || same_content t.tc g
+let reusable t g = stamps_ok t.tc g.bundles g.stamps 0 || same_content t.tc g
 
 let cached_programs t =
   Array.fold_left (fun n g -> if reusable t g then n + 1 else n) 0 t.progs
@@ -1290,8 +1515,9 @@ let retained_programs t =
     if g != dummy && not (List.memq g same) then begin
       Hashtbl.replace seen g.lin (g :: same);
       visit g.next;
-      visit g.jump
+      Array.iter (fun u -> visit u.jump) g.uops
     end
   in
   Array.iter visit t.progs;
+  Array.iter visit t.prev;
   Hashtbl.fold (fun _ l n -> n + List.length l) seen 0

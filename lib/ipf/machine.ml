@@ -68,10 +68,10 @@ type t = {
   stats : stats;
   mutable ip : int;
   mutable slot : int;
-  (* cycle attribution: maps a bundle index to a bucket (e.g. cold/hot code)
-     so chained block-to-block execution can be accounted without leaving
-     the machine. *)
-  mutable bucket_fn : int -> int;
+  (* cycle attribution: the bucket (e.g. cold/hot code) of each bundle
+     index, so chained block-to-block execution can be accounted without
+     leaving the machine. Bundles past its end are bucket 0. *)
+  mutable bucket_of : int array;
   buckets : int array;
   (* Observability probe mirroring every charge: called with the current
      bundle index and the delta. Recording only — the probe must not
@@ -130,7 +130,7 @@ let create ?(cost = Cost.default) ?dcache mem tcache =
       stats = fresh_stats ();
       ip = 0;
       slot = 0;
-      bucket_fn = (fun _ -> 0);
+      bucket_of = [||];
       buckets = Array.make 8 0;
       charge_probe = None;
       last_exit = (0, 0);
@@ -245,13 +245,30 @@ let latency_of m insn =
 let slot_weight insn =
   match insn.Insn.sem with Insn.Movi _ -> 2 | _ -> 1
 
+(* ---- cycle attribution ------------------------------------------------ *)
+
+let bucket_at m bundle =
+  if bundle >= 0 && bundle < Array.length m.bucket_of then m.bucket_of.(bundle)
+  else 0
+
+let set_bucket m ~start ~len b =
+  let stop = start + len in
+  if stop > Array.length m.bucket_of then begin
+    let a = Array.make (max 1024 (2 * stop)) 0 in
+    Array.blit m.bucket_of 0 a 0 (Array.length m.bucket_of);
+    m.bucket_of <- a
+  end;
+  Array.fill m.bucket_of start len (b land 7)
+
+let clear_buckets m = Array.fill m.bucket_of 0 (Array.length m.bucket_of) 0
+
 (* Advance the cycle counter, attributing the delta to the current bundle's
    bucket. *)
 let charge m delta =
   if delta > 0 then begin
     m.stats.cycles <- m.stats.cycles + delta;
-    let b = m.bucket_fn m.ip in
-    m.buckets.(b land 7) <- m.buckets.(b land 7) + delta;
+    let b = bucket_at m m.ip in
+    m.buckets.(b) <- m.buckets.(b) + delta;
     match m.charge_probe with Some f -> f m.ip delta | None -> ()
   end
 

@@ -10,9 +10,10 @@
     dependence conservatively splits the group. Data-cache stalls extend
     the group of the load that missed.
 
-    Every cycle charged is attributed to a bucket chosen by [bucket_fn]
-    from the current bundle index, which is how the engine splits time
-    between cold and hot translated code without leaving the machine. *)
+    Every cycle charged is attributed to the bucket that [bucket_of]
+    holds for the bundle it is charged to, which is how the engine splits
+    time between cold and hot translated code without leaving the
+    machine. *)
 
 type fault_kind =
   | F_misalign  (** access not naturally aligned *)
@@ -66,8 +67,9 @@ type t = {
   stats : stats;
   mutable ip : int;  (** current bundle index *)
   mutable slot : int;
-  mutable bucket_fn : int -> int;
-      (** maps a bundle index to a cycle-attribution bucket (0..7) *)
+  mutable bucket_of : int array;
+      (** cycle-attribution bucket (0..7) per bundle index; bundles past
+          its end are bucket 0. Written through {!set_bucket}. *)
   buckets : int array;
   mutable charge_probe : (int -> int -> unit) option;
       (** observability probe mirroring every charge (bundle index,
@@ -123,6 +125,15 @@ val get32 : t -> Insn.gr -> int
     low halves of canonic GRs). *)
 
 val set32 : t -> Insn.gr -> int -> unit
+
+val set_bucket : t -> start:int -> len:int -> int -> unit
+(** [set_bucket t ~start ~len b] attributes bundles [start, start + len)
+    to bucket [b land 7], growing [bucket_of] as needed. The engine marks
+    its hot translations' bundles when it registers them. *)
+
+val clear_buckets : t -> unit
+(** Put every bundle back in bucket 0 (the engine's cold bucket), as a
+    tcache flush recycles the indices. *)
 
 val charge : t -> int -> unit
 (** Advance the cycle counter, attributing to the current bundle's

@@ -460,13 +460,20 @@ let rewrite_bundles (r : rentry) ~new_id ~new_tstart =
       s (* embeds a foreign block id: not a self-contained recording *)
     | s -> s
   in
+  (* a slot the rewrite leaves as it is stays the recorded instruction
+     itself: installed again, it is physically the one the execution core
+     compiled, and taking its program back by content is a pointer
+     compare *)
+  let slot (i : I.t) =
+    let s = sem i.I.sem in
+    if s == i.I.sem || s = i.I.sem then i else { i with I.sem = s }
+  in
   let out =
     Array.map
       (fun b ->
         {
           b with
-          Ipf.Bundle.slots =
-            Array.map (fun (i : I.t) -> { i with I.sem = sem i.I.sem }) b.Ipf.Bundle.slots;
+          Ipf.Bundle.slots = Array.map slot b.Ipf.Bundle.slots;
           stops = Array.copy b.Ipf.Bundle.stops;
         })
       r.r_bundles

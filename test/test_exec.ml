@@ -1,7 +1,8 @@
 (* Execution core tests.
 
-   Translated code runs on {!Ipf.Exec}'s issue-group programs, whose
-   timing is resolved per group at compile time. The group-vs-reference
+   Translated code runs on {!Ipf.Exec}'s block programs — fall-through
+   chains of issue groups — whose timing is resolved per group at compile
+   time. The group-vs-reference
    cases run hand-built and generated tcaches through [Exec.run] and
    through [Exec.reference_run], which runs the same instruction closures
    one fetched slot at a time, and require every observable to match.
@@ -258,7 +259,7 @@ let test_exec_cache_stable () =
 (* Hand-built tcaches run twice — by [Exec.reference_run] and by
    [Exec.run] on twin machines — and compared after every call: stop
    reason, every
-   stats counter, buckets (bucket_fn keys on the bundle, so a charge to
+   stats counter, buckets (bundle b charges bucket b mod 8, so a charge to
    the wrong bundle shows), the charge-probe stream, ready/fready,
    ip/slot, last_exit and the register files. Each case aims a side exit
    at the middle of a multi-bundle issue group. *)
@@ -327,7 +328,9 @@ let side ~fast ?(setup = fun _ _ -> ()) bundles =
     bundles;
   setup mem tc;
   let m = Mc.create mem tc in
-  m.Mc.bucket_fn <- (fun b -> b land 7);
+  for b = 0 to Ipf.Tcache.length tc + 8 do
+    Mc.set_bucket m ~start:b ~len:1 b
+  done;
   let probe = Buffer.create 256 in
   m.Mc.charge_probe <- Some (fun ip d -> Printf.bprintf probe "%d:%d " ip d);
   let x = Ipf.Exec.create m in
@@ -591,8 +594,9 @@ let test_changed_content_recompiles () =
       | [ _; changed; back ] ->
         check Alcotest.bool (name ^ ": changed content compiles") true
           (changed > 0);
-        check Alcotest.bool (name ^ ": and so does changing it back") true
-          (back > 0)
+        (* the position kept the program it held before *)
+        checki (name ^ ": changing it back takes the previous one back") 0
+          back
       | _ -> assert false)
     [
       ("a slot", long_group, edit long_group 3 (set_slot 2 (movi 12 5)));
@@ -628,6 +632,162 @@ let test_carry_and_open_not_reused () =
   check Alcotest.bool "one that ran off the tcache is not" false
     (Ipf.Exec.reusable s.x open_)
 
+(* ---------------- chains of groups ---------------- *)
+
+(* A bundle with a stop bit after each slot [stops] names. *)
+let bunz stops a b c =
+  {
+    Ipf.Bundle.template = Ipf.Bundle.MII;
+    slots = [| a; b; c |];
+    stops = Array.init 3 (fun i -> List.mem i stops);
+  }
+
+let st8 a v = mk (I.St (8, a, v))
+let ld8 d a = mk (I.Ld (8, I.Ld_none, d, a))
+let br ?qp k = mk ?qp (I.Br (I.To k))
+
+(* One block of seven groups over bundles 2-6, none of which ends in a
+   taken branch until the last: a load that misses, a RAW split, a
+   not-taken and then a taken conditional exit in later groups (p7 is
+   false, p6 true), a store and a long immediate. The exits lead to
+   bundle 7 and to a cache exit at bundle 8. *)
+let chain =
+  prologue
+  @ [
+      bunz [ 0; 2 ] (add 6 4 5) (ld8 7 2) (add 8 4 4);
+      bunz [ 1 ] (add 10 8 5) (br ~qp:7 7) (add 11 7 4);
+      bunz [ 0; 2 ] (st8 9 5) (movi 12 3) (add 13 12 4);
+      bunz [ 2 ] (add 14 4 5) (mk ~qp:7 (I.Br (I.Out (I.Dispatch 0x77)))) nop;
+      bunz [ 2 ] (add 15 14 4) (br ~qp:6 7) (out I.Exit_program);
+      bun (add 16 4 4) (add 17 15 4) (out (I.Dispatch 0x1234));
+      bun nop nop (out I.Exit_program);
+    ]
+
+let test_chain_groups () =
+  ignore
+    (twin chain "chain"
+       [ (None, keep); (None, keep); (None, at 0 0); (None, at 3 1) ]);
+  (* a rewind into the middle of the chain, after its store *)
+  ignore (twin chain "chain entered mid-way" [ (None, at 4 1); (None, at 5 0) ])
+
+let test_chain_fuel_every_offset () =
+  for fuel = 0 to 24 do
+    ignore
+      (twin chain (Printf.sprintf "chain fuel %d" fuel)
+         [ (Some fuel, keep); (Some 2, keep); (Some 1, keep); (None, keep) ])
+  done
+
+(* An indirect branch that takes a different target on each run: the
+   uop's link to its last target's program must not be taken for the
+   next one. *)
+let test_chain_indirect_targets () =
+  let bundles =
+    prologue
+    @ [
+        bunz [ 0; 2 ] (add 6 4 5) (mk (I.Mov_to_br (1, 16))) (mk (I.Br_ind 1));
+        bun (add 17 4 4) nop (out I.Exit_program);
+        bun (add 18 4 5) nop (out (I.Dispatch 0x1234));
+      ]
+  in
+  let target k s =
+    Mc.set s.m 16 (Int64.of_int k);
+    at 0 0 s
+  in
+  ignore
+    (twin bundles "indirect"
+       [ (None, target 3); (None, target 4); (None, target 3); (None, target 4) ])
+
+(* A chain that ends where the tcache ended when it was compiled falls
+   through to the program at its end once the tcache has grown. *)
+let test_chain_tcache_end () =
+  let block = prologue @ [ bunz [ 0; 2 ] (add 6 4 5) (add 7 6 4) (add 8 4 4) ] in
+  let grow s =
+    ignore (Ipf.Tcache.append s.tc (bun (add 9 7 4) nop (out I.Exit_program)));
+    at 0 0 s
+  in
+  ignore
+    (twin block "tcache end"
+       [ (None, keep); (None, at 0 0); (None, grow); (None, at 0 0) ])
+
+(* A store whose write watch rewrites a later group of the running
+   chain: mid-group, as the last slot of a group a stop bit ends, and as
+   the last slot of a group a RAW split ends. Each must see the later
+   group's new slots, as a per-slot fetch does. *)
+let test_chain_store_rewrites_later_group () =
+  let watch on_write mem tc =
+    Ia32.Memory.watch_page mem data;
+    Ia32.Memory.set_write_watch mem (Some (fun _ _ -> on_write tc))
+  in
+  let later tc =
+    Ipf.Tcache.patch_slot tc ~idx:6 ~slot:0 (add 14 7 4);
+    Ipf.Tcache.patch_slot tc ~idx:5 ~slot:1 (movi 15 9)
+  in
+  let store_at stops slots =
+    prologue
+    @ [
+        bunz stops (List.nth slots 0) (List.nth slots 1) (List.nth slots 2);
+        bunz [ 2 ] (add 10 4 5) (add 11 5 5) (add 12 4 4);
+        bunz [ 1 ] (add 13 4 4) (movi 15 1) (add 16 4 5);
+        bunz [ 2 ] (movi 14 2) (add 17 14 5) (out I.Exit_program);
+        bun nop nop (out I.Exit_program);
+      ]
+  in
+  (* ... or also the running group's own bundle *)
+  let both tc =
+    later tc;
+    Ipf.Tcache.patch_slot tc ~idx:2 ~slot:2 (movi 8 5)
+  in
+  List.iter
+    (fun (name, bundles) ->
+      List.iter
+        (fun (what, rewrite) ->
+          ignore
+            (twin ~setup:(watch rewrite) bundles (name ^ ", " ^ what)
+               [ (None, keep); (None, at 0 0); (Some 9, at 0 0); (None, keep) ]))
+        [ ("a later group", later); ("its own bundle too", both) ])
+    [
+      ("store mid-group", store_at [ 2 ] [ add 6 4 5; st8 9 5; add 8 4 4 ]);
+      ("store before a stop bit", store_at [ 1; 2 ] [ add 6 4 5; st8 9 5; add 8 4 4 ]);
+      (* r6 is written before the store and read after it: a RAW split *)
+      ("store before a RAW split", store_at [ 2 ] [ add 6 4 5; st8 9 5; add 8 6 4 ]);
+      ("store ending the first bundle", store_at [] [ add 6 4 5; add 8 4 4; st8 9 5 ]);
+    ]
+
+(* The chain's exits patched into direct branches between runs, as the
+   engine chains blocks, and a patch taken back: each position then holds
+   an unpatched and a patched program, which alternate without compiling
+   from the third run on. *)
+let test_chain_patch_dispatch () =
+  let patch s =
+    ignore (Ipf.Tcache.patch_dispatch s.tc ~idx:5 ~target:0x77 ~dest:8);
+    ignore (Ipf.Tcache.patch_dispatch s.tc ~idx:7 ~target:0x1234 ~dest:8);
+    at 0 0 s
+  in
+  let unpatch s =
+    Ipf.Tcache.patch_slot s.tc ~idx:5 ~slot:1
+      (mk ~qp:7 (I.Br (I.Out (I.Dispatch 0x77))));
+    Ipf.Tcache.patch_slot s.tc ~idx:7 ~slot:2 (out (I.Dispatch 0x1234));
+    at 0 0 s
+  in
+  let rebranch s =
+    (* the chain's second exit now goes to the dispatch exit: p7 true *)
+    Ipf.Tcache.patch_slot s.tc ~idx:1 ~slot:2 (mk (I.Cmp (I.Ceq, I.Cnorm, 7, 6, 0, 0)));
+    at 0 0 s
+  in
+  let steps =
+    [
+      (None, keep); (None, at 7 0); (None, patch); (None, at 0 0);
+      (None, unpatch); (None, patch); (None, unpatch); (None, patch);
+      (None, rebranch); (None, unpatch); (None, patch);
+    ]
+  in
+  let n = Array.of_list (compiles_per_step chain "patch_dispatch" steps) in
+  check Alcotest.bool "the patched chain compiles" true (n.(2) > 0);
+  for i = 3 to 7 do
+    checki (Printf.sprintf "step %d takes a kept program back" i) 0 n.(i)
+  done;
+  check Alcotest.bool "a third content compiles" true (n.(8) > 0)
+
 (* ---------------- generated group-vs-reference cases ---------------- *)
 
 (* Random small tcaches after [prologue] (plus r13 = data + 3, a
@@ -641,10 +801,14 @@ let test_carry_and_open_not_reused () =
    Each case runs with fuel at a random offset, then twice more without
    a limit: after an exit a run resumes behind it, after a fault it
    faults again, after the last exit it runs off the tcache. Then it
-   runs from the start three more times: after the tcache is flushed and
-   the same bundles appended again (group programs come back by
-   content), after one slot is patched to another instruction, and
-   after that slot is patched back. *)
+   runs from the start four more times: after the tcache is flushed and
+   the same bundles appended again (programs come back by content), after
+   one slot is patched to another instruction, after that slot is
+   patched back, and after every cache exit to 0x1234 is patched into a
+   branch to a random bundle ([Tcache.patch_dispatch], as the engine
+   chains blocks). A third of the cases also watch the data page: every
+   store there rewrites one random slot, which may lie in a later group
+   of the running chain or in the running group itself. *)
 module G = QCheck.Gen
 
 let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) nop nop ]
@@ -714,6 +878,14 @@ let gen_insn ~here ~last =
   in
   map2 (fun qp sem -> I.mk ?qp sem) qp sem
 
+type case = {
+  body : Ipf.Bundle.t list;
+  fuel : int;
+  patch : int * int * I.t; (* bundle, slot, instruction *)
+  smc : (int * int * I.t) option; (* what a store to the data page writes *)
+  dest : int; (* where the patched cache exits branch to *)
+}
+
 let gen_case =
   let open G in
   let base = List.length gen_prologue in
@@ -727,16 +899,25 @@ let gen_case =
       (array_repeat 3 (map (fun k -> k = 0) (int_bound 2)))
   in
   flatten_l (List.init n (fun i -> bundle (base + i))) >>= fun body ->
-  int_bound (n - 1) >>= fun bi ->
+  let slot_patch =
+    int_bound (n - 1) >>= fun bi ->
+    map2 (fun si insn -> (base + bi, si, insn)) (int_bound 2)
+      (gen_insn ~here:(base + bi) ~last)
+  in
   map3
-    (fun fuel si insn -> (body, fuel, (base + bi, si, insn)))
-    (int_bound ((3 * (last + 1)) + 4))
-    (int_bound 2)
-    (gen_insn ~here:(base + bi) ~last)
+    (fun (fuel, dest) patch smc -> { body; fuel; patch; smc; dest })
+    (pair (int_bound ((3 * (last + 1)) + 4)) (int_range base last))
+    slot_patch
+    (frequency [ (2, return None); (1, map Option.some slot_patch) ])
 
-let print_case (body, fuel, (idx, si, insn)) =
+let print_case { body; fuel; patch = idx, si, insn; smc; dest } =
   let b = Buffer.create 512 in
-  Printf.bprintf b "fuel %d, patch %d.%d: %s\n" fuel idx si (I.to_string insn);
+  Printf.bprintf b "fuel %d, patch %d.%d: %s, dispatch to %d\n" fuel idx si
+    (I.to_string insn) dest;
+  Option.iter
+    (fun (i, s, insn) ->
+      Printf.bprintf b "stores rewrite %d.%d: %s\n" i s (I.to_string insn))
+    smc;
   List.iteri
     (fun i bundle ->
       Printf.bprintf b "%d:" (List.length gen_prologue + i);
@@ -752,15 +933,29 @@ let print_case (body, fuel, (idx, si, insn)) =
 let test_generated =
   QCheck.Test.make ~count:2000 ~name:"generated-tcaches"
     (QCheck.make ~print:print_case gen_case)
-    (fun (body, fuel, (idx, si, insn)) ->
+    (fun { body; fuel; patch = idx, si, insn; smc; dest } ->
       let bundles = gen_prologue @ body @ [ bun nop nop (out I.Exit_program) ] in
       let orig = (List.nth bundles idx).Ipf.Bundle.slots.(si) in
       let patch insn s =
         Ipf.Tcache.patch_slot s.tc ~idx ~slot:si insn;
         at 0 0 s
       in
+      let dispatch s =
+        for idx = 0 to Ipf.Tcache.length s.tc - 1 do
+          ignore (Ipf.Tcache.patch_dispatch s.tc ~idx ~target:0x1234 ~dest)
+        done;
+        at 0 0 s
+      in
+      let setup mem tc =
+        Option.iter
+          (fun (idx, slot, insn) ->
+            Ia32.Memory.watch_page mem data;
+            Ia32.Memory.set_write_watch mem
+              (Some (fun _ _ -> Ipf.Tcache.patch_slot tc ~idx ~slot insn)))
+          smc
+      in
       let _, results =
-        run_twin bundles
+        run_twin ~setup bundles
           [
             (Some fuel, keep);
             (None, keep);
@@ -768,6 +963,7 @@ let test_generated =
             (None, reappend bundles);
             (None, patch insn);
             (None, patch orig);
+            (None, dispatch);
           ]
       in
       match List.find_opt (fun (_, a, b) -> a <> b) results with
@@ -818,6 +1014,16 @@ let () =
             test_changed_content_recompiles;
           Alcotest.test_case "carry-and-open-not-reused" `Quick
             test_carry_and_open_not_reused;
+          Alcotest.test_case "chain-groups" `Quick test_chain_groups;
+          Alcotest.test_case "chain-fuel-every-offset" `Quick
+            test_chain_fuel_every_offset;
+          Alcotest.test_case "chain-store-rewrites-later-group" `Quick
+            test_chain_store_rewrites_later_group;
+          Alcotest.test_case "chain-patch-dispatch" `Quick
+            test_chain_patch_dispatch;
+          Alcotest.test_case "chain-indirect-targets" `Quick
+            test_chain_indirect_targets;
+          Alcotest.test_case "chain-tcache-end" `Quick test_chain_tcache_end;
           (* a fixed seed: the same 2000 tcaches on every run *)
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0x1a32e1 |])

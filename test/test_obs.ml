@@ -405,7 +405,7 @@ let test_profile_attribution () =
   let hot_bucket = m.Ipf.Machine.buckets.(Ia32el.Account.bucket_hot) in
   let cold_bucket = m.Ipf.Machine.buckets.(Ia32el.Account.bucket_cold) in
   checkb "gzip runs hot code" true (hot_bucket > 0);
-  (* the probe mirrors bucket_fn exactly, so totals must match 1:1 *)
+  (* the probe mirrors the bucket charges exactly, so totals must match 1:1 *)
   checki "hot attribution exact" hot_bucket (P.hot_exec p);
   checki "cold attribution exact" cold_bucket (P.cold_exec p);
   (* acceptance criterion: top 10 blocks own >= 90% of hot-phase cycles *)
