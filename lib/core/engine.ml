@@ -28,7 +28,7 @@ type t = {
   cache : Block.cache;
   acct : Account.t;
   machine : M.t;
-  exec : Ipf.Exec.t; (* issue-group programs over [machine] *)
+  exec : Ipf.Exec.t; (* block programs over [machine] *)
   vos : Btlib.Vos.t;
   btlib : (module Btlib.Btos.S);
   cold_env : Cold.env;

@@ -80,7 +80,7 @@ val rewind : session -> unit
     translations, persist installs and chain patches as a run on a fresh
     instance and is bit-identical to it: stop, output, response, cycles
     and metrics JSON. Only host-side caches survive: decoded
-    instructions and {!Ipf.Exec}'s group programs, which are judged by
+    instructions and {!Ipf.Exec}'s block programs, which are judged by
     content. A persistent-cache session's per-run state is the caller's
     to restart. *)
 

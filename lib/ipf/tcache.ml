@@ -13,7 +13,7 @@ type t = {
   mutable capacity : int option;
   (* Generation counter, bumped on every mutation. [stamps.(i)] records
      the generation at which bundle [i] last changed, so a consumer that
-     caches per-bundle derived structures (Exec's group programs) can
+     caches per-bundle derived structures (Exec's block programs) can
      validate each entry with one integer compare. Stamps are >= 1; a
      consumer initialising its own stamps to 0 never false-hits. *)
   mutable generation : int;
@@ -138,7 +138,7 @@ let invalidate_range t ~start ~stop ~target =
 
 (* Put bundles [start, start + length code) back as they were before an
    invalidation. They are fresh stamps like any other write; consumers
-   that judge derived structures by content (Exec's group programs) take
+   that judge derived structures by content (Exec's block programs) take
    theirs back. The bundles are copied in: the cache patches its own in
    place, and [code] may be restored again later. *)
 let restore_range t ~start code =

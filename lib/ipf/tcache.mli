@@ -19,7 +19,7 @@ val generation : t -> int
 (** Mutation counter, bumped by {!append}, {!patch_slot},
     {!patch_dispatch}, {!invalidate_range}, {!restore_range} and
     {!clear}. Consumers that cache per-bundle derived structures
-    ({!Exec}'s group programs) key their validity on it. *)
+    ({!Exec}'s block programs) key their validity on it. *)
 
 val stamp : t -> int -> int
 (** Generation at which bundle [i] last changed: always >= 1 in range,
@@ -66,6 +66,6 @@ val restore_range : t -> start:int -> Bundle.t array -> unit
     [start, start + length code) and stamps them, like any other write.
     [code] stays the caller's: it can be restored again after a later
     overwrite. Used to revive a translation that {!invalidate_range}
-    overwrote; {!Exec} reuses the group programs compiled from that
+    overwrote; {!Exec} reuses the block programs compiled from that
     content before the overwrite, judging them by content.
     @raise Invalid_argument on a range past the end. *)

@@ -30,7 +30,7 @@
    virtual-time, a request served by any backend is bit-identical —
    metrics included — to the same guest run standalone, whatever ran on
    its worker before. That is the serving-isolation contract the tests
-   pin. What survives a rewind is host-side only: the group programs the
+   pin. What survives a rewind is host-side only: the block programs the
    execution core compiled, which it reuses where the re-installed
    bundles hold the same content. *)
 
