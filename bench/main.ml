@@ -1159,10 +1159,10 @@ let perf ~scale ~min_time () =
                 Obj
                   [
                     ("rev", Str "6ef5d9e");
-                    ("group_ns", Float 17.9);
-                    ("slot_ns", Float 11.2);
+                    ("group_ns", Float 15.95);
+                    ("slot_ns", Float 10.25);
                     ("words_per_compiled_slot", Float 139.3);
-                    ("serve_session_run_ms", Float 1.435);
+                    ("serve_session_run_ms", Float 1.556);
                     ("serve_session_group_compiles", Float 6.0);
                   ] );
               ( "forkserver_split",

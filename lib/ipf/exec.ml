@@ -40,7 +40,10 @@
    bundles come back as they were. Each entry position keeps its current
    program and the one before it, so a position that alternates between
    two contents (a chain patch that a replayed run meets unpatched first)
-   takes both back.
+   takes both back. Where neither comes back whole, a compile at that
+   position is derived from the one whose leading groups the tcache
+   still holds ([shared_groups]): a chain patch rewrites only a block's
+   last groups.
 
    [reference_run] runs the same closures one fetched slot at a time and
    derives the timing per slot, with [Machine]'s cost primitives. It is
@@ -301,22 +304,26 @@ let[@inline] eval_cmp rel a b =
   | Insn.Cgeu -> Int64.unsigned_compare a b >= 0
 
 (* A store can reach the engine's SMC write watch, which may rewrite
-   tcache bundles while the program runs. [span]/[stamps] are the
-   program's bundles and their stamps: if one changed, the rest of the
-   program must come from the new bundles, as a per-slot fetch would see
-   them. With no span ([reference_run]) this never raises. *)
-let after_store t span stamps =
+   tcache bundles while the program runs. If one of the running
+   program's bundles changed, the rest of the program must come from the
+   new bundles, as a per-slot fetch would see them. With no program
+   running ([reference_run]) this never raises. The closure reads the
+   running program rather than capturing its own, so a derived program
+   ([compile]) shares its closures with the one it was derived from. *)
+let after_store t =
   let gen = Tcache.generation t.tc in
   if gen <> t.gen then begin
     t.gen <- gen;
-    if not (stamps_ok t.tc span stamps 0) then raise Stale_group
+    let c = t.cur in
+    if c != dummy && not (stamps_ok t.tc c.bundles c.stamps 0) then
+      raise Stale_group
   end
 
 (* Compile one instruction's semantic action into a closure over resolved
    operands. The closure returns its control flow as an int: -1 = fall
    through, -2 = leave the cache (the reason is [exit_of] the
    instruction), n >= 0 = jump to bundle n. *)
-let compile_insn t ~span ~stamps (insn : Insn.t) =
+let compile_insn t (insn : Insn.t) =
   let m = t.m in
   let open Insn in
   let gf f = M.getf m f in
@@ -650,7 +657,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
       stats.M.stores <- stats.M.stores + 1;
       M.do_store m ~addr ~size (rget m v);
       dstall addr;
-      after_store t span stamps;
+      after_store t;
       -1
   | Chk_s (r, t) -> fun () -> if rget_nat m r then taken t else -1
   | Chk_a (r, t) -> fun () -> if Hashtbl.mem m.M.alat r then -1 else taken t
@@ -686,7 +693,7 @@ let compile_insn t ~span ~stamps (insn : Insn.t) =
       in
       M.do_store m ~addr ~size bits;
       dstall addr;
-      after_store t span stamps;
+      after_store t;
       -1
   | Fadd (d, a, b) ->
     fun () ->
@@ -855,8 +862,12 @@ type ending = Stop | Split of Insn.t | Open
    mid-group restart after a store rewrote bundles of the program: they
    count in the aggregates but run no uops. The scratch buffers in [t]
    collect everything and are copied out once, so a compiled slot costs
-   its closure, its uop and its share of the arrays. *)
-let compile t ~carry lin0 =
+   its closure, its uop and its share of the arrays. With [from] =
+   ([d], n), the program is derived from [d], a program entered at
+   [lin0] whose first n groups the tcache still holds ([shared_groups]):
+   those groups' records, aggregates and closures are taken over, and
+   the scan starts at the group after them. *)
+let compile t ?(from = (dummy, 0)) ~carry lin0 =
   let m = t.m and tc = t.tc in
   let slots = m.M.cost.Cost.issue_slots in
   let ins = t.s_insns and pre = t.s_pre and srcs = t.s_srcs in
@@ -970,18 +981,44 @@ let compile t ~carry lin0 =
     let next = group off ~first in
     if next >= 0 then chain next ~first:false
   in
-  chain 0 ~first:true;
+  let d, shared = from in
+  let off0 =
+    if shared = 0 then 0
+    else begin
+      let g = d.groups.(shared - 1) in
+      let off = g.off + g.n in
+      let take v a n =
+        for i = 0 to n - 1 do
+          push v (Array.unsafe_get a i)
+        done
+      in
+      take ins d.insns off;
+      take pre d.pre (g.agg + (5 * (g.n + 1)));
+      take srcs d.srcs g.shi;
+      take evs d.evs g.ehi;
+      for i = 0 to shared - 1 do
+        groups := d.groups.(i) :: !groups
+      done;
+      nu := g.uhi;
+      off
+    end
+  in
+  chain off0 ~first:(shared = 0);
   let insns = contents ins in
   let span = Array.init (!last - (lin0 / 3) + 1) (fun i -> (lin0 / 3) + i) in
   let stamps = Array.map (Tcache.stamp tc) span in
   let uops = Array.make !nu nil_uop in
-  let k = ref 0 in
+  let shared_uops = if shared = 0 then 0 else d.groups.(shared - 1).uhi in
+  for i = 0 to shared_uops - 1 do
+    uops.(i) <- { (d.uops.(i)) with jump = dummy }
+  done;
+  let k = ref shared_uops in
   Array.iteri
     (fun o insn ->
-      if not (is_nop insn) then begin
+      if o >= off0 && not (is_nop insn) then begin
         uops.(!k) <-
           {
-            run = compile_insn t ~span ~stamps insn;
+            run = compile_insn t insn;
             qp = (match insn.Insn.qp with Some p when p <> 0 -> p | _ -> -1);
             at = o;
             br_ind =
@@ -993,7 +1030,7 @@ let compile t ~carry lin0 =
       end)
     insns;
   t.compiles <- t.compiles + 1;
-  t.compiled_slots <- t.compiled_slots + Array.length insns;
+  t.compiled_slots <- t.compiled_slots + Array.length insns - off0;
   {
     lin = lin0;
     uops;
@@ -1067,8 +1104,35 @@ let same_content tc c =
     let insn = (Tcache.get tc (lin / 3)).Bundle.slots.(lin mod 3) in
     insn == want || Insn.reads insn = Insn.reads want
 
+(* How many leading groups of [c], its last excluded, the tcache holds
+   again from [c]'s entry, such that a compile there would scan them as
+   [c]'s were scanned and go on past them: the same slots and stop bits,
+   the next slot inside the tcache and, after a group a RAW split ended,
+   reading the same resources. A chain patch rewrites a block's exits,
+   in its last groups: the program for the patched block is derived from
+   the unpatched one ([compile]'s [from]). *)
+let shared_groups tc c =
+  let last = Array.length c.groups - 1 in
+  let rec go i =
+    if i >= last then i
+    else
+      let g = Array.unsafe_get c.groups i in
+      let lin = c.lin + g.off + g.n in
+      if
+        same_slots tc c g 0
+        && lin / 3 < Tcache.length tc
+        && (g.stop
+           ||
+           let want = c.insns.(g.off + g.n) in
+           let insn = (Tcache.get tc (lin / 3)).Bundle.slots.(lin mod 3) in
+           insn == want || Insn.reads insn = Insn.reads want)
+      then go (i + 1)
+      else i
+  in
+  if c == dummy || Array.length c.carry > 0 then 0 else go 0
+
 (* Take a program whose stamps failed back by content: its stamps are
-   updated in place, which its store closures see too. *)
+   updated in place. *)
 let revalidate t c =
   same_content t.tc c
   && begin
@@ -1086,10 +1150,11 @@ let unlink c =
   Array.iter (fun u -> u.jump <- dummy) c.uops
 
 (* The validated program entered at [lin]: the current one, else the
-   previous one taken back (the two swap), else a fresh compile, which
-   demotes the current one. [ip]/[slot] point at [lin] first, so an
-   out-of-range index raises through [Tcache.get] exactly where
-   [reference_run]'s fetch would. *)
+   previous one taken back (the two swap), else a compile, which demotes
+   the current one. The compile is derived from whichever of the two
+   shares more leading groups with the tcache. [ip]/[slot] point at
+   [lin] first, so an out-of-range index raises through [Tcache.get]
+   exactly where [reference_run]'s fetch would. *)
 let prog_at t lin =
   if
     lin >= 0
@@ -1109,7 +1174,14 @@ let prog_at t lin =
   then Array.unsafe_get t.progs lin
   else begin
     set_pos t.m lin;
-    let c = compile t ~carry:[||] lin in
+    let from =
+      if lin < 0 || lin >= Array.length t.progs then (dummy, 0)
+      else
+        let c = t.progs.(lin) and p = t.prev.(lin) in
+        let kc = shared_groups t.tc c and kp = shared_groups t.tc p in
+        if kp > kc then (p, kp) else (c, kc)
+    in
+    let c = compile t ~from ~carry:[||] lin in
     let len = Array.length t.progs in
     if lin >= len then begin
       let grow a =
@@ -1199,9 +1271,15 @@ let[@inline] step t (pr : bool array) uops i =
     end
   end
 
-(* A group's straight-line body: run uops [i, lim) until one leaves. *)
-let rec exec t pr uops i lim =
-  if i < lim && step t pr uops i then exec t pr uops (i + 1) lim else i
+(* A group's straight-line body: run uops [lo, lim) until one leaves.
+   Inlined: most groups hold one or two uops, so a call per group
+   costs as much as the loop. *)
+let[@inline] exec t pr uops lo lim =
+  let i = ref lo in
+  while !i < lim && step t pr uops !i do
+    incr i
+  done;
+  !i
 
 (* uops of slots before program offset [f]: what the remaining fuel covers *)
 let rec fuel_lim uops f i =
@@ -1230,11 +1308,7 @@ let rec groups t c gi stall0 =
     if x < lim then x else fuel_inside
   end
   else begin
-    let x =
-      if g.uhi - g.ulo <> 1 then exec t t.m.M.pr c.uops g.ulo g.uhi
-      else if step t t.m.M.pr c.uops g.ulo then g.uhi (* the commonest *)
-      else g.ulo
-    in
+    let x = exec t t.m.M.pr c.uops g.ulo g.uhi in
     if x < g.uhi then x
     else begin
       let stats = t.m.M.stats in
@@ -1396,6 +1470,7 @@ let running_bundle t =
    accumulate until a stop bit or a control transfer closes the group. *)
 let reference_run ?(fuel = max_int) t =
   let m = t.m in
+  t.cur <- dummy;
   let stats = m.M.stats in
   let fuel_left = ref fuel in
   let gweight = ref 0 and gsrcs = ref 0 and gextra = ref 0 in
@@ -1453,10 +1528,9 @@ let reference_run ?(fuel = max_int) t =
       let enabled =
         match insn.Insn.qp with Some p -> M.getp m p | None -> true
       in
-      (* a per-slot fetch sees what a store rewrote: no span to validate *)
-      match
-        if enabled then compile_insn t ~span:[||] ~stamps:[||] insn () else -1
-      with
+      (* a per-slot fetch sees what a store rewrote: no program to
+         validate ([t.cur] is [dummy]) *)
+      match if enabled then compile_insn t insn () else -1 with
       | exception M.Machine_fault (kind, addr, size, store) ->
         flush_group ();
         M.Faulted { M.kind; addr; size; store; ip = m.M.ip; slot = m.M.slot }

@@ -32,7 +32,12 @@
     content before the kill, and a run replayed after a flush — which
     re-installs its blocks at the same indices with the same content —
     compiles nothing once each position has met both its unpatched and
-    its chain-patched content.
+    its chain-patched content. Where neither comes back whole, the new
+    program is derived from the one of the two whose leading groups the
+    tcache still holds: it takes those groups over, closures and
+    compile-time fields, and compiles from the first changed group on.
+    A chain patch rewrites a block's exit, in its last groups, so the
+    patched block compiles only those.
 
     {!reference_run} runs the same closures one fetched slot at a time
     and derives the timing per slot. It exists as the test oracle for the
@@ -69,8 +74,9 @@ val compiled : t -> int
     (diagnostics/tests). *)
 
 val compiled_slots : t -> int
-(** Slots those programs cover, over the cache's lifetime: with
-    {!compiled}, the compile work a run did (diagnostics/benchmarks). *)
+(** Slots those programs compiled, over the cache's lifetime: with
+    {!compiled}, the compile work a run did (diagnostics/benchmarks). A
+    derived program counts only the slots after the groups it took over. *)
 
 val cached_programs : t -> int
 (** Number of entry positions whose current program {!run} would use

@@ -537,11 +537,11 @@ let reappend bundles s =
   List.iter (fun b -> ignore (Ipf.Tcache.append s.tc (Ipf.Bundle.copy b))) bundles;
   at 0 0 s
 
-(* Group programs the fast side compiles during each step of a twin run,
-   which also compares every step with the reference. *)
-let compiles_per_step bundles tag steps =
+(* Programs ([count]: or slots) the fast side compiles during each step
+   of a twin run, which also compares every step with the reference. *)
+let compiles_per_step ?(count = Ipf.Exec.compiled) bundles tag steps =
   let marks = ref [] in
-  let note s = if s.fast then marks := Ipf.Exec.compiled s.x :: !marks in
+  let note s = if s.fast then marks := count s.x :: !marks in
   let f =
     twin bundles tag
       (List.map
@@ -556,7 +556,7 @@ let compiles_per_step bundles tag steps =
     | a :: (b :: _ as tl) -> (b - a) :: diffs tl
     | _ -> []
   in
-  diffs (List.rev (Ipf.Exec.compiled f.x :: !marks))
+  diffs (List.rev (count f.x :: !marks))
 
 let test_equal_content_reused () =
   List.iter
@@ -707,7 +707,11 @@ let test_chain_tcache_end () =
   in
   ignore
     (twin block "tcache end"
-       [ (None, keep); (None, at 0 0); (None, grow); (None, at 0 0) ])
+       [ (None, keep); (None, at 0 0); (None, grow); (None, at 0 0) ]);
+  (* ... and a tcache that shrank to end after one of its groups ends
+     the chain there: the program re-entered is not derived past it *)
+  let shrunk = List.filteri (fun i _ -> i <= 4) chain in
+  ignore (twin chain "tcache shrunk" [ (None, keep); (None, reappend shrunk) ])
 
 (* A store whose write watch rewrites a later group of the running
    chain: mid-group, as the last slot of a group a stop bit ends, and as
@@ -787,6 +791,39 @@ let test_chain_patch_dispatch () =
     checki (Printf.sprintf "step %d takes a kept program back" i) 0 n.(i)
   done;
   check Alcotest.bool "a third content compiles" true (n.(8) > 0)
+
+(* A chain patch rewrites a block's exit, in its last groups: the program
+   for the patched content is derived from the unpatched one, and only
+   the groups from the patched slot's on compile. A group that a RAW
+   split ended is taken over only while the slot it split before still
+   reads the same. *)
+let test_chain_patch_derives () =
+  let slots = compiles_per_step ~count:Ipf.Exec.compiled_slots in
+  let patch s =
+    ignore (Ipf.Tcache.patch_dispatch s.tc ~idx:5 ~target:0x77 ~dest:8);
+    at 0 0 s
+  in
+  (match slots chain "derive" [ (None, keep); (None, patch) ] with
+  | [ first; patched ] ->
+    check Alcotest.bool "the first run compiles the 21-slot chain" true
+      (first >= 21);
+    (* bundles 5 and 6: the group of the patched slot and the last *)
+    checki "the patched chain compiles its last two groups" 6 patched
+  | _ -> assert false);
+  let edited =
+    edit raw_split 2 (fun b ->
+        b.Ipf.Bundle.slots.(1) <- add 11 5 4;
+        b)
+  in
+  match
+    slots raw_split "derive past a RAW split"
+      [ (None, keep); (None, reappend edited) ]
+  with
+  | [ first; changed ] ->
+    checki "the first run compiles 15 slots" 15 first;
+    (* the prologue's group is taken over; the split one runs on now *)
+    checki "the changed split compiles all but the prologue" 9 changed
+  | _ -> assert false
 
 (* ---------------- generated group-vs-reference cases ---------------- *)
 
@@ -1021,6 +1058,8 @@ let () =
             test_chain_store_rewrites_later_group;
           Alcotest.test_case "chain-patch-dispatch" `Quick
             test_chain_patch_dispatch;
+          Alcotest.test_case "chain-patch-derives" `Quick
+            test_chain_patch_derives;
           Alcotest.test_case "chain-indirect-targets" `Quick
             test_chain_indirect_targets;
           Alcotest.test_case "chain-tcache-end" `Quick test_chain_tcache_end;

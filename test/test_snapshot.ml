@@ -512,37 +512,33 @@ let by_content_tests =
     Alcotest.test_case "a revived block's group programs validate again"
       `Quick (fun () ->
         (* revival restores the bundles' content, so the programs
-           compiled from it before the kill are valid again. (Input 1
-           ran the killed content too, and its entry position keeps that
-           program as well: the cache's count does not move.) *)
+           compiled from it before the kill are valid again. Input 1's
+           revert revives the block at [start] with the chain patches it
+           carried when the SMC killed it, which input 1 never ran: input
+           2 derives that program from the unpatched one *)
         let x = srv_start ~code:smc_code ~data:out_data () in
         let tc = x.e.E.tcache and ex = x.e.E.exec in
         expect_clean "input 1" (run_input x);
-        let first = Ipf.Exec.compiled ex in
+        let first = Ipf.Exec.compiled_slots ex in
+        expect_clean "input 2" (run_input x);
+        let second = Ipf.Exec.compiled_slots ex - first in
+        check bool
+          (Printf.sprintf "input 2 compiles %d of input 1's %d slots" second
+             first)
+          true
+          (2 * second < first);
         let b = Option.get (live_at x "start") in
-        (* the block's program, compiled on a cache of its own *)
-        let probe = Ipf.Exec.create x.e.E.machine in
-        let entry = Ipf.Exec.compile_at probe (3 * b.B.tstart) in
         let valid0 = Ipf.Exec.cached_programs ex in
         let k = B.keep tc b in
         B.invalidate x.e.E.cache tc b;
-        check bool "the kill invalidates the block's programs" false
-          (Ipf.Exec.reusable probe entry);
+        check bool "the kill invalidates the block's programs" true
+          (Ipf.Exec.cached_programs ex < valid0);
         B.revive x.e.E.cache tc k;
-        check bool "revival validates them again" true
-          (Ipf.Exec.reusable probe entry);
-        check int "and the cache's" valid0 (Ipf.Exec.cached_programs ex);
-        expect_clean "input 2" (run_input x);
-        let second = Ipf.Exec.compiled ex - first in
-        check bool
-          (Printf.sprintf "input 2 compiles %d of input 1's %d programs" second
-             first)
-          true (second < first);
-        (* a program covers a whole block: one whose patched content
-           input 1 never ran compiles once, in input 2 *)
+        check int "revival validates them again" valid0
+          (Ipf.Exec.cached_programs ex);
+        let programs = Ipf.Exec.compiled ex in
         expect_clean "input 3" (run_input x);
-        check int "input 3 compiles none" 0
-          (Ipf.Exec.compiled ex - first - second));
+        check int "input 3 compiles none" 0 (Ipf.Exec.compiled ex - programs));
     Alcotest.test_case "a rewind that changes bytes or protection drops"
       `Quick (fun () ->
         (* bytes: [target] is first translated after the patch, so the
