@@ -646,7 +646,6 @@ let forkserver_split ~bases ~per_base =
         let tr, _ = wall (fun () -> L.run_in ~fuel:12_000_000 s) in
         let tv, () =
           wall (fun () ->
-              e.E.running_block <- None;
               ignore (E.revert e);
               ignore (M.Journal.revert !rmem);
               Btlib.Vos.restore rvos ck)

@@ -1958,10 +1958,6 @@ let server_push srv =
 
 let server_revert srv =
   let e = L.engine srv.srv_session in
-  (* a divergence or a raised [Bt_error] unwinds out of [Engine.run]
-     without the usual rest-state cleanup; the revert finishes any
-     deferred SMC kill *)
-  e.E.running_block <- None;
   srv.srv_translations <-
     srv.srv_translations + translated srv - srv.srv_translated0;
   ignore (E.revert e);

@@ -16,28 +16,29 @@
     prefix aggregates per slot, which only side exits read. Cycles go to
     the bucket that the machine's [bucket_of] holds for that bundle.
 
-    A program is validated once per entry by the {!Tcache.stamp}s of
-    every bundle it spans, so chain patching and SMC invalidation
-    recompile exactly the programs they rewrite; a store inside a program
-    re-checks them. A program whose stamps fail is reused, its stamps
-    updated in place, when the bundles it spans hold the same content
-    again: the same slot instructions and stop bits up to where its last
-    group ended and, where a RAW split ended that group, a next slot that
-    reads the same resources. A program that ran off the end of the
-    tcache, or that finishes a group after a store rewrote its first
-    slots (a carry), depends on more than that content and is never
-    reused. Each entry position keeps its current program and the one it
-    held before, and takes either back by content. So a block revived in
-    place ({!Tcache.restore_range}) runs the programs compiled from its
-    content before the kill, and a run replayed after a flush — which
-    re-installs its blocks at the same indices with the same content —
-    compiles nothing once each position has met both its unpatched and
-    its chain-patched content. Where neither comes back whole, the new
-    program is derived from the one of the two whose leading groups the
-    tcache still holds: it takes those groups over, closures and
-    compile-time fields, and compiles from the first changed group on.
-    A chain patch rewrites a block's exit, in its last groups, so the
-    patched block compiles only those.
+    A program is valid while the tcache holds its content: the same slot
+    instructions and stop bits up to where its last group ended and,
+    where a RAW split ended that group, a next slot that reads the same
+    resources. It is checked against the tcache at most once per
+    {!Tcache.generation}, so chain patching and SMC invalidation
+    recompile exactly the programs they rewrite; a store that changed
+    the tcache inside a program checks the running program the same way.
+    A program that ran off the end of the tcache, or that finishes a
+    group after a store rewrote its first slots (a carry), depends on
+    more than that content and is never reused. Programs are found only
+    through a table of entry positions: a taken branch or a fall-through
+    looks its target up there. Each entry position keeps its current
+    program and the one it held before, and takes either back by
+    content. So a block revived in place ({!Tcache.restore_range}) runs
+    the programs compiled from its content before the kill, and a run
+    replayed after a flush — which re-installs its blocks at the same
+    indices with the same content — compiles nothing once each position
+    has met both its unpatched and its chain-patched content. Where
+    neither comes back whole, the new program is derived from the one of
+    the two whose leading groups the tcache still holds: it shares those
+    groups' uops and takes over their compile-time fields, and compiles
+    from the first changed group on. A chain patch rewrites a block's
+    exit, in its last groups, so the patched block compiles only those.
 
     {!reference_run} runs the same closures one fetched slot at a time
     and derives the timing per slot. It exists as the test oracle for the
@@ -79,15 +80,13 @@ val compiled_slots : t -> int
     derived program counts only the slots after the groups it took over. *)
 
 val cached_programs : t -> int
-(** Number of entry positions whose current program {!run} would use
-    without recompiling, by stamps or by content: at most one per tcache
-    slot (diagnostics/tests). *)
+(** Number of entry positions whose current program is {!reusable}: at
+    most one per tcache slot (diagnostics/tests). *)
 
 val retained_programs : t -> int
-(** Number of distinct programs the cache keeps alive, valid or stale:
-    the current and previous program of every entry position and those
-    reached only through their links. A program leaving its position's
-    current slot drops its own links (diagnostics/tests). *)
+(** Number of programs the cache keeps alive, valid or stale: the
+    current and the previous program of every entry position. Nothing
+    else refers to a program (diagnostics/tests). *)
 
 (** {2 Single programs, for tests} *)
 
@@ -100,5 +99,7 @@ val compile_at : ?carry:Insn.t array -> t -> int -> program
     slots of its group ran. *)
 
 val reusable : t -> program -> bool
-(** Whether {!run} would take [program] without recompiling, against the
-    tcache as it is now: its stamps hold, or its content is back. *)
+(** Whether the tcache as it is now holds [program]'s content, so that
+    {!run} would take it back at its entry however the tcache changed in
+    between. A program that ran off the end of the tcache or has a carry
+    never is, even unchanged. *)

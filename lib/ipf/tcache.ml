@@ -11,13 +11,10 @@ type t = {
      normally models that with a config limit, but the chaos harness can
      clamp the capacity here to force eviction storms. *)
   mutable capacity : int option;
-  (* Generation counter, bumped on every mutation. [stamps.(i)] records
-     the generation at which bundle [i] last changed, so a consumer that
-     caches per-bundle derived structures (Exec's block programs) can
-     validate each entry with one integer compare. Stamps are >= 1; a
-     consumer initialising its own stamps to 0 never false-hits. *)
+  (* Generation counter, bumped on every mutation: a consumer that
+     caches structures derived from the bundles (Exec's block programs)
+     need not look at them again while it holds. *)
   mutable generation : int;
-  mutable stamps : int array;
   (* Observability: when set, structural cache events (chain patches,
      invalidations, flushes) are emitted here. Pure recording — never
      affects cache contents or cost accounting. *)
@@ -30,19 +27,12 @@ let create () =
     len = 0;
     capacity = None;
     generation = 1;
-    stamps = Array.make 1024 0;
     trace = None;
   }
 
 let generation t = t.generation
 
-(* Stamp of bundle [i]; -1 out of range, so it never matches a cached
-   stamp (cached stamps are 0 = never-filled or a positive generation). *)
-let stamp t i = if i < 0 || i >= t.len then -1 else t.stamps.(i)
-
-let touch t i =
-  t.generation <- t.generation + 1;
-  t.stamps.(i) <- t.generation
+let touch t = t.generation <- t.generation + 1
 
 let set_trace t tr = t.trace <- tr
 
@@ -61,7 +51,7 @@ let clear t =
   | Some tr when t.len > 0 ->
     Obs.Trace.emit tr (Obs.Trace.Tcache_evict { bundles = t.len })
   | _ -> ());
-  t.generation <- t.generation + 1;
+  touch t;
   t.len <- 0
 
 let get t i =
@@ -73,14 +63,11 @@ let append t b =
   if t.len = Array.length t.bundles then begin
     let bigger = Array.make (2 * t.len) b in
     Array.blit t.bundles 0 bigger 0 t.len;
-    t.bundles <- bigger;
-    let stamps = Array.make (2 * t.len) 0 in
-    Array.blit t.stamps 0 stamps 0 t.len;
-    t.stamps <- stamps
+    t.bundles <- bigger
   end;
   t.bundles.(t.len) <- b;
   t.len <- t.len + 1;
-  touch t (t.len - 1);
+  touch t;
   t.len - 1
 
 let append_list t bs =
@@ -93,7 +80,7 @@ let append_list t bs =
 let patch_slot t ~idx ~slot insn =
   let b = get t idx in
   b.Bundle.slots.(slot) <- insn;
-  touch t idx;
+  touch t;
   match t.trace with
   | Some tr -> Obs.Trace.emit tr (Obs.Trace.Chain_patch { bundle = idx; slot })
   | None -> ()
@@ -111,7 +98,7 @@ let patch_dispatch t ~idx ~target ~dest =
         incr n
       | _ -> ())
     b.Bundle.slots;
-  if !n > 0 then touch t idx;
+  if !n > 0 then touch t;
   (match t.trace with
   | Some tr when !n > 0 ->
     Obs.Trace.emit tr (Obs.Trace.Chain_patch { bundle = idx; slot = -1 })
@@ -132,20 +119,17 @@ let invalidate_range t ~start ~stop ~target =
     b.Bundle.slots.(0) <- Insn.mk (Insn.Nop Insn.M);
     b.Bundle.slots.(1) <- Insn.mk (Insn.Nop Insn.I);
     b.Bundle.slots.(2) <- Insn.mk (Insn.Br (Insn.Out (Insn.Dispatch target)));
-    b.Bundle.stops.(2) <- true;
-    touch t idx
-  done
+    b.Bundle.stops.(2) <- true
+  done;
+  touch t
 
 (* Put bundles [start, start + length code) back as they were before an
-   invalidation. They are fresh stamps like any other write; consumers
-   that judge derived structures by content (Exec's block programs) take
-   theirs back. The bundles are copied in: the cache patches its own in
-   place, and [code] may be restored again later. *)
+   invalidation. It is a mutation like any other; consumers that judge
+   derived structures by content (Exec's block programs) take theirs
+   back. The bundles are copied in: the cache patches its own in place,
+   and [code] may be restored again later. *)
 let restore_range t ~start code =
   if start < 0 || start + Array.length code > t.len then
     invalid_arg (Printf.sprintf "Tcache.restore_range %d" start);
-  Array.iteri
-    (fun i b ->
-      t.bundles.(start + i) <- Bundle.copy b;
-      touch t (start + i))
-    code
+  Array.iteri (fun i b -> t.bundles.(start + i) <- Bundle.copy b) code;
+  touch t

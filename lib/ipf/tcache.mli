@@ -18,13 +18,9 @@ val length : t -> int
 val generation : t -> int
 (** Mutation counter, bumped by {!append}, {!patch_slot},
     {!patch_dispatch}, {!invalidate_range}, {!restore_range} and
-    {!clear}. Consumers that cache per-bundle derived structures
-    ({!Exec}'s block programs) key their validity on it. *)
-
-val stamp : t -> int -> int
-(** Generation at which bundle [i] last changed: always >= 1 in range,
-    [-1] out of range. A consumer initialising cached stamps to 0 can
-    validate any entry with one integer compare and never false-hit. *)
+    {!clear}. It says only that something changed, not what: {!Exec}
+    checks a block program against the bundles it was compiled from once
+    per generation, and not again while the generation holds. *)
 
 val set_capacity : t -> int option -> unit
 (** Clamp the cache to a hard bundle capacity (or lift the clamp with
@@ -63,7 +59,7 @@ val invalidate_range : t -> start:int -> stop:int -> target:int -> unit
 
 val restore_range : t -> start:int -> Bundle.t array -> unit
 (** [restore_range t ~start code] puts copies of [code] back at bundles
-    [start, start + length code) and stamps them, like any other write.
+    [start, start + length code), a mutation like any other write.
     [code] stays the caller's: it can be restored again after a later
     overwrite. Used to revive a translation that {!invalidate_range}
     overwrote; {!Exec} reuses the block programs compiled from that

@@ -363,7 +363,6 @@ let push x =
   Btlib.Vos.checkpoint (L.reference_vos x.s)
 
 let pop x ck =
-  x.e.E.running_block <- None;
   ignore (E.revert x.e);
   ignore (Memory.Journal.revert (L.reference_mem x.s));
   Btlib.Vos.restore (L.reference_vos x.s) ck
