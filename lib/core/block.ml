@@ -326,11 +326,23 @@ let watch mem b =
     Ia32.Memory.watch_page mem (p lsl page_bits)
   done
 
-(* Blocks whose source bytes include [addr] (for SMC invalidation). *)
-let blocks_touching cache addr =
-  match Hashtbl.find_opt cache.by_page (addr lsr page_bits) with
-  | Some l -> List.filter (fun b -> b.live && addr >= b.entry && addr < b.code_end) !l
-  | None -> []
+(* Live blocks whose source bytes overlap [addr, addr + width) (for SMC
+   invalidation). A store may start before a block, or straddle into
+   the next page, so both pages it touches are looked at. *)
+let blocks_touching cache addr width =
+  let stop = addr + width in
+  let on page acc =
+    match Hashtbl.find_opt cache.by_page page with
+    | Some l ->
+      List.filter
+        (fun b ->
+          b.live && addr < b.code_end && b.entry < stop && not (List.memq b acc))
+        !l
+    | None -> []
+  in
+  let first = addr lsr page_bits and last = (stop - 1) lsr page_bits in
+  let l = on first [] in
+  if last = first then l else l @ on last l
 
 let live_blocks_on_page cache page =
   match Hashtbl.find_opt cache.by_page page with

@@ -166,8 +166,9 @@ val revive : cache -> Ipf.Tcache.t -> killed -> unit
 val watch : Ia32.Memory.t -> t -> unit
 (** Put the SMC write watch on every page of the block's source. *)
 
-val blocks_touching : cache -> int -> t list
-(** Live blocks whose source bytes include an address (SMC). *)
+val blocks_touching : cache -> int -> int -> t list
+(** [blocks_touching cache addr width]: live blocks whose source bytes
+    overlap the store [addr, addr + width) (SMC). *)
 
 val live_blocks_on_page : cache -> int -> t list
 

@@ -358,8 +358,8 @@ let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
   (* SMC detection: watch writes to translated-from pages *)
   Ia32.Memory.set_write_watch mem
     (Some
-       (fun addr _w ->
-         let victims = Block.blocks_touching cache addr in
+       (fun addr w ->
+         let victims = Block.blocks_touching cache addr w in
          if victims <> [] then begin
            t.acct.Account.smc_invalidations <-
              t.acct.Account.smc_invalidations + List.length victims;

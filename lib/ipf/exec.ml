@@ -361,6 +361,28 @@ let after_store t =
     if held t.tc c < Array.length c.groups then raise Stale_group
   end
 
+(* Guest loads and stores of 1, 2 and 4 bytes go straight to
+   [Ia32.Memory] with ints, so no value is boxed on the way; 8-byte ones
+   go through [Machine.load64]/[store64]. Misalignment is checked first,
+   then the page; a store kills overlapping ALAT entries after its write
+   (and after the write watch it may fire). *)
+let load_int (m : M.t) ~addr ~size =
+  if addr land (size - 1) <> 0 then
+    raise (M.Machine_fault (M.F_misalign, addr, size, false));
+  match Ia32.Memory.read size m.M.mem addr with
+  | v -> v
+  | exception Ia32.Fault.Fault _ ->
+    raise (M.Machine_fault (M.F_page, addr, size, false))
+
+let store_int (m : M.t) ~addr ~size v =
+  if addr land (size - 1) <> 0 then
+    raise (M.Machine_fault (M.F_misalign, addr, size, true));
+  (match Ia32.Memory.write size m.M.mem addr v with
+  | () -> ()
+  | exception Ia32.Fault.Fault _ ->
+    raise (M.Machine_fault (M.F_page, addr, size, true)));
+  M.kill_alat m ~addr ~size
+
 (* Compile one instruction's semantic action into a closure over resolved
    operands. The closure returns its control flow as an int: -1 = fall
    through, -2 = leave the cache (the reason is [exit_of] the
@@ -391,8 +413,12 @@ let compile_insn t (insn : Insn.t) =
     stats.M.taken_branches <- stats.M.taken_branches + 1;
     match t with To n -> n | Out _ -> -2
   in
+  (* The dcache model's stall, outside the [dc_skip] range: the single
+     charge point for all load/store cost. *)
   let dstall addr =
-    stats.M.dcache_stall <- stats.M.dcache_stall + M.dcache_access m addr
+    if addr < m.M.dc_skip_lo || addr >= m.M.dc_skip_hi then
+      stats.M.dcache_stall <-
+        stats.M.dcache_stall + Dcache.access m.M.dcache addr
   in
   match insn.sem with
   | Add (d, a, b) -> fun () ->
@@ -676,10 +702,11 @@ let compile_insn t (insn : Insn.t) =
       else begin
         let addr = iaddr (rget m a) in
         stats.M.loads <- stats.M.loads + 1;
-        match M.do_load m ~addr ~size with
-        | v ->
-          let v = if size = 8 then v else izx size v in
-          rset m d v;
+        match
+          if size = 8 then rset m d (M.load64 m ~addr)
+          else rset m d (Int64.of_int (load_int m ~addr ~size))
+        with
+        | () ->
           dstall addr;
           if is_adv then Hashtbl.replace m.M.alat d (addr, size);
           -1
@@ -697,7 +724,8 @@ let compile_insn t (insn : Insn.t) =
         raise (M.Machine_fault (M.F_nat, 0, size, true));
       let addr = iaddr (rget m a) in
       stats.M.stores <- stats.M.stores + 1;
-      M.do_store m ~addr ~size (rget m v);
+      if size = 8 then M.store64 m ~addr (rget m v)
+      else store_int m ~addr ~size (Int64.to_int (rget m v));
       dstall addr;
       after_store t;
       -1
@@ -713,14 +741,9 @@ let compile_insn t (insn : Insn.t) =
       else begin
         let addr = iaddr (rget m a) in
         stats.M.loads <- stats.M.loads + 1;
-        let bits = M.do_load m ~addr ~size in
-        let v =
-          if size = 4 then
-            Ia32.Fpconv.f32_of_bits
-              (Int64.to_int (Int64.logand bits 0xFFFFFFFFL))
-          else Ia32.Fpconv.f64_of_bits bits
-        in
-        sf d v;
+        (if size = 4 then
+           sf d (Ia32.Fpconv.f32_of_bits (load_int m ~addr ~size))
+         else sf d (Ia32.Fpconv.f64_of_bits (M.load64 m ~addr)));
         dstall addr;
         -1
       end
@@ -729,11 +752,9 @@ let compile_insn t (insn : Insn.t) =
       if rget_nat m a then raise (M.Machine_fault (M.F_nat, 0, size, true));
       let addr = iaddr (rget m a) in
       stats.M.stores <- stats.M.stores + 1;
-      let bits =
-        if size = 4 then Int64.of_int (Ia32.Fpconv.bits_of_f32 (gf v))
-        else Ia32.Fpconv.bits_of_f64 (gf v)
-      in
-      M.do_store m ~addr ~size bits;
+      (if size = 4 then
+         store_int m ~addr ~size (Ia32.Fpconv.bits_of_f32 (gf v))
+       else M.store64 m ~addr (Ia32.Fpconv.bits_of_f64 (gf v)));
       dstall addr;
       after_store t;
       -1

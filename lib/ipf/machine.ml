@@ -103,10 +103,6 @@ let counter_slot addr = (addr lxor (addr lsr 12)) land (counter_slots - 1)
    needs taken-vs-use ordering, not exact totals. *)
 let edgec_saturate = 0xFFFF
 
-let dcache_access m addr =
-  if addr >= m.dc_skip_lo && addr < m.dc_skip_hi then 0
-  else Dcache.access m.dcache addr
-
 let create ?(cost = Cost.default) ?dcache mem tcache =
   let dcache = match dcache with Some d -> d | None -> Dcache.create () in
   let m =
@@ -179,38 +175,11 @@ let set32 m r v = set m r (Int64.of_int (Ia32.Word.mask32 v))
 
 (* ---- memory with fault conversion ------------------------------------- *)
 
-(* An aligned access never straddles a page (page size is a multiple of
-   every access size), so the unmapped / protection checks can ride on
-   the ia32 layer's own page lookup: one fault conversion below instead
-   of two extra page-table probes per access here. *)
-let check_access ~addr ~size ~store =
-  (* access sizes are 1, 2, 4 or 8, so a mask is the alignment test: this
-     runs on every load and store, and a division costs tens of cycles *)
-  if addr land (size - 1) <> 0 then
-    raise (Machine_fault (F_misalign, addr, size, store))
-
-let do_load m ~addr ~size =
-  check_access ~addr ~size ~store:false;
-  (* unmapped / protection check via the ia32 layer *)
-  match
-    if size = 8 then Ia32.Memory.read64 m.mem addr
-    else Int64.of_int (Ia32.Memory.read size m.mem addr)
-  with
-  | v -> v
-  | exception Ia32.Fault.Fault _ -> raise (Machine_fault (F_page, addr, size, false))
-
-let do_store m ~addr ~size v =
-  check_access ~addr ~size ~store:true;
-  (match
-     if size = 8 then Ia32.Memory.write64 m.mem addr v
-     else Ia32.Memory.write size m.mem addr (Int64.to_int (Int64.logand v (Int64.of_int (if size = 4 then 0xFFFFFFFF else (1 lsl (8*size)) - 1))))
-   with
-  | () -> ()
-  | exception Ia32.Fault.Fault _ -> raise (Machine_fault (F_page, addr, size, true)));
-  (* an overlapping store kills matching ALAT entries; fold out the
-     victims first (removal while iterating is unspecified), which costs
-     nothing on the common empty-ALAT path. After the write, so a faulting
-     store leaves the ALAT untouched exactly like the pre-validated path *)
+(* An overlapping store kills matching ALAT entries; fold out the victims
+   first (removal while iterating is unspecified), which costs nothing on
+   the common empty-ALAT path. Called after the write, so a faulting
+   store leaves the ALAT untouched. *)
+let kill_alat m ~addr ~size =
   if Hashtbl.length m.alat > 0 then begin
     let victims =
       Hashtbl.fold
@@ -220,6 +189,24 @@ let do_store m ~addr ~size v =
     in
     List.iter (Hashtbl.remove m.alat) victims
   end
+
+(* The 8-byte accesses. An aligned access never straddles a page (page
+   size is a multiple of every access size), so the unmapped / protection
+   checks ride on the ia32 layer's own page lookup. [Exec] does the 1-,
+   2- and 4-byte accesses itself, with ints, in the same order:
+   misalignment, then the page, then the ALAT kill. *)
+let load64 m ~addr =
+  if addr land 7 <> 0 then raise (Machine_fault (F_misalign, addr, 8, false));
+  match Ia32.Memory.read64 m.mem addr with
+  | v -> v
+  | exception Ia32.Fault.Fault _ -> raise (Machine_fault (F_page, addr, 8, false))
+
+let store64 m ~addr v =
+  if addr land 7 <> 0 then raise (Machine_fault (F_misalign, addr, 8, true));
+  (match Ia32.Memory.write64 m.mem addr v with
+  | () -> ()
+  | exception Ia32.Fault.Fault _ -> raise (Machine_fault (F_page, addr, 8, true)));
+  kill_alat m ~addr ~size:8
 
 (* ---- timing ----------------------------------------------------------- *)
 

@@ -101,11 +101,6 @@ val edgec_saturate : int
 
 val create : ?cost:Cost.t -> ?dcache:Dcache.t -> Ia32.Memory.t -> Tcache.t -> t
 
-val dcache_access : t -> int -> int
-(** Dcache-model stall cycles for an access at an address — 0 inside the
-    [dc_skip] range, {!Dcache.access} otherwise. The single charge point
-    for all load/store cost. *)
-
 (** {1 Register access} *)
 
 val get : t -> Insn.gr -> int64
@@ -142,12 +137,18 @@ val charge : t -> int -> unit
 
 (** {1 Primitives of the execution core ({!Exec})} *)
 
-val do_load : t -> addr:int -> size:int -> int64
-(** @raise Machine_fault on misalignment or page fault. *)
+val load64 : t -> addr:int -> int64
+(** The 8-byte load. {!Exec} does 1-, 2- and 4-byte loads itself, with
+    ints, straight against {!Ia32.Memory}.
+    @raise Machine_fault on misalignment, then on a page fault. *)
 
-val do_store : t -> addr:int -> size:int -> int64 -> unit
-(** Stores, invalidating overlapping ALAT entries.
-    @raise Machine_fault on misalignment or page fault. *)
+val store64 : t -> addr:int -> int64 -> unit
+(** The 8-byte store, then {!kill_alat}.
+    @raise Machine_fault on misalignment, then on a page fault. *)
+
+val kill_alat : t -> addr:int -> size:int -> unit
+(** Drop the ALAT entries a store to [addr, addr + size) overlaps; every
+    store calls it after its write. *)
 
 val latency_of : t -> Insn.t -> int
 (** Result latency class of an instruction under [t.cost]. *)

@@ -96,6 +96,26 @@ let mem_tests =
         (* unwatched page *)
         check int "one hit" 1 (List.length !hits);
         check bool "addr" true (List.mem (0x1004, 4) !hits));
+    Alcotest.test_case "write watch: a store straddling into a watched page"
+      `Quick (fun () ->
+        (* The watch is on the second page only: the store's first byte
+           is on an unwatched page, its last two on the watched one. *)
+        let m = create () in
+        map m ~addr:0x1000 ~len:0x2000 ~prot:prot_rwx;
+        let hits = ref [] in
+        set_write_watch m (Some (fun a w -> hits := (a, w) :: !hits));
+        watch_page m 0x2000;
+        write32 m 0x1FFE 0x11223344;
+        check (Alcotest.list (Alcotest.pair int int)) "one hit, whole store"
+          [ (0x1FFE, 4) ] !hits;
+        check int "bytes stored" 0x11223344 (read32 m 0x1FFE);
+        hits := [];
+        (* and one that starts on the watched page and leaves it *)
+        unwatch_page m 0x2000;
+        watch_page m 0x1000;
+        write16 m 0x1FFF 0xBEEF;
+        check (Alcotest.list (Alcotest.pair int int)) "starts watched"
+          [ (0x1FFF, 2) ] !hits);
     Alcotest.test_case "load_bytes bypasses watch" `Quick (fun () ->
         let m = create () in
         map m ~addr:0x1000 ~len:0x1000 ~prot:prot_rwx;
@@ -377,6 +397,61 @@ let journal_tests =
         check int "touched pages returned" k (List.length touched);
         check int "pages restored == pages touched" k
           (Journal.pages_restored m - before));
+    Alcotest.test_case "an epoch id is not reused after a commit" `Quick
+      (fun () ->
+        (* the page keeps the committed epoch's stamp; a later epoch
+           must still record its first touch *)
+        let m = create () in
+        map m ~addr:0x1000 ~len:page_size ~prot:prot_rw;
+        Journal.push m;
+        write32 m 0x1010 5;
+        Journal.commit m;
+        Journal.push m;
+        write32 m 0x1010 6;
+        ignore (Journal.revert m);
+        check int "the later epoch's write reverted" 5 (read32 m 0x1010));
+    Alcotest.test_case "a committed pre-image is not recycled" `Quick
+      (fun () ->
+        (* the inner epoch's pre-image of 0x1000 moves to the outer one
+           at commit; the next first touch must not write into it *)
+        let m = create () in
+        map m ~addr:0x1000 ~len:(2 * page_size) ~prot:prot_rw;
+        write32 m 0x1010 1;
+        write32 m 0x2010 2;
+        Journal.push m;
+        Journal.push m;
+        write32 m 0x1010 10;
+        Journal.commit m;
+        Journal.push m;
+        write32 m 0x2010 20;
+        ignore (Journal.revert m);
+        check int "inner revert" 2 (read32 m 0x2010);
+        check int "committed write kept" 10 (read32 m 0x1010);
+        ignore (Journal.revert m);
+        check int "outer revert" 1 (read32 m 0x1010);
+        check int "untouched by the outer epoch" 2 (read32 m 0x2010));
+    Alcotest.test_case "no stale page after unmap, revert or unwatch" `Quick
+      (fun () ->
+        let m = create () in
+        let hits = ref 0 in
+        set_write_watch m (Some (fun _ _ -> incr hits));
+        map m ~addr:0x1000 ~len:page_size ~prot:prot_rw;
+        write8 m 0x1000 1;
+        unmap m ~addr:0x1000 ~len:page_size;
+        check int "unmapped page" (-1) (page_gen m 0x1000);
+        Journal.push m;
+        map m ~addr:0x1000 ~len:page_size ~prot:prot_rw;
+        check int "mapped again" 0 (read8 m 0x1000);
+        ignore (Journal.revert m);
+        Alcotest.check_raises "reverted map"
+          (Fault.Fault (Fault.Page_fault (0x1000, Fault.Read)))
+          (fun () -> ignore (read8 m 0x1000));
+        map m ~addr:0x1000 ~len:page_size ~prot:prot_rw;
+        watch_page m 0x1000;
+        write8 m 0x1000 1;
+        unwatch_page m 0x1000;
+        write8 m 0x1000 2;
+        check int "one watched store" 1 !hits);
   ]
 
 let fpu_tests =
@@ -1200,6 +1275,297 @@ let dirty_tests =
   ]
 
 (* ---------------------------------------------------------------- *)
+(* Memory against a naive model                                      *)
+(* ---------------------------------------------------------------- *)
+
+(* The model keeps what [Memory] promises and none of its mechanism: a
+   map from page number to the page's bytes and protection, a set of
+   watched pages, and the journal as a list of saved maps. Every access
+   goes byte by byte, so the first inaccessible byte is the fault
+   address, and a store notifies when any page it touched is watched. *)
+module Model = struct
+  module Im = Map.Make (Int)
+
+  type t = {
+    mutable pages : (string * Memory.prot) Im.t;
+    mutable watched : int list;
+    mutable journal : (string * Memory.prot) Im.t list;
+  }
+
+  let create () = { pages = Im.empty; watched = []; journal = [] }
+  let page a = Word.mask32 a lsr Memory.page_bits
+  let off a = Word.mask32 a land (Memory.page_size - 1)
+  let fault a acc = raise (Fault.Fault (Fault.Page_fault (Word.mask32 a, acc)))
+
+  let byte ok acc t a =
+    match Im.find_opt (page a) t.pages with
+    | Some (d, prot) when ok prot -> (d, prot)
+    | _ -> fault a acc
+
+  let read8 t a =
+    let d, _ = byte (fun p -> p.Memory.read) Fault.Read t a in
+    Char.code d.[off a]
+
+  let set8 ok t a v =
+    let d, prot = byte ok Fault.Write t a in
+    let b = Bytes.of_string d in
+    Bytes.set b (off a) (Char.chr (v land 0xFF));
+    t.pages <- Im.add (page a) (Bytes.to_string b, prot) t.pages
+
+  (* A read within one page faults at its address; one that straddles
+     reads from its last byte down, so it faults at its last
+     inaccessible byte. *)
+  let read t a n =
+    if off a + n <= Memory.page_size then ignore (read8 t a);
+    let v = ref 0 in
+    for i = n - 1 downto 0 do
+      v := (!v lsl 8) lor read8 t (a + i)
+    done;
+    !v
+
+  (* the stores of one [write] call, and the watch callbacks they fire *)
+  let write t a n v =
+    for i = 0 to n - 1 do
+      set8 (fun p -> p.Memory.write) t (a + i) (v lsr (8 * i))
+    done;
+    if List.exists (fun p -> List.mem p t.watched) [ page a; page (a + n - 1) ]
+    then [ (Word.mask32 a, n) ]
+    else []
+
+  let map t p n prot =
+    for q = p to p + n - 1 do
+      t.pages <-
+        Im.add q
+          (match Im.find_opt q t.pages with
+          | Some (d, _) -> (d, prot)
+          | None -> (String.make Memory.page_size '\000', prot))
+          t.pages
+    done
+
+  let unmap t p =
+    t.pages <- Im.remove p t.pages;
+    t.watched <- List.filter (( <> ) p) t.watched
+
+  let protect t p prot =
+    match Im.find_opt p t.pages with
+    | Some (d, _) -> t.pages <- Im.add p (d, prot) t.pages
+    | None -> ()
+
+  let load t a s =
+    String.iteri (fun i c -> set8 (fun _ -> true) t (a + i) (Char.code c)) s
+end
+
+type mem_op =
+  | M_map of int * int * bool (* page, pages, writable *)
+  | M_unmap of int
+  | M_protect of int * bool
+  | M_watch of int
+  | M_unwatch of int
+  | M_set_watched of int list
+  | M_read of int * int * int (* width, page, offset index *)
+  | M_write of int * int * int * int (* width, page, offset index, value *)
+  | M_load of int * int * int (* page, offset index, length *)
+  | M_push
+  | M_revert
+  | M_commit
+  | M_copy
+
+(* Page 0x50 shares a TLB entry with page 0x10; offsets include the
+   last bytes of a page, so wider accesses straddle into the next. *)
+let model_pages = [| 0x10; 0x11; 0x12; 0x50 |]
+let model_offsets = [| 0; 1; 2; 100; 2048; 4092; 4093; 4094; 4095 |]
+
+let show_mem_op = function
+  | M_map (p, n, w) -> Printf.sprintf "map %x+%d %s" p n (if w then "rw" else "rx")
+  | M_unmap p -> Printf.sprintf "unmap %x" p
+  | M_protect (p, w) -> Printf.sprintf "protect %x %s" p (if w then "rw" else "rx")
+  | M_watch p -> Printf.sprintf "watch %x" p
+  | M_unwatch p -> Printf.sprintf "unwatch %x" p
+  | M_set_watched l ->
+    "set_watched [" ^ String.concat ";" (List.map (Printf.sprintf "%x") l) ^ "]"
+  | M_read (n, p, o) -> Printf.sprintf "read%d %x+%d" (8 * n) p model_offsets.(o)
+  | M_write (n, p, o, v) ->
+    Printf.sprintf "write%d %x+%d=%d" (8 * n) p model_offsets.(o) v
+  | M_load (p, o, len) -> Printf.sprintf "load %x+%d/%d" p model_offsets.(o) len
+  | M_push -> "push"
+  | M_revert -> "revert"
+  | M_commit -> "commit"
+  | M_copy -> "copy"
+
+let gen_mem_op =
+  let open QCheck.Gen in
+  let page = oneofa model_pages in
+  let offset = int_bound (Array.length model_offsets - 1) in
+  let width = oneofa [| 1; 2; 4; 8 |] in
+  frequency
+    [
+      (2, map (fun ((p, n), w) -> M_map (p, n, w)) (pair (pair page (int_range 1 2)) bool));
+      (1, map (fun p -> M_unmap p) page);
+      (1, map (fun (p, w) -> M_protect (p, w)) (pair page bool));
+      (2, map (fun p -> M_watch p) page);
+      (2, map (fun p -> M_unwatch p) page);
+      (1, map (fun l -> M_set_watched l) (list_size (int_bound 2) page));
+      (6, map (fun ((n, p), o) -> M_read (n, p, o)) (pair (pair width page) offset));
+      ( 8,
+        map
+          (fun (((n, p), o), v) -> M_write (n, p, o, v))
+          (pair (pair (pair width page) offset) (int_bound 0xFFFF)) );
+      (1, map (fun ((p, o), len) -> M_load (p, o, len)) (pair (pair page offset) (int_range 1 6000)));
+      (3, return M_push);
+      (3, return M_revert);
+      (2, return M_commit);
+      (1, return M_copy);
+    ]
+
+let arbitrary_mem_ops =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_mem_op ops))
+    QCheck.Gen.(list_size (int_range 1 60) gen_mem_op)
+
+(* Run [ops] on a memory and the model side by side. After every step
+   the two must agree on the step's result (a value or a fault), on the
+   watch callbacks it fired, and on the whole address space: the pages
+   mapped, their bytes ([first_diff] against a memory built from the
+   model, both ways), and which pages are watched. *)
+let memory_model_holds ops =
+  let open Memory in
+  let m = ref (create ()) and md = Model.create () in
+  let hits = ref [] in
+  let watch_on mem = set_write_watch mem (Some (fun a w -> hits := (a, w) :: !hits)) in
+  watch_on !m;
+  let prot w = if w then prot_rw else prot_rx in
+  let result f g =
+    let r = match f () with v -> Ok v | exception Fault.Fault e -> Error e in
+    let r' = match g () with v -> Ok v | exception Fault.Fault e -> Error e in
+    (r, r')
+  in
+  let show = function
+    | Ok v -> Printf.sprintf "%#x" v
+    | Error e -> Fault.to_string e
+  in
+  let from_model () =
+    let f = create () in
+    Model.Im.iter
+      (fun p (d, pr) ->
+        map f ~addr:(p * page_size) ~len:page_size ~prot:pr;
+        load_bytes f (p * page_size) d)
+      md.Model.pages;
+    f
+  in
+  List.iteri
+    (fun step op ->
+      let fail fmt =
+        QCheck.Test.fail_reportf ("step %d (%s): " ^^ fmt) step (show_mem_op op)
+      in
+      let expect = ref [] in
+      hits := [];
+      (match op with
+      | M_map (p, n, w) ->
+        map !m ~addr:(p * page_size) ~len:(n * page_size) ~prot:(prot w);
+        Model.map md p n (prot w)
+      | M_unmap p ->
+        unmap !m ~addr:(p * page_size) ~len:page_size;
+        Model.unmap md p
+      | M_protect (p, w) ->
+        protect !m ~addr:(p * page_size) ~len:page_size ~prot:(prot w);
+        Model.protect md p (prot w)
+      | M_watch p ->
+        watch_page !m (p * page_size);
+        if not (List.mem p md.Model.watched) then
+          md.Model.watched <- p :: md.Model.watched
+      | M_unwatch p ->
+        unwatch_page !m (p * page_size);
+        md.Model.watched <- List.filter (( <> ) p) md.Model.watched
+      | M_set_watched l ->
+        set_watched_pages !m l;
+        md.Model.watched <- List.sort_uniq compare l
+      | M_read (n, p, o) ->
+        let a = (p * page_size) + model_offsets.(o) in
+        let got, want =
+          if n = 8 then
+            result
+              (fun () -> Int64.to_int (read64 !m a))
+              (fun () ->
+                (* [read64] reads its high word first *)
+                let hi = Model.read md (a + 4) 4 in
+                Int64.to_int (Word.to_i64 ~lo:(Model.read md a 4) ~hi))
+          else result (fun () -> read n !m a) (fun () -> Model.read md a n)
+        in
+        if got <> want then fail "read %s, model %s" (show got) (show want)
+      | M_write (n, p, o, v) ->
+        let a = (p * page_size) + model_offsets.(o) in
+        let v = v * 0x10001 in
+        let got, want =
+          if n = 8 then
+            result
+              (fun () -> write64 !m a (Word.to_i64 ~lo:v ~hi:(v lxor 0xFFFF)))
+              (fun () ->
+                expect := Model.write md a 4 v;
+                expect := !expect @ Model.write md (a + 4) 4 (v lxor 0xFFFF))
+          else
+            result (fun () -> write n !m a v) (fun () -> expect := Model.write md a n v)
+        in
+        let show = function Ok () -> "ok" | Error e -> Fault.to_string e in
+        if got <> want then fail "write %s, model %s" (show got) (show want)
+      | M_load (p, o, len) ->
+        let a = (p * page_size) + model_offsets.(o) in
+        let s = String.init len (fun i -> Char.chr (((i * 7) + step) land 0xFF)) in
+        let got, want = result (fun () -> load_bytes !m a s) (fun () -> Model.load md a s) in
+        let show = function Ok () -> "ok" | Error e -> Fault.to_string e in
+        if got <> want then fail "load %s, model %s" (show got) (show want)
+      | M_push ->
+        Journal.push !m;
+        md.Model.journal <- md.Model.pages :: md.Model.journal
+      | M_revert -> (
+        match md.Model.journal with
+        | saved :: rest ->
+          ignore (Journal.revert !m);
+          md.Model.pages <- saved;
+          md.Model.journal <- rest
+        | [] -> ())
+      | M_commit -> (
+        match md.Model.journal with
+        | _ :: rest ->
+          Journal.commit !m;
+          md.Model.journal <- rest
+        | [] -> ())
+      | M_copy ->
+        let c = copy !m in
+        if first_diff !m c <> None then fail "copy differs";
+        m := c;
+        watch_on c;
+        md.Model.journal <- []);
+      if List.rev !hits <> !expect then
+        fail "watch callbacks [%s], model [%s]"
+          (String.concat ";" (List.map (fun (a, w) -> Printf.sprintf "%#x/%d" a w) (List.rev !hits)))
+          (String.concat ";" (List.map (fun (a, w) -> Printf.sprintf "%#x/%d" a w) !expect));
+      if Journal.depth !m <> List.length md.Model.journal then
+        fail "journal depth %d, model %d" (Journal.depth !m)
+          (List.length md.Model.journal);
+      let f = from_model () in
+      (match (first_diff !m f, first_diff f !m) with
+      | None, None -> ()
+      | Some a, _ | None, Some a -> fail "memory differs from the model at %#x" a);
+      Array.iter
+        (fun p ->
+          List.iter
+            (fun q ->
+              let a = q * page_size in
+              let mapped = Model.Im.mem q md.Model.pages in
+              if (page_gen !m a >= 1) <> mapped then
+                fail "page_gen %x = %d, model mapped %b" q (page_gen !m a) mapped;
+              if page_watched !m a <> List.mem q md.Model.watched then
+                fail "page %x watched %b" q (page_watched !m a))
+            [ p; p + 1 ])
+        model_pages)
+    ops;
+  true
+
+let qcheck_memory_model =
+  QCheck.Test.make ~name:"memory agrees with a naive model at every step"
+    ~count:1000 arbitrary_mem_ops memory_model_holds
+
+(* ---------------------------------------------------------------- *)
 (* Interpreter                                                       *)
 (* ---------------------------------------------------------------- *)
 
@@ -1726,6 +2092,7 @@ let () =
       ("roundtrip-qcheck", [ QCheck_alcotest.to_alcotest qcheck_roundtrip ]);
       ("first-diff", [ QCheck_alcotest.to_alcotest qcheck_first_diff ]);
       ("dirty-compare", dirty_tests);
+      ("memory-model", [ QCheck_alcotest.to_alcotest qcheck_memory_model ]);
       ("roundtrip-fuzzgen", fuzzgen_roundtrip_tests);
       ("interp", interp_tests);
       ("asm", asm_tests);

@@ -190,6 +190,53 @@ let recv_into_own_block_test =
       check bool "the write invalidated the block" true
         ((L.engine s).E.acct.Ia32el.Account.smc_invalidations > 0))
 
+let store_before_block_test =
+  Alcotest.test_case "a store that starts before a block rewrites it" `Quick
+    (fun () ->
+      (* The aligned 4-byte store covers two nops no block holds and the
+         first two bytes of the block at "tgt": it leaves the mov's
+         opcode as it is and sets the low byte of its imm32 to 0x77. It
+         starts before the block, so an SMC check of the store's first
+         byte alone misses it and the engine keeps running the old
+         imm; the reference runs the new one from the second iteration. *)
+      let open Insn in
+      let code =
+        Asm.(
+          [ label "start"; i (Mov (S32, R Esi, I 3)); label "loop"; jmp "tgt" ]
+          @ List.init 4 (fun _ -> i Nop)
+          @ [
+              label "tgt";
+              i (Mov (S32, R Ecx, I 0x11111111));
+              with_lab "tgt" (fun a ->
+                  Mov (S32, M (Insn.mem_abs (a - 2)), I 0x77B99090));
+              i (Dec (S32, R Esi));
+              jcc Ne "loop";
+              with_lab "out" (fun a -> Mov (S32, M (Insn.mem_abs a), R Ecx));
+            ]
+          @ exit0)
+      in
+      let image = Asm.build ~code ~data:Asm.[ label "out"; space 8 ] () in
+      check int "the store is aligned" 0 ((image.Asm.lookup "tgt" - 2) land 3);
+      let mem = Memory.create () in
+      let st = Asm.load ~writable_code:true image mem in
+      let captured = ref None in
+      let report =
+        L.run ~fuel:10_000_000
+          ~attach:(fun e -> captured := Some e)
+          ~btlib:(module Btlib.Linuxsim)
+          mem st
+      in
+      (match report.L.divergence with
+      | Some d -> Alcotest.failf "diverged:@.%a" (fun ppf -> L.pp_divergence ppf) d
+      | None -> ());
+      (match report.L.outcome with
+      | Some (E.Exited (0, _)) -> ()
+      | _ -> Alcotest.fail "expected clean exit");
+      check int "the rewritten imm ran" 0x11111177
+        (Memory.read32 mem (image.Asm.lookup "out"));
+      check bool "SMC invalidation counted" true
+        ((Option.get !captured).E.acct.Ia32el.Account.smc_invalidations > 0))
+
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder: invalidation storm -> stage-2/3 -> interp-only   *)
 (* ------------------------------------------------------------------ *)
@@ -545,6 +592,7 @@ let () =
         [
           smc_abort_test;
           recv_into_own_block_test;
+          store_before_block_test;
           degradation_test;
           seeded_bug_test;
           two_page_memory_diff_test;
