@@ -10,7 +10,12 @@
     or {!load_bytes}) gives it a private one. Mapping a large region
     therefore costs a page record per page, not a zeroed 4 KiB buffer;
     taking that private buffer does not bump the page's write
-    generation (the store itself does, once). *)
+    generation (the store itself does, once).
+
+    Pages are found through a small direct-mapped page TLB in front of
+    the page table, so an access to a recently used page costs one
+    compare and allocates nothing; it is invisible to every operation
+    below, the table's iteration order ({!first_diff}) included. *)
 
 val page_bits : int
 val page_size : int
@@ -38,8 +43,10 @@ val prot_of : t -> int -> prot option
 val mapped_pages : t -> int list
 (** Sorted page numbers of every mapped page (crash-capsule dumps). *)
 
-(** [set_write_watch t (Some f)] makes every write to a watched page call
-    [f addr width] after the bytes are stored. *)
+(** [set_write_watch t (Some f)] makes every store that writes a byte of
+    a watched page call [f addr width] once, after the bytes are stored,
+    with the whole store's address and width: a store that straddles
+    from an unwatched page into a watched one notifies too. *)
 val set_write_watch : t -> (int -> int -> unit) option -> unit
 
 val watch_page : t -> int -> unit
@@ -78,7 +85,12 @@ val read32 : t -> int -> int
 val write16 : t -> int -> int -> unit
 val write32 : t -> int -> int -> unit
 
-(** [read size t addr] / [write size t addr v] with [size] in bytes (1-4). *)
+(** [read size t addr] / [write size t addr v] with [size] in bytes (1-4).
+    An access inside one page is one word-wide access and faults at
+    [addr]. One that straddles two pages goes byte by byte: a read from
+    its last byte down, so it faults at its last inaccessible byte; a
+    write from its first byte up, so it faults at its first unwritable
+    byte after storing the bytes before it. *)
 val read : int -> t -> int -> int
 val write : int -> t -> int -> int -> unit
 
@@ -172,6 +184,13 @@ end
     [commit] folds the innermost epoch into its parent (the parent's
     older pre-images win), making the changes permanent relative to the
     inner epoch while the outer one can still revert them.
+
+    The first-touch test is one compare: each epoch has an id that its
+    memory never hands out again, and each page carries the id of the
+    epoch holding its pre-image. Pre-image buffers that a [revert] blits
+    back, or that a [commit] drops because the parent holds an older
+    pre-image, are kept on the memory and reused by the next first touch,
+    so a steady push/revert cycle stops allocating them.
 
     The journal is intentionally ignorant of the write watch: snapshot
     layers above capture and restore the watched-page set themselves

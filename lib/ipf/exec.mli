@@ -2,7 +2,12 @@
     programs.
 
     Each instruction compiles to a closure over its resolved operands;
-    these closures are the only IPF instruction semantics. {!run} strings
+    these closures are the only IPF instruction semantics. A load or
+    store of 1, 2 or 4 bytes passes ints straight to {!Ia32.Memory}, so
+    no value is boxed on the way; an 8-byte one goes through
+    {!Machine.load64} or {!Machine.store64}. Either checks alignment
+    before the page, and a store kills overlapping ALAT entries after
+    its write. {!run} strings
     them into programs, compiled lazily per entry (bundle, slot). A
     program covers the fall-through chain of issue groups from its entry:
     it ends with the first group holding an unconditional branch (which
