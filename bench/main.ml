@@ -685,8 +685,8 @@ let forkserver_rate ~min_time =
 
 (* Per-input layers of the fork server, in process: [bases] generated
    programs, each serving its base input and then [per_base] mutated
-   ones the way [Fuzz.server_run] does — both vehicles snapshot (push),
-   the pair runs in lockstep (run), both revert (revert). Host
+   ones the way [Fuzz.server_run] does: [Lockstep.snapshot] (push), the
+   pair runs in lockstep (run), [Lockstep.revert] (revert). Host
    milliseconds per input for each phase and major collections per 1000
    inputs come from one pass; a second pass over the same inputs counts
    the pages each commit point's memory compare examines (the pages on
@@ -732,7 +732,7 @@ let forkserver_split ~bases ~per_base =
       in
       let s = L.create ~attach ~btlib:(module Btlib.Linuxsim) mem st0 in
       rmem := L.reference_mem s;
-      let e = L.engine s and rvos = L.reference_vos s in
+      let e = L.engine s in
       for i = 0 to per_base do
         let muts =
           if i = 0 then []
@@ -741,12 +741,7 @@ let forkserver_split ~bases ~per_base =
               (1 + F.Rng.int mrng 32)
               (fun _ -> (F.Rng.int mrng F.mutation_span, F.Rng.int mrng 256))
         in
-        let tp, ck =
-          wall (fun () ->
-              ignore (E.snapshot ~barrier:false e);
-              M.Journal.push !rmem;
-              Btlib.Vos.checkpoint rvos)
-        in
+        let tp, () = wall (fun () -> L.snapshot s) in
         List.iter
           (fun (off, v) ->
             let a = F.scratch_base + (off mod F.mutation_span) in
@@ -754,12 +749,7 @@ let forkserver_split ~bases ~per_base =
             M.write8 !rmem a (v land 0xFF))
           muts;
         let tr, _ = wall (fun () -> L.run_in ~fuel:12_000_000 s) in
-        let tv, () =
-          wall (fun () ->
-              ignore (E.revert e);
-              ignore (M.Journal.revert !rmem);
-              Btlib.Vos.restore rvos ck)
-        in
+        let tv, () = wall (fun () -> L.revert s) in
         push := !push +. tp;
         run := !run +. tr;
         revert := !revert +. tv;

@@ -208,7 +208,6 @@ let obs_finish o labels eng =
 type tcache_opts = {
   tc_file : string option;
   tc_readonly : bool;
-  tc_no_verify : bool;
 }
 
 (* Returns (attach, finish): [attach] installs the persistent-store
@@ -242,8 +241,7 @@ let tcache_setup ?timers tc ~(config : Ia32el.Config.t) (w : C.t) ~scale
     let attach eng =
       session :=
         Some
-          (Persist.attach ~verify:(not tc.tc_no_verify)
-             ~readonly:tc.tc_readonly store eng)
+          (Persist.attach ~readonly:tc.tc_readonly store eng)
     in
     let finish () =
       match !session with
@@ -371,7 +369,7 @@ let replay_cmd file =
 let run_cmd name model scale stats lockstep inject trace_file trace_stderr
     profile_top metrics_file sample_interval flame_file host_timers
     threads quantum max_cycles snap_every capsule replay sabotage
-    tcache_file tcache_readonly no_tcache_verify =
+    tcache_file tcache_readonly =
   (match replay with
   | Some file -> replay_cmd file; exit 0
   | None -> ());
@@ -403,13 +401,7 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
       timers = (if host_timers then Some (Obs.Timers.create ()) else None);
     }
   in
-  let tc =
-    {
-      tc_file = tcache_file;
-      tc_readonly = tcache_readonly;
-      tc_no_verify = no_tcache_verify;
-    }
-  in
+  let tc = { tc_file = tcache_file; tc_readonly = tcache_readonly } in
   let model =
     match model with
     | M_el (c, d) ->
@@ -783,25 +775,13 @@ let tcache_readonly_arg =
            recorded translations but record nothing and never write the \
            file back.")
 
-let no_tcache_verify_arg =
-  Arg.(
-    value & flag
-    & info [ "no-tcache-verify" ]
-        ~doc:
-          "Skip the semantic per-entry validations (source-byte span, \
-           TOS/flag, hot-profile seeds) when installing from the \
-           persistent translation cache. Structural checks (checksums, \
-           arena pins, branch-target bounds) still run. Only safe when \
-           the cache is known to match this exact run.")
-
 let run_t =
   Term.(
     const run_cmd $ workload_arg $ model_arg $ scale_arg $ stats_arg
     $ lockstep_arg $ inject_arg $ trace_arg $ trace_stderr_arg $ profile_arg
     $ metrics_arg $ sample_arg $ flame_arg $ host_timers_arg
     $ threads_arg $ quantum_arg $ max_cycles_arg $ snapshot_every_arg $ capsule_arg
-    $ replay_arg $ sabotage_arg $ tcache_file_arg $ tcache_readonly_arg
-    $ no_tcache_verify_arg)
+    $ replay_arg $ sabotage_arg $ tcache_file_arg $ tcache_readonly_arg)
 
 let run_info =
   Cmd.info "run" ~doc:"Run one workload under a chosen execution model."

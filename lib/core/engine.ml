@@ -61,7 +61,7 @@ type t = {
   icache : Ia32.Icache.t; (* shared by every state the engine interprets *)
   (* snapshot / rewind ---------------------------------------------------- *)
   mutable snapshots : epoch list; (* innermost first *)
-  mutable spare_tables : tables list; (* of reverted or committed epochs *)
+  mutable spare_tables : tables list; (* of reverted epochs *)
   mutable snap_next_id : int;
   mutable max_cycles : int option; (* watchdog: Bt_error past this clock *)
   mutable snap_every : int option; (* auto-snapshot every N syscall commits *)
@@ -130,10 +130,10 @@ and epoch = {
 
 (* Copies of the machine's fixed-size tables: the registers, the timing
    arrays, the hot and edge counters and the dcache model. An epoch's
-   copies are handed back to [spare_tables] when it is reverted or
-   committed, and the next snapshot refills them, so opening an epoch
-   allocates none of these arrays. Only closed epochs hand theirs back,
-   so one set never backs two open epochs. *)
+   copies are handed back to [spare_tables] when it is reverted, and
+   the next snapshot refills them, so opening an epoch allocates none
+   of these arrays. Only closed epochs hand theirs back, so one set
+   never backs two open epochs. *)
 and tables = {
   tb_buckets : int array;
   tb_gr : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
@@ -643,15 +643,6 @@ let pages_restored t = Ia32.Memory.Journal.pages_restored t.mem
 let epoch_id e = e.e_id
 let epoch_trace_index e = e.e_trace_index
 
-(* Nearest open epoch at or before an absolute trace event index — the
-   time-travel query: "which snapshot can rewind to before this event?" *)
-let epoch_for_event t idx =
-  let rec find = function
-    | [] -> None
-    | e :: rest -> if e.e_trace_index <= idx then Some e.e_id else find rest
-  in
-  find t.snapshots
-
 let restore_table ~src ~dst =
   Hashtbl.reset dst;
   Hashtbl.iter (fun k v -> Hashtbl.replace dst k v) src
@@ -767,19 +758,6 @@ let revert_impl t =
     touched
 
 let revert t = timed_snapshot_op t (fun () -> revert_impl t)
-
-let commit_snapshot t =
-  match t.snapshots with
-  | [] -> invalid_arg "Engine.commit_snapshot: no snapshot epoch open"
-  | e :: rest ->
-    t.snapshots <- rest;
-    t.spare_tables <- e.e_tables :: t.spare_tables;
-    (* the child's kills happened inside the parent's epoch too *)
-    (match rest with
-    | p :: _ when not (p.e_barrier || p.e_flushed) ->
-      p.e_killed := !(e.e_killed) @ !(p.e_killed)
-    | _ -> ());
-    Ia32.Memory.Journal.commit t.mem
 
 (* ---- runaway-guest watchdog ---------------------------------------------
 

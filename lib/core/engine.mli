@@ -77,8 +77,8 @@ type t = {
   mutable snapshots : epoch list;
       (** open snapshot epochs, innermost first; see {!snapshot} *)
   mutable spare_tables : tables list;
-      (** machine-table copies of reverted or committed epochs, refilled
-          by the next {!snapshot} instead of allocating *)
+      (** machine-table copies of reverted epochs, refilled by the
+          next {!snapshot} instead of allocating *)
   mutable snap_next_id : int;
   mutable max_cycles : int option;
       (** runaway-guest watchdog: when set, a structured [Bt_error]
@@ -165,10 +165,10 @@ val run : ?fuel:int -> t -> Ia32.State.t -> outcome
 
     An epoch's copies of the machine's fixed-size tables (registers,
     timing arrays, the 4096-slot hot and edge counters, the dcache
-    model) are recycled: {!revert} and {!commit_snapshot} hand them to
-    the next {!snapshot}, which refills them in place with
-    write-barrier-free copies. Only a closed epoch's copies are
-    recycled, so two open epochs never share one. *)
+    model) are recycled: {!revert} hands them to the next {!snapshot},
+    which refills them in place with write-barrier-free copies. Only a
+    closed epoch's copies are recycled, so two open epochs never share
+    one. *)
 
 val snapshot : ?barrier:bool -> t -> int
 (** Open a snapshot epoch; returns its id. With [barrier:true] (default
@@ -209,11 +209,6 @@ val revert : t -> int list
     the same ids.
     @raise Invalid_argument when no epoch is open. *)
 
-val commit_snapshot : t -> unit
-(** Pop the innermost epoch keeping all changes (folds the page journal
-    and the kill log into the parent epoch, if any).
-    @raise Invalid_argument when no epoch is open. *)
-
 val snapshot_depth : t -> int
 
 val pages_restored : t -> int
@@ -222,12 +217,6 @@ val pages_restored : t -> int
 
 val epoch_id : epoch -> int
 val epoch_trace_index : epoch -> int
-
-val epoch_for_event : t -> int -> int option
-(** [epoch_for_event t idx] is the id of the innermost open epoch whose
-    snapshot was taken at or before absolute trace event index [idx] —
-    i.e. the snapshot that can rewind the run to just before that traced
-    event. *)
 
 (** {2 Graceful degradation}
 

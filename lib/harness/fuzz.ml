@@ -1921,10 +1921,8 @@ let campaign cfg =
 type server = {
   srv_session : L.session;
   srv_fuel : int;
-  mutable srv_ck : Btlib.Vos.checkpoint option; (* ref-side OS checkpoint *)
   mutable srv_runs : int;
   mutable srv_translations : int;
-  mutable srv_translated0 : int; (* engine translations at the push *)
 }
 
 (* The mutable input region: the scratch area between the loop counters
@@ -1940,32 +1938,13 @@ let server_start ?config ?(fuel = 12_000_000) p =
   {
     srv_session;
     srv_fuel = fuel;
-    srv_ck = None;
     srv_runs = 0;
     srv_translations = 0;
-    srv_translated0 = 0;
   }
 
 let translated srv =
   let a = (L.engine srv.srv_session).E.acct in
   a.Ia32el.Account.cold_blocks + a.Ia32el.Account.hot_blocks
-
-let server_push srv =
-  ignore (E.snapshot ~barrier:false (L.engine srv.srv_session));
-  srv.srv_translated0 <- translated srv;
-  Memory.Journal.push (L.reference_mem srv.srv_session);
-  srv.srv_ck <- Some (Btlib.Vos.checkpoint (L.reference_vos srv.srv_session))
-
-let server_revert srv =
-  let e = L.engine srv.srv_session in
-  srv.srv_translations <-
-    srv.srv_translations + translated srv - srv.srv_translated0;
-  ignore (E.revert e);
-  ignore (Memory.Journal.revert (L.reference_mem srv.srv_session));
-  (match srv.srv_ck with
-  | Some ck -> Btlib.Vos.restore (L.reference_vos srv.srv_session) ck
-  | None -> ());
-  srv.srv_ck <- None
 
 let apply_mutation srv muts =
   let emem = (L.engine srv.srv_session).E.mem in
@@ -1978,7 +1957,8 @@ let apply_mutation srv muts =
     muts
 
 let server_run srv muts =
-  server_push srv;
+  L.snapshot srv.srv_session;
+  let translated0 = translated srv in
   apply_mutation srv muts;
   let result =
     match L.run_in ~fuel:srv.srv_fuel srv.srv_session with
@@ -1994,14 +1974,14 @@ let server_run srv muts =
     | exception ex -> R_crash (Printexc.to_string ex)
   in
   srv.srv_runs <- srv.srv_runs + 1;
-  server_revert srv;
+  srv.srv_translations <-
+    srv.srv_translations + translated srv - translated0;
+  L.revert srv.srv_session;
   result
 
 let server_runs srv = srv.srv_runs
 
-let server_pages_restored srv =
-  E.pages_restored (L.engine srv.srv_session)
-  + Memory.Journal.pages_restored (L.reference_mem srv.srv_session)
+let server_pages_restored srv = L.pages_restored srv.srv_session
 
 let server_translations srv = srv.srv_translations
 let server_engine srv = L.engine srv.srv_session

@@ -464,7 +464,8 @@ let exec_sse (st : State.t) x =
     | XM i -> State.get_xmm st i
     | XMem m ->
       let a = State.ea st m in
-      (Memory.read64 st.mem a, Memory.read64 st.mem (a + 8))
+      let lo = Memory.read64 st.mem a in
+      (lo, Memory.read64 st.mem (a + 8))
   in
   let write_xmm_rm rm (lo, hi) =
     match rm with

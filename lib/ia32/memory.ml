@@ -59,11 +59,6 @@ type epoch = {
   pre_images : (int, pre) Hashtbl.t; (* page number -> pre-image *)
 }
 
-type journal = {
-  mutable epochs : epoch list; (* innermost first *)
-  mutable restored : int; (* cumulative pages restored by [revert] *)
-}
-
 (* The page TLB: a direct-mapped cache of page records in front of the
    table, indexed by a fold of the page number ([tlb_index]). Both simulator
    inner loops touch a handful of pages (code, stack, data), so the hit
@@ -93,13 +88,14 @@ type t = {
   tlb_no : int array; (* page number per entry, -1 when empty *)
   tlb_pg : page array;
   tlb_watch : bool array; (* the page is in [watched] *)
-  mutable journal : journal option;
+  mutable epochs : epoch list; (* open journal epochs, innermost first *)
+  mutable restored : int; (* cumulative pages restored by [Journal.revert] *)
   (* Journal epoch ids: [epoch_ids] is the last id handed out, [epoch]
      the innermost open epoch's id, 0 when none is open. *)
   mutable epoch_ids : int;
   mutable epoch : int;
-  (* Pre-image buffers a revert or commit freed, for the next first
-     touch to reuse: referenced by nothing else. *)
+  (* Pre-image buffers a revert freed, for the next first touch to
+     reuse: referenced by nothing else. *)
   mutable spares : Bytes.t list;
   (* Dirty-page tracking for pairwise compares ([Dirty]). 0 = off, and
      every page's [seen] is then 0 too, so a store's check never fires.
@@ -131,7 +127,8 @@ let create () =
     tlb_no = Array.make tlb_size (-1);
     tlb_pg = Array.make tlb_size dummy_page;
     tlb_watch = Array.make tlb_size false;
-    journal = None;
+    epochs = [];
+    restored = 0;
     epoch_ids = 0;
     epoch = 0;
     spares = [];
@@ -197,13 +194,13 @@ let spare t d = if d != zero_page then t.spares <- d :: t.spares
    stamp left by an epoch that is no longer open is reset here when no
    epoch is. *)
 let record_pre t no pg =
-  match t.journal with
-  | Some { epochs = e :: _; _ } ->
+  match t.epochs with
+  | e :: _ ->
     Hashtbl.replace e.pre_images no
       (Pre_page
          { data = pre_copy t pg.data; prot = pg.prot; gen = pg.gen; stamp = pg.stamp });
     pg.stamp <- e.id
-  | Some { epochs = []; _ } | None -> pg.stamp <- 0
+  | [] -> pg.stamp <- 0
 
 let[@inline] journal_touch_pg t no pg =
   if pg.stamp <> t.epoch then record_pre t no pg
@@ -215,11 +212,11 @@ let journal_touch t no =
     match Hashtbl.find t.pages no with
     | pg -> journal_touch_pg t no pg
     | exception Not_found -> (
-      match t.journal with
-      | Some { epochs = e :: _; _ } ->
+      match t.epochs with
+      | e :: _ ->
         if not (Hashtbl.mem e.pre_images no) then
           Hashtbl.replace e.pre_images no Pre_absent
-      | Some { epochs = []; _ } | None -> ())
+      | [] -> ())
 
 (* Put page [no], held by record [pg], on the dirty list: one load and
    compare per mutating call, whether or not tracking is on. A page
@@ -363,12 +360,14 @@ let rec rd_le d base acc i =
       ((acc lsl 8) lor Char.code (Bytes.unsafe_get d (base + i)))
       (i - 1)
 
-let rec rd_slow t addr acc i =
-  if i < 0 then acc else rd_slow t addr ((acc lsl 8) lor read8 t (addr + i)) (i - 1)
+let rec rd_slow t addr acc i n =
+  if i >= n then acc
+  else rd_slow t addr (acc lor (read8 t (addr + i) lsl (8 * i))) (i + 1) n
 
 (* An access contained in one page is one word-wide [Bytes] access on
    the page found through the TLB. One that straddles goes byte by byte
-   from its last byte down, so it faults at its last inaccessible byte. *)
+   from its first byte up, so it faults at its lowest inaccessible
+   byte, as IA-32 reports it. *)
 let read_n t addr n =
   let off = offset_of addr in
   if off + n <= page_size then
@@ -378,7 +377,7 @@ let read_n t addr n =
     | 2 -> Bytes.get_uint16_le d off
     | 4 -> Int32.to_int (Bytes.get_int32_le d off) land 0xFFFF_FFFF
     | _ -> rd_le d off 0 (n - 1)
-  else rd_slow t addr 0 (n - 1)
+  else rd_slow t addr 0 0 n
 
 let rec wr_le d base v i n =
   if i < n then begin
@@ -423,8 +422,10 @@ let write32 t addr v = write_n t addr 4 v
 let read size t addr = read_n t addr size
 let write size t addr v = write_n t addr size v
 
+(* The low word first, so the lower half's fault is the one reported. *)
 let read64 t addr =
-  Word.to_i64 ~lo:(read32 t addr) ~hi:(read32 t (addr + 4))
+  let lo = read32 t addr in
+  Word.to_i64 ~lo ~hi:(read32 t (addr + 4))
 
 let write64 t addr v =
   write_n t addr 4 (Word.lo32 v);
@@ -479,7 +480,7 @@ let dump_bytes t addr len =
 
 (* Deep copy, for differential testing (golden model vs translator).
    Never-written pages keep sharing [zero_page]. The copy starts with an
-   empty TLB, no journal and no spares. *)
+   empty TLB, no journal epochs and no spares. *)
 let copy t =
   let pages = Hashtbl.create (Hashtbl.length t.pages) in
   Hashtbl.iter
@@ -516,107 +517,58 @@ let set_watched_pages t nos =
    for the innermost open epoch [e]: a mapped page's stamp is [e.id]
    exactly when [e] holds its pre-image. A pre-image keeps the stamp the
    page had, which [revert] puts back, so the parent's invariant holds
-   again; [commit] restamps the pages it hands to the parent. The
-   buffers a popped epoch no longer needs become the memory's spares. *)
+   again. The buffers a reverted epoch no longer needs become the
+   memory's spares. *)
 module Journal = struct
-  let active t = t.journal <> None
-
-  let depth t =
-    match t.journal with None -> 0 | Some j -> List.length j.epochs
-
-  let attach t =
-    if t.journal = None then t.journal <- Some { epochs = []; restored = 0 }
-
-  let detach t =
-    t.journal <- None;
-    t.epoch <- 0
+  let depth t = List.length t.epochs
 
   let push t =
-    attach t;
-    match t.journal with
-    | None -> assert false
-    | Some j ->
-      t.epoch_ids <- t.epoch_ids + 1;
-      t.epoch <- t.epoch_ids;
-      j.epochs <- { id = t.epoch; pre_images = Hashtbl.create 32 } :: j.epochs
+    t.epoch_ids <- t.epoch_ids + 1;
+    t.epoch <- t.epoch_ids;
+    t.epochs <- { id = t.epoch; pre_images = Hashtbl.create 32 } :: t.epochs
 
   let touched t =
-    match t.journal with
-    | Some { epochs = e :: _; _ } -> Hashtbl.length e.pre_images
-    | _ -> 0
+    match t.epochs with e :: _ -> Hashtbl.length e.pre_images | [] -> 0
 
-  let pages_restored t =
-    match t.journal with None -> 0 | Some j -> j.restored
-
-  let pop t j rest =
-    j.epochs <- rest;
-    t.epoch <- (match rest with p :: _ -> p.id | [] -> 0)
+  let pages_restored t = t.restored
 
   let revert t =
-    match t.journal with
-    | None -> invalid_arg "Memory.Journal.revert: no journal attached"
-    | Some j -> (
-      match j.epochs with
-      | [] -> invalid_arg "Memory.Journal.revert: no open epoch"
-      | e :: rest ->
-        pop t j rest;
-        let touched = ref [] in
-        Hashtbl.iter
-          (fun no pre ->
-            touched := no :: !touched;
-            j.restored <- j.restored + 1;
-            match pre with
-            | Pre_absent -> remove_page t no
-            | Pre_page { data; prot; gen; stamp } -> (
-              (* The popped epoch's pre-images are referenced nowhere
-                 else, so they may be adopted instead of copied; a blit
-                 never targets [zero_page]. A buffer blitted from, or
-                 one a page stops using, is spare. *)
-              match Hashtbl.find_opt t.pages no with
-              | Some pg ->
-                mark_dirty_pg t no pg;
-                if pg.data == zero_page then pg.data <- data
-                else if data == zero_page then begin
-                  spare t pg.data;
-                  pg.data <- data
-                end
-                else begin
-                  Bytes.blit data 0 pg.data 0 page_size;
-                  spare t data
-                end;
-                pg.prot <- prot;
-                pg.gen <- gen;
-                pg.stamp <- stamp
-              | None ->
-                Hashtbl.replace t.pages no
-                  (new_page t no ~data ~prot ~gen ~stamp)))
-          e.pre_images;
-        !touched)
-
-  let commit t =
-    match t.journal with
-    | None -> invalid_arg "Memory.Journal.commit: no journal attached"
-    | Some j -> (
-      match j.epochs with
-      | [] -> invalid_arg "Memory.Journal.commit: no open epoch"
-      | e :: rest ->
-        pop t j rest;
-        match rest with
-        | parent :: _ ->
-          (* The parent's own (older) pre-images win: they describe the
-             page as it stood when the OUTER epoch opened, and the inner
-             one's copy is spare. Every page the inner epoch touched now
-             has its pre-image in the parent. *)
-          Hashtbl.iter
-            (fun no pre ->
-              if not (Hashtbl.mem parent.pre_images no) then
-                Hashtbl.replace parent.pre_images no pre
-              else (match pre with Pre_page p -> spare t p.data | Pre_absent -> ());
-              match Hashtbl.find t.pages no with
-              | pg -> pg.stamp <- parent.id
-              | exception Not_found -> ())
-            e.pre_images
-        | [] -> ())
+    match t.epochs with
+    | [] -> invalid_arg "Memory.Journal.revert: no open epoch"
+    | e :: rest ->
+      t.epochs <- rest;
+      t.epoch <- (match rest with p :: _ -> p.id | [] -> 0);
+      let touched = ref [] in
+      Hashtbl.iter
+        (fun no pre ->
+          touched := no :: !touched;
+          t.restored <- t.restored + 1;
+          match pre with
+          | Pre_absent -> remove_page t no
+          | Pre_page { data; prot; gen; stamp } -> (
+            (* The popped epoch's pre-images are referenced nowhere
+               else, so they may be adopted instead of copied; a blit
+               never targets [zero_page]. A buffer blitted from, or one
+               a page stops using, is spare. *)
+            match Hashtbl.find_opt t.pages no with
+            | Some pg ->
+              mark_dirty_pg t no pg;
+              if pg.data == zero_page then pg.data <- data
+              else if data == zero_page then begin
+                spare t pg.data;
+                pg.data <- data
+              end
+              else begin
+                Bytes.blit data 0 pg.data 0 page_size;
+                spare t data
+              end;
+              pg.prot <- prot;
+              pg.gen <- gen;
+              pg.stamp <- stamp
+            | None ->
+              Hashtbl.replace t.pages no (new_page t no ~data ~prot ~gen ~stamp)))
+        e.pre_images;
+      !touched
 end
 
 let mapped_pages t =

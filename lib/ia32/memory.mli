@@ -87,14 +87,16 @@ val write32 : t -> int -> int -> unit
 
 (** [read size t addr] / [write size t addr v] with [size] in bytes (1-4).
     An access inside one page is one word-wide access and faults at
-    [addr]. One that straddles two pages goes byte by byte: a read from
-    its last byte down, so it faults at its last inaccessible byte; a
-    write from its first byte up, so it faults at its first unwritable
-    byte after storing the bytes before it. *)
+    [addr]. One that straddles two pages goes byte by byte from its
+    first byte up, so it faults at its lowest inaccessible byte, as
+    IA-32 reports it; a write stores the bytes before that one. *)
 val read : int -> t -> int -> int
 val write : int -> t -> int -> int -> unit
 
 val read64 : t -> int -> int64
+(** Two 4-byte reads, the low word first: a fault names the lowest
+    inaccessible byte. *)
+
 val write64 : t -> int -> int64 -> unit
 val read_f32 : t -> int -> float
 val write_f32 : t -> int -> float -> unit
@@ -167,9 +169,9 @@ end
 
 (** Nested copy-on-write journal over page mutations.
 
-    While attached, every mutating operation ([map]/[unmap]/[protect],
-    stores, loader writes) records a full pre-image of each page at its
-    first touch within the innermost open epoch, so an epoch's overhead
+    While an epoch is open, every mutating operation ([map]/[unmap]/
+    [protect], stores, loader writes) records a full pre-image of each
+    page at its first touch within the innermost open epoch, so an epoch's overhead
     and its [revert] both cost O(pages touched), independent of the size
     of the address space. The pre-image of a never-written page is the
     shared zero buffer itself, recorded for free; [revert] restores such a
@@ -181,42 +183,29 @@ end
     value only ever denotes the exact content it stamped — consumers
     validating cached decodes against {!page_gen} stay warm across a
     revert with no flush.
-    [commit] folds the innermost epoch into its parent (the parent's
-    older pre-images win), making the changes permanent relative to the
-    inner epoch while the outer one can still revert them.
 
     The first-touch test is one compare: each epoch has an id that its
     memory never hands out again, and each page carries the id of the
     epoch holding its pre-image. Pre-image buffers that a [revert] blits
-    back, or that a [commit] drops because the parent holds an older
-    pre-image, are kept on the memory and reused by the next first touch,
+    back are kept on the memory and reused by the next first touch,
     so a steady push/revert cycle stops allocating them.
 
     The journal is intentionally ignorant of the write watch: snapshot
     layers above capture and restore the watched-page set themselves
     (see {!watched_pages}). [copy] never carries a journal over. *)
 module Journal : sig
-  val attach : t -> unit
-  (** Enable journalling (idempotent). No pre-images are recorded until
-      an epoch is opened with [push]. *)
-
-  val detach : t -> unit
-  (** Drop the journal and all epochs without restoring anything. *)
-
-  val active : t -> bool
-
   val depth : t -> int
   (** Number of open epochs. *)
 
   val push : t -> unit
-  (** Open a nested epoch (attaching the journal if needed). *)
+  (** Open a nested epoch. *)
 
   val touched : t -> int
   (** Pages first-touched in the innermost open epoch so far. *)
 
   val pages_restored : t -> int
   (** Cumulative count of page restorations performed by [revert] over
-      the journal's lifetime — the counter the O(pages touched) test
+      the memory's lifetime — the counter the O(pages touched) test
       asserts on. *)
 
   val revert : t -> int list
@@ -225,8 +214,4 @@ module Journal : sig
       invalidate derived state (translated blocks) per page. Each page
       restored goes on the {!Dirty} list of a tracked memory.
       @raise Invalid_argument when no epoch is open. *)
-
-  val commit : t -> unit
-  (** Pop the innermost epoch, merging its pre-images into the parent
-      epoch (if any). @raise Invalid_argument when no epoch is open. *)
 end

@@ -363,7 +363,6 @@ let pp_stats ppf s =
 type session = {
   se_store : store;
   se_eng : E.t;
-  se_verify : bool;
   se_readonly : bool;
   se_occ : (int * int, int) Hashtbl.t; (* (phase, entry) -> next occurrence *)
   se_stats : stats;
@@ -575,7 +574,7 @@ let filter se ~phase ~entry ~entry_tos ~flag ~live =
     match Hashtbl.find_opt se.se_store.st_tbl (pc, entry, occ) with
     | None -> None
     | Some r ->
-      if se.se_verify && not (validate se r ~entry_tos ~flag) then begin
+      if not (validate se r ~entry_tos ~flag) then begin
         se.se_stats.rejects <- se.se_stats.rejects + 1;
         None
       end
@@ -606,12 +605,11 @@ let filter se ~phase ~entry ~entry_tos ~flag ~live =
          here too — nothing recorded, occurrence not consumed *)
       None)
 
-let attach ?(verify = true) ?(readonly = false) store eng =
+let attach ?(readonly = false) store eng =
   let se =
     {
       se_store = store;
       se_eng = eng;
-      se_verify = verify;
       se_readonly = readonly;
       se_occ = Hashtbl.create 64;
       se_stats =

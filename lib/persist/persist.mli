@@ -83,12 +83,11 @@ type stats = {
 
 type session
 
-val attach : ?verify:bool -> ?readonly:bool -> store -> Ia32el.Engine.t -> session
-(** Install the store as the engine's translate filter. [verify]
-    (default true) enables the semantic validations (source span,
-    TOS/flag, hot-profile seeds); the structural ones (arena pins,
-    branch-target bounds, id consistency) are always enforced.
-    [readonly] (default false) disables recording live translations
+val attach : ?readonly:bool -> store -> Ia32el.Engine.t -> session
+(** Install the store as the engine's translate filter. Every install
+    is validated: semantically (source span, TOS/flag, hot-profile
+    seeds) and structurally (arena pins, branch-target bounds, id
+    consistency). [readonly] (default false) disables recording live translations
     into the store. *)
 
 val restart : session -> unit

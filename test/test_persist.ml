@@ -50,11 +50,11 @@ let last_flushes = ref 0
 
 (* One engine run of a workload with a persist session attached over
    [store]; returns (exit code, full metrics snapshot, session). *)
-let run_with ~config ?(verify = true) ?(readonly = false) w store =
+let run_with ~config ?(readonly = false) w store =
   let sref = ref None in
   let r =
     B.run_el ~config
-      ~attach:(fun e -> sref := Some (Persist.attach ~verify ~readonly store e))
+      ~attach:(fun e -> sref := Some (Persist.attach ~readonly store e))
       ~check_exit:false w ~scale:1
   in
   let m =

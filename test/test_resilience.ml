@@ -237,6 +237,65 @@ let store_before_block_test =
       check bool "SMC invalidation counted" true
         ((Option.get !captured).E.acct.Ia32el.Account.smc_invalidations > 0))
 
+let straddling_fault_address_test =
+  Alcotest.test_case "a guest handler gets a fault's lowest inaccessible byte"
+    `Quick (fun () ->
+      (* Page 0x50 is mapped and 0x51 is not. The 4-byte read at
+         0x50FFE, the 8-byte read at 0x51000 and the 16-byte one there
+         all first miss at 0x51000, the address IA-32 reports; the
+         handler prints what it was given. *)
+      let open Insn in
+      let code =
+        Asm.(
+          [
+            label "start";
+            i (Mov (S32, R Esi, I 0));
+            i (Mov (S32, R Eax, I 48));
+            i (Mov (S32, R Ebx, I 14));
+            with_lab "handler" (fun a -> Mov (S32, R Ecx, I a));
+            i (Int_n 0x80);
+            i (Mov (S32, R Eax, I 90));
+            i (Mov (S32, R Ebx, I 0x50000));
+            i (Mov (S32, R Ecx, I 0x1000));
+            i (Int_n 0x80);
+            i (Mov (S32, R Eax, M (mem_abs 0x50FFE)));
+            label "second";
+            i (Mmx (Movq_to_mm (0, MMem (mem_abs 0x51000))));
+            label "third";
+            i (Sse (Movups (XM 0, XMem (mem_abs 0x51000))));
+            label "handler";
+            i (Mov (S32, R Eax, M (mem_b Esp)));
+            with_lab "out" (fun a -> Mov (S32, M (mem_abs a), R Eax));
+            i (Mov (S32, R Eax, I 4));
+            i (Mov (S32, R Ebx, I 1));
+            with_lab "out" (fun a -> Mov (S32, R Ecx, I a));
+            i (Mov (S32, R Edx, I 4));
+            i (Int_n 0x80);
+            i (Inc (S32, R Esi));
+            i (Alu (Cmp, S32, R Esi, I 1));
+            jcc E "second";
+            i (Alu (Cmp, S32, R Esi, I 2));
+            jcc E "third";
+          ]
+          @ exit0)
+      in
+      let image = Asm.build ~code ~data:Asm.[ label "out"; space 4 ] () in
+      let mem = Memory.create () in
+      let st = Asm.load image mem in
+      let s = L.create ~btlib:(module Btlib.Linuxsim) mem st in
+      let report = L.run_in ~fuel:10_000_000 s in
+      (match report.L.divergence with
+      | Some d -> Alcotest.failf "diverged:@.%a" (fun ppf -> L.pp_divergence ppf) d
+      | None -> ());
+      (match report.L.outcome with
+      | Some (E.Exited (0, _)) -> ()
+      | _ -> Alcotest.fail "expected clean exit");
+      let printed = String.concat "" (List.init 3 (fun _ -> "\x00\x10\x05\x00")) in
+      check Alcotest.string "engine printed 0x51000 three times" printed
+        (Btlib.Vos.output (L.engine s).E.vos);
+      check Alcotest.string "reference printed 0x51000 three times" printed
+        (Btlib.Vos.output (L.reference_vos s)))
+
 (* ------------------------------------------------------------------ *)
 (* Degradation ladder: invalidation storm -> stage-2/3 -> interp-only   *)
 (* ------------------------------------------------------------------ *)
@@ -593,6 +652,7 @@ let () =
           smc_abort_test;
           recv_into_own_block_test;
           store_before_block_test;
+          straddling_fault_address_test;
           degradation_test;
           seeded_bug_test;
           two_page_memory_diff_test;
