@@ -4,7 +4,12 @@
     returns the extra stall cycles beyond the pipeline's L1 load latency.
     The second level is what makes the paper's mcf observation
     reproducible: the 32-bit-data IA-32 version of a pointer-chasing
-    workload fits in cache where the LP64 native version does not. *)
+    workload fits in cache where the LP64 native version does not.
+
+    Each level remembers where the line of its last access sits, so a
+    run of accesses to one line (a loop's stack slot, a struct's
+    fields) hits after one compare, with no search of the set; the LRU
+    ranks and counters move exactly as a search would move them. *)
 
 type t
 
@@ -54,3 +59,7 @@ val restore : t -> checkpoint -> unit
 (** Copy a checkpoint back in place — snapshot revert uses this so a
     rerun sees bit-identical stall timing.
     @raise Invalid_argument on a geometry mismatch. *)
+
+val levels : checkpoint -> (int array * int array * int) list
+(** Copies of a checkpoint's tags, LRU ranks and access tick, L1 then L2
+    (tests). *)

@@ -487,10 +487,151 @@ let timing_tests =
         | exception Invalid_argument _ -> ());
   ]
 
+(* ---------------- dcache against a model ---------------- *)
+
+(* The dcache as a plain set search: every access looks for its line in
+   the set's ways, and a miss fills the least recently used one. *)
+module Model = struct
+  type level = {
+    set_mask : int;
+    assoc : int;
+    line_bits : int;
+    tags : int array;
+    lru : int array;
+    mutable tick : int;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let level ~size ~assoc ~line =
+    let sets = size / (assoc * line) in
+    let rec bits n = if n <= 1 then 0 else 1 + bits (n lsr 1) in
+    {
+      set_mask = sets - 1;
+      assoc;
+      line_bits = bits line;
+      tags = Array.make (sets * assoc) (-1);
+      lru = Array.make (sets * assoc) 0;
+      tick = 0;
+      hits = 0;
+      misses = 0;
+    }
+
+  let access_level l addr =
+    let line = addr lsr l.line_bits in
+    let base = (line land l.set_mask) * l.assoc in
+    l.tick <- l.tick + 1;
+    let rec find w =
+      if w >= l.assoc then -1 else if l.tags.(base + w) = line then w else find (w + 1)
+    in
+    let w = find 0 in
+    if w >= 0 then begin
+      l.lru.(base + w) <- l.tick;
+      l.hits <- l.hits + 1;
+      true
+    end
+    else begin
+      let victim = ref 0 in
+      for w = 1 to l.assoc - 1 do
+        if l.lru.(base + w) < l.lru.(base + !victim) then victim := w
+      done;
+      l.tags.(base + !victim) <- line;
+      l.lru.(base + !victim) <- l.tick;
+      l.misses <- l.misses + 1;
+      false
+    end
+
+  let copy l = { l with tags = Array.copy l.tags; lru = Array.copy l.lru }
+
+  let restore l k =
+    Array.blit k.tags 0 l.tags 0 (Array.length l.tags);
+    Array.blit k.lru 0 l.lru 0 (Array.length l.lru);
+    l.tick <- k.tick;
+    l.hits <- k.hits;
+    l.misses <- k.misses
+end
+
+type dc_op = Access of int | Near of int | Save | Load
+
+let gen_dc_ops =
+  let open QCheck.Gen in
+  list_size (int_range 1 300)
+    (frequency
+       [
+         (4, map (fun a -> Access a) (int_bound 0x3FFF));
+         (4, map (fun d -> Near d) (int_range (-8) 70));
+         (1, return Save);
+         (1, return Load);
+       ])
+
+let print_dc_op = function
+  | Access a -> Printf.sprintf "access %#x" a
+  | Near d -> Printf.sprintf "near %+d" d
+  | Save -> "checkpoint"
+  | Load -> "restore"
+
+(* Random address streams, many of them within a line or two of the last
+   access, with checkpoints and restores mixed in: every access returns
+   what the model's does, and the counters, tags, LRU ranks and ticks
+   read back through a checkpoint match the model's. *)
+let test_dcache_model =
+  QCheck.Test.make ~count:500 ~name:"dcache-matches-set-search"
+    (QCheck.make ~print:QCheck.Print.(list print_dc_op) gen_dc_ops)
+    (fun ops ->
+      let d =
+        Dcache.create ~l1_size:1024 ~l1_assoc:2 ~l1_line:64 ~l2_size:4096
+          ~l2_assoc:4 ~l2_line:128 ()
+      in
+      let l1 = Model.level ~size:1024 ~assoc:2 ~line:64
+      and l2 = Model.level ~size:4096 ~assoc:4 ~line:128 in
+      let model addr =
+        if Model.access_level l1 addr then 0
+        else if Model.access_level l2 addr then 7
+        else 87
+      in
+      let saved = ref None and last = ref 0 in
+      let same () =
+        let st = Dcache.stats d in
+        st.Dcache.l1_hits = l1.Model.hits
+        && st.Dcache.l1_misses = l1.Model.misses
+        && st.Dcache.l2_hits = l2.Model.hits
+        && st.Dcache.l2_misses = l2.Model.misses
+        && Dcache.levels (Dcache.checkpoint d)
+           = List.map (fun l -> (l.Model.tags, l.Model.lru, l.Model.tick)) [ l1; l2 ]
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Access a | Near a ->
+            let addr =
+              match op with Near _ -> max 0 (!last + a) | _ -> a
+            in
+            last := addr;
+            let got = Dcache.access d addr and want = model addr in
+            if got <> want then
+              QCheck.Test.fail_reportf "access %#x: %d, the model %d" addr got
+                want
+          | Save -> saved := Some (Dcache.checkpoint d, Model.copy l1, Model.copy l2)
+          | Load ->
+            Option.iter
+              (fun (k, k1, k2) ->
+                Dcache.restore d k;
+                Model.restore l1 k1;
+                Model.restore l2 k2)
+              !saved);
+          same ())
+        ops)
+
 let () =
   Alcotest.run "ipf"
     [
       ("bundle", bundle_tests);
       ("machine", machine_tests);
       ("timing", timing_tests);
+      ( "dcache",
+        [
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 0xdc |])
+            test_dcache_model;
+        ] );
     ]
