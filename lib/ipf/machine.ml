@@ -72,6 +72,7 @@ type t = {
      index, so chained block-to-block execution can be accounted without
      leaving the machine. Bundles past its end are bucket 0. *)
   mutable bucket_of : int array;
+  mutable bucket_gen : int; (* bumped whenever [bucket_of] changes *)
   buckets : int array;
   (* Observability probe mirroring every charge: called with the current
      bundle index and the delta. Recording only — the probe must not
@@ -127,6 +128,7 @@ let create ?(cost = Cost.default) ?dcache mem tcache =
       ip = 0;
       slot = 0;
       bucket_of = [||];
+      bucket_gen = 0;
       buckets = Array.make 8 0;
       charge_probe = None;
       last_exit = (0, 0);
@@ -245,9 +247,12 @@ let set_bucket m ~start ~len b =
     Array.blit m.bucket_of 0 a 0 (Array.length m.bucket_of);
     m.bucket_of <- a
   end;
-  Array.fill m.bucket_of start len (b land 7)
+  Array.fill m.bucket_of start len (b land 7);
+  m.bucket_gen <- m.bucket_gen + 1
 
-let clear_buckets m = Array.fill m.bucket_of 0 (Array.length m.bucket_of) 0
+let clear_buckets m =
+  Array.fill m.bucket_of 0 (Array.length m.bucket_of) 0;
+  m.bucket_gen <- m.bucket_gen + 1
 
 (* Advance the cycle counter, attributing the delta to the current bundle's
    bucket. *)

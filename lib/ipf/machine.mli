@@ -69,7 +69,11 @@ type t = {
   mutable slot : int;
   mutable bucket_of : int array;
       (** cycle-attribution bucket (0..7) per bundle index; bundles past
-          its end are bucket 0. Written through {!set_bucket}. *)
+          its end are bucket 0. Written through {!set_bucket} and
+          {!clear_buckets}. *)
+  mutable bucket_gen : int;
+      (** bumped by {!set_bucket} and {!clear_buckets}, so a split of
+          cycles by bucket computed ahead can tell it is still right *)
   buckets : int array;
   mutable charge_probe : (int -> int -> unit) option;
       (** observability probe mirroring every charge (bundle index,

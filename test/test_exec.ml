@@ -262,7 +262,9 @@ let test_exec_cache_stable () =
    stats counter, buckets (bundle b charges bucket b mod 8, so a charge to
    the wrong bundle shows), the charge-probe stream, ready/fready,
    ip/slot, last_exit and the register files. Each case aims a side exit
-   at the middle of a multi-bundle issue group. *)
+   at the middle of a multi-bundle issue group. Every case runs a second
+   time with no charge probe, where [Exec.run] charges a program's whole
+   groups from its compile-time summary. *)
 
 module I = Ipf.Insn
 module Mc = Ipf.Machine
@@ -295,11 +297,12 @@ let prologue =
 
 type side = {
   fast : bool; (* runs [Exec.run], not [Exec.reference_run] *)
+  probe : bool; (* a charge probe records every charge *)
   m : Mc.t;
   tc : Ipf.Tcache.t;
   x : Ipf.Exec.t;
   go : ?fuel:int -> unit -> string;
-  probe : Buffer.t;
+  buf : Buffer.t; (* the probe's record *)
 }
 
 let stop_str = function
@@ -316,7 +319,7 @@ let stop_str = function
 (* One side of a comparison, on its own copy of [bundles]: a side's
    patches and watches must not reach the other. [setup mem tc] may
    install a write watch acting on this side. *)
-let side ~fast ?(setup = fun _ _ -> ()) bundles =
+let side ~fast ?(probe = true) ?(setup = fun _ _ -> ()) bundles =
   let mem = Ia32.Memory.create () in
   Ia32.Memory.map mem ~addr:data ~len:0x2000 ~prot:Ia32.Memory.prot_rw;
   let tc = Ipf.Tcache.create () in
@@ -331,8 +334,9 @@ let side ~fast ?(setup = fun _ _ -> ()) bundles =
   for b = 0 to Ipf.Tcache.length tc + 8 do
     Mc.set_bucket m ~start:b ~len:1 b
   done;
-  let probe = Buffer.create 256 in
-  m.Mc.charge_probe <- Some (fun ip d -> Printf.bprintf probe "%d:%d " ip d);
+  let buf = Buffer.create 256 in
+  if probe then
+    m.Mc.charge_probe <- Some (fun ip d -> Printf.bprintf buf "%d:%d " ip d);
   let x = Ipf.Exec.create m in
   (* the default fuel keeps a looping case from running away *)
   let go ?(fuel = 10_000) () =
@@ -343,7 +347,7 @@ let side ~fast ?(setup = fun _ _ -> ()) bundles =
     | exception Abort -> "abort"
     | exception Invalid_argument msg -> msg
   in
-  { fast; m; tc; x; go; probe }
+  { fast; probe; m; tc; x; go; buf }
 
 let observe s =
   let m = s.m in
@@ -364,29 +368,41 @@ let observe s =
   for p = 0 to 15 do
     Printf.bprintf b "p%d=%b " p (Mc.getp m p)
   done;
-  Printf.bprintf b "\nprobe=%s" (Buffer.contents s.probe);
+  for f = 16 to 23 do
+    Printf.bprintf b "f%d=%h " f (Mc.getf m f)
+  done;
+  Printf.bprintf b "\nprobe=%s" (Buffer.contents s.buf);
   Buffer.contents b
 
-(* Run both sides with [steps]: each step is (fuel, action before it).
-   Returns the fast side and, per step, (what, reference, fast). *)
+(* Run both sides with [steps], with a charge probe and then without:
+   each step is (fuel, action before it). Returns the fast sides with
+   and without the probe and, per step, (what, reference, fast). *)
 let run_twin ?setup bundles steps =
-  let r = side ~fast:false ?setup bundles and f = side ~fast:true ?setup bundles in
-  let results =
-    List.concat
-      (List.mapi
-         (fun i (fuel, before) ->
-           before r;
-           before f;
-           let rstop = r.go ?fuel () in
-           let fstop = f.go ?fuel () in
-           let tag = Printf.sprintf "step %d" i in
-           [ (tag ^ " stop", rstop, fstop); (tag ^ " state", observe r, observe f) ])
-         steps)
+  let pair probe =
+    let r = side ~fast:false ~probe ?setup bundles
+    and f = side ~fast:true ~probe ?setup bundles in
+    let results =
+      List.concat
+        (List.mapi
+           (fun i (fuel, before) ->
+             before r;
+             before f;
+             let rstop = r.go ?fuel () in
+             let fstop = f.go ?fuel () in
+             let tag =
+               Printf.sprintf "step %d%s" i (if probe then "" else " (no probe)")
+             in
+             [ (tag ^ " stop", rstop, fstop); (tag ^ " state", observe r, observe f) ])
+           steps)
+    in
+    (f, results)
   in
-  (f, results)
+  let f, probed = pair true in
+  let plain, unprobed = pair false in
+  (f, plain, probed @ unprobed)
 
 let twin ?setup bundles tag steps =
-  let f, results = run_twin ?setup bundles steps in
+  let f, _, results = run_twin ?setup bundles steps in
   List.iter (fun (what, a, b) -> checks (tag ^ " " ^ what) a b) results;
   f
 
@@ -578,7 +594,7 @@ let reappend bundles s =
    of a twin run, which also compares every step with the reference. *)
 let compiles_per_step ?setup ?(count = Ipf.Exec.compiled) bundles tag steps =
   let marks = ref [] in
-  let note s = if s.fast then marks := count s.x :: !marks in
+  let note s = if s.fast && s.probe then marks := count s.x :: !marks in
   let f =
     twin ?setup bundles tag
       (List.map
@@ -900,13 +916,18 @@ let test_chain_patch_derives () =
 (* ---------------- generated group-vs-reference cases ---------------- *)
 
 (* Random small tcaches after [prologue] (plus r13 = data + 3, a
-   misaligned address): ALU ops, long immediates, loads (plain, ld.s,
-   ld.a, ld.sa) and stores through the mapped (r2, r9), unmapped (r3) and
-   misaligned (r13) addresses or a computed register, chk.s/chk.a,
+   misaligned address, and r25 = 3, a loop count): ALU ops, long
+   immediates, loads (plain, ld.s, ld.a, ld.sa) and stores through the
+   mapped (r2, r9), unmapped (r3) and misaligned (r13) addresses or a
+   computed register, FP loads and FP ops of 4 to 24 cycles' latency
+   into f16-f23 and moves between the register files, chk.s/chk.a,
    compares writing p8-p11, predicated slots, forward branches, cache
    exits, heat exits, nops and random stop bits, ending in an exit
-   bundle. Destinations stay in r16-r23, so the address registers
-   survive while values, NaT bits and ALAT entries flow between slots.
+   bundle. Half the cases end one bundle in a loop back to an earlier
+   one, taken while r25 counts down, so programs are entered again with
+   their live-ins ready after the entry cycle. Destinations stay in
+   r16-r23, so the address registers survive while values, NaT bits and
+   ALAT entries flow between slots.
    Each case runs with fuel at a random offset, then twice more without
    a limit: after an exit a run resumes behind it, after a fault it
    faults again, after the last exit it runs off the tcache. Then it
@@ -917,10 +938,19 @@ let test_chain_patch_derives () =
    branch to a random bundle ([Tcache.patch_dispatch], as the engine
    chains blocks). A third of the cases also watch the data page: every
    store there rewrites one random slot, which may lie in a later group
-   of the running chain or in the running group itself. *)
+   of the running chain or in the running group itself. Most cases must
+   charge some program exit from a summary when no probe is attached. *)
 module G = QCheck.Gen
 
-let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) nop nop ]
+let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) (movi 25 3) nop ]
+
+(* The loop: count r25 down, and branch back to bundle [k] while it is
+   positive. *)
+let loop_bundle k =
+  bunz [ 0; 1 ]
+    (mk (I.Addi (25, -1, 25)))
+    (mk (I.Cmpi (I.Clt, I.Cnorm, 12, 13, 0, 25)))
+    (br ~qp:12 k)
 
 let gen_insn ~here ~last =
   let open G in
@@ -939,6 +969,18 @@ let gen_insn ~here ~last =
       [
         (3, map (fun k -> I.To k) (int_range (here + 1) last));
         (1, map (fun r -> I.Out r) exit_);
+      ]
+  in
+  let fdst = int_range 16 23 in
+  let fsrc = frequency [ (3, int_range 16 23); (1, oneofl [ 0; 1 ]) ] in
+  let falu =
+    oneofl
+      [
+        (fun d a b -> I.Fadd (d, a, b));
+        (fun d a b -> I.Fmul (d, a, b));
+        (fun d a b -> I.Fma (d, a, b, a));
+        (fun d a b -> I.Fdiv (d, a, b));
+        (fun d a _ -> I.Fsqrt (d, a));
       ]
   in
   let alu =
@@ -980,6 +1022,10 @@ let gen_insn ~here ~last =
         (1, map (fun t -> I.Br t) target);
         (1, map (fun s -> I.Hotc (s, 1, 77)) (int_range 0 3));
         (2, return (I.Nop I.I));
+        (2, map3 (fun sz d a -> I.Ldf (sz, d, a)) (oneofl [ 4; 8 ]) fdst addr);
+        (3, map3 (fun f d (a, b) -> f d a b) falu fdst (pair fsrc fsrc));
+        (1, map2 (fun d a -> I.Getf_d (d, a)) dst fsrc);
+        (1, map2 (fun d a -> I.Setf_d (d, a)) fdst src);
       ]
   in
   let qp =
@@ -1008,6 +1054,16 @@ let gen_case =
       (array_repeat 3 (map (fun k -> k = 0) (int_bound 2)))
   in
   flatten_l (List.init n (fun i -> bundle (base + i))) >>= fun body ->
+  (* half the cases loop from one bundle back to an earlier one *)
+  (bool >>= function
+   | false -> return body
+   | true ->
+     int_bound (n - 1) >>= fun at ->
+     map
+       (fun k ->
+         List.mapi (fun i b -> if i = at then loop_bundle k else b) body)
+       (int_range base (base + at)))
+  >>= fun body ->
   let slot_patch =
     int_bound (n - 1) >>= fun bi ->
     map2 (fun si insn -> (base + bi, si, insn)) (int_bound 2)
@@ -1039,6 +1095,11 @@ let print_case { body; fuel; patch = idx, si, insn; smc; dest } =
     body;
   Buffer.contents b
 
+(* Cases run, and those whose probe-less fast side charged a program
+   exit from a summary. *)
+let generated = ref 0
+let summarised = ref 0
+
 let test_generated =
   QCheck.Test.make ~count:2000 ~name:"generated-tcaches"
     (QCheck.make ~print:print_case gen_case)
@@ -1063,7 +1124,7 @@ let test_generated =
               (Some (fun _ _ -> Ipf.Tcache.patch_slot tc ~idx ~slot insn)))
           smc
       in
-      let _, results =
+      let _, plain, results =
         run_twin ~setup bundles
           [
             (Some fuel, keep);
@@ -1075,6 +1136,8 @@ let test_generated =
             (None, dispatch);
           ]
       in
+      incr generated;
+      if Ipf.Exec.summarised plain.x > 0 then incr summarised;
       match List.find_opt (fun (_, a, b) -> a <> b) results with
       | None -> true
       | Some (what, a, b) ->
@@ -1138,8 +1201,23 @@ let () =
             test_chain_indirect_targets;
           Alcotest.test_case "chain-tcache-end" `Quick test_chain_tcache_end;
           (* a fixed seed: the same 2000 tcaches on every run *)
-          QCheck_alcotest.to_alcotest
-            ~rand:(Random.State.make [| 0x1a32e1 |])
-            test_generated;
+          (let name, speed, run =
+             QCheck_alcotest.to_alcotest
+               ~rand:(Random.State.make [| 0x1a32e1 |])
+               test_generated
+           in
+           ( name,
+             speed,
+             fun () ->
+               run ();
+               Printf.eprintf
+                 "[summary] %d of %d generated cases charged an exit from a \
+                  summary\n%!"
+                 !summarised !generated;
+               if 2 * !summarised <= !generated then
+                 Alcotest.failf
+                   "only %d of %d generated cases charged a program exit \
+                    from a summary"
+                   !summarised !generated ));
         ] );
     ]

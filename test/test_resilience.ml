@@ -121,9 +121,12 @@ let smc_abort_test =
       let mem = Memory.create () in
       let st = Asm.load ~writable_code:true image mem in
       let captured = ref None in
+      let tr = Obs.Trace.create () in
       let report =
         L.run ~fuel:10_000_000
-          ~attach:(fun e -> captured := Some e)
+          ~attach:(fun e ->
+            captured := Some e;
+            E.attach_trace e tr)
           ~btlib:(module Btlib.Linuxsim)
           mem st
       in
@@ -220,9 +223,12 @@ let store_before_block_test =
       let mem = Memory.create () in
       let st = Asm.load ~writable_code:true image mem in
       let captured = ref None in
+      let tr = Obs.Trace.create () in
       let report =
         L.run ~fuel:10_000_000
-          ~attach:(fun e -> captured := Some e)
+          ~attach:(fun e ->
+            captured := Some e;
+            E.attach_trace e tr)
           ~btlib:(module Btlib.Linuxsim)
           mem st
       in
@@ -235,7 +241,17 @@ let store_before_block_test =
       check int "the rewritten imm ran" 0x11111177
         (Memory.read32 mem (image.Asm.lookup "out"));
       check bool "SMC invalidation counted" true
-        ((Option.get !captured).E.acct.Ia32el.Account.smc_invalidations > 0))
+        ((Option.get !captured).E.acct.Ia32el.Account.smc_invalidations > 0);
+      (* The write watch fires inside a block program, after whole issue
+         groups of it ran: the invalidation's timestamp must count their
+         cycles, as closing each group when it ends counts them. *)
+      check Alcotest.(list int) "invalidation timestamps" [ 374; 997; 1256 ]
+        (List.filter_map
+           (fun e ->
+             match e.Obs.Trace.ev with
+             | Obs.Trace.Smc_invalidation _ -> Some e.Obs.Trace.at
+             | _ -> None)
+           (Obs.Trace.events tr)))
 
 let straddling_fault_address_test =
   Alcotest.test_case "a guest handler gets a fault's lowest inaccessible byte"
