@@ -69,14 +69,6 @@ let check b =
 
 let nop_for kind = Insn.mk (Insn.Nop kind)
 
-(* Choose a template for three unit kinds; returns None if no template
-   fits. *)
-let template_for kinds =
-  let fits t =
-    List.for_all2 (fun slot insn -> kind_fits ~slot ~insn) (template_kinds t) kinds
-  in
-  List.find_opt fits all_templates
-
 (* Make a bundle from at most 3 instructions in program order, padding with
    nops. For each template we greedily place the instructions left to right
    in the first slots they fit, keeping their order; unused slots become

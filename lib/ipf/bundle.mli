@@ -37,10 +37,6 @@ val check : t -> unit
 
 val nop_for : Insn.unit_kind -> Insn.t
 
-val template_for : Insn.unit_kind list -> template option
-(** First template (in {!all_templates} order) whose slots can hold the
-    given kinds in order, or [None]. *)
-
 val make : ?stop_end:bool -> Insn.t list -> t
 (** Build a bundle from at most three instructions in program order,
     padding unused slots with nops of the slot's kind. A trailing stop is

@@ -126,12 +126,6 @@ let stats t =
     l2_misses = t.l2.misses;
   }
 
-let reset_stats t =
-  t.l1.hits <- 0;
-  t.l1.misses <- 0;
-  t.l2.hits <- 0;
-  t.l2.misses <- 0
-
 (* ---- checkpoint / restore: the timing model is pure state (tags, LRU
    ranks, tick and hit/miss counters per level), so a checkpoint is a
    copy of it. [checkpoint_into] refills an existing checkpoint, so a

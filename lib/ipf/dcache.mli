@@ -42,7 +42,6 @@ type stats = {
 }
 
 val stats : t -> stats
-val reset_stats : t -> unit
 
 type checkpoint
 

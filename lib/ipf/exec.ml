@@ -20,14 +20,15 @@
    At run time the groups run their semantic closures back to back — the
    qualifying-predicate test, the call and a check of the result — and
    between two groups the program only records the dcache-stall counter.
-   The whole groups are charged when the program leaves: where it can
-   leave by a taken branch, a cache exit or the fall-through off its end,
-   a compile-time summary gives the cycles, the bucket split and the
-   ready cycles of every register those groups wrote, as functions of the
-   entry cycle and the few live-in ready cycles that can matter ([sum]).
-   Where the summary does not apply (a charge probe, a dcache stall in
-   the whole groups, any other exit), the whole groups are charged one by
-   one ([replay]), each as it would have closed. Then the open group
+   The whole groups are charged when the program leaves, one by one, each
+   as it would have closed ([replay]); [close] is the only definition of
+   their timing. Where the program leaves by a taken branch, a cache exit
+   or the fall-through off its end, with no charge probe and no dcache
+   stall in those groups, the replay is memoized per exit point
+   ([charge]): its result depends only on [bucket_of] and on the live-in
+   ready cycles relative to the entry cycle, so an exit that finds the
+   same [Machine.bucket_gen] and the same relative ready cycles as the
+   last replay there adds what that replay did. Then the open group
    settles from the prefix up to the exiting slot, so cycles, buckets,
    counters, [ip]/[slot] and [last_exit] are what a slot-by-slot
    accumulation gives.
@@ -102,33 +103,22 @@ type group = {
   bundle : int;
   agg : int;
   stop : bool; (* a stop bit ended the group (not a RAW split, not the end) *)
-  va : int; (* with no dcache stall, the group issues at the program's *)
-  vo : int; (* timing value [va] (see [sum]) plus [vo] *)
+  nlive : int; (* the program's live-ins the groups before this one read *)
 }
 
-(* The charge of leaving a program after its first k whole groups, with
-   no dcache stall in them. Group g issues at
-   max (C(g-1) + 1, its sources' ready cycles) and ends at
-   C(g) = issue + span - 1, from C(-1) = the entry cycle, so every issue
-   cycle is a max-plus function of the entry cycle and the ready cycles
-   the program reads before writing (its live-ins). The program keeps
-   only the terms that can win, as a chain of timing values: value 0 is
-   the entry cycle and value j + 1 that of anchor j, a group with a kept
-   term; every other group issues at its anchor's value plus a constant
-   ([va], [vo]). The first k groups' anchors are the program's first
-   [na]; [outs] gives the ready cycle each register they wrote is left
-   with, as a value plus a constant; [ret] and [spec] are their
-   retired-slot and speculation-check counts. *)
-type sum = {
-  na : int;
-  outs : int array; (* pairs: value lsl 8 lor register id, constant *)
-  ret : int;
-  spec : int;
+(* What [replay] did at an exit after a program's first k whole groups,
+   none with a dcache stall, entered at cycle count c0. [key] is what it
+   depended on: [Machine.bucket_gen], then, for each live-in the k groups
+   read, its ready cycle less c0, clipped at 1. *)
+type memo = {
+  key : int array;
+  cycles : int;
+  ngroups : int; (* groups closed *)
+  ret : int; (* retired slots *)
+  spec : int; (* speculation checks *)
+  bks : int array; (* per bucket charged: cycles lsl 3 lor bucket *)
+  outs : int array; (* per register written: (ready - c0) lsl 8 lor id *)
 }
-
-(* No summary: the program cannot leave by a branch after that many
-   whole groups. *)
-let no_sum = { na = 0; outs = [||]; ret = 0; spec = 0 }
 
 (* The fall-through chain of groups entered at [lin] = 3 * bundle + slot. *)
 type prog = {
@@ -138,16 +128,13 @@ type prog = {
   pre : int array;
   srcs : int array; (* distinct GR/FR sources per group, first-read order *)
   evs : int array; (* GR/FR writes per group in slot order: latency lsl 8 lor id *)
+  live : int array; (* GR/FR ids read before any group writes them, first-read order *)
   closed : bool; (* false: the last group runs off the end of the tcache *)
   insns : Insn.t array; (* the program's slots: carry, reuse, exit reasons *)
   split : Insn.t option; (* the slot a RAW split ended the last group before *)
   carry : Insn.t array; (* slots of the first group already run *)
   mutable vgen : int; (* tcache generation at the last validation *)
-  anc : int array; (* per anchor: its step from the previous value, the end of its terms *)
-  terms : int array; (* pairs: register id, 0 | 256 + value, constant *)
-  sums : sum array; (* by whole-group count, 0 to the number of groups *)
-  mutable bgen : int; (* [Machine.bucket_gen] that [bruns] was split for *)
-  mutable bruns : int array; (* pairs: last group of a bucket run, bucket *)
+  mutable memos : memo array; (* by whole-group count; [||] until the first *)
 }
 
 (* Compile-time scratch: a growable buffer, copied out once per program. *)
@@ -178,15 +165,14 @@ type t = {
   mutable base : int; (* ... its first whole group not charged yet ... *)
   mutable stalls : int array; (* ... and the dcache-stall counter at the
                                  start of each of its groups so far *)
-  mutable vals : int array; (* a summary's timing values *)
   mutable k : int; (* index of the uop running, for exception exits *)
   mutable res : int; (* result of the uop that left the group *)
   mutable compiles : int; (* programs compiled *)
   mutable compiled_slots : int; (* slots they cover *)
-  mutable summarised : int; (* program exits charged from a summary *)
-  lmax : int; (* the longest latency of the cost model *)
+  mutable memo_hits : int; (* program exits charged from a memo *)
   (* compile-time scratch: epoch-marked write and source sets, one epoch
-     per group, and the buffers a program is built in *)
+     per group (the write set also serves a memo's [fill]), and the
+     buffers a program is built in *)
   wmark : int array;
   smark : int array;
   mutable epoch : int;
@@ -194,18 +180,12 @@ type t = {
   s_pre : int vec;
   s_srcs : int vec;
   s_evs : int vec;
-  (* the summaries' scratch, one epoch per program: the GR/FR ids written
-     so far (in [s_written]), the timing value, constant and static
-     position of each one's ready cycle, and the live-ins read so far *)
+  (* the live-ins' scratch, one epoch per program: the GR/FR ids its
+     groups so far wrote and the live-ins they read *)
   lwmark : int array;
-  lwva : int array;
-  lwc : int array;
-  lwp : int array;
   lrmark : int array;
   mutable pepoch : int;
-  s_written : int vec;
-  s_anc : int vec;
-  s_terms : int vec;
+  s_live : int vec;
 }
 
 exception Stale_group
@@ -223,11 +203,8 @@ let dummy =
     split = None;
     carry = [||];
     vgen = -1 (* generations are >= 0: never current *);
-    anc = [||];
-    terms = [||];
-    sums = [| no_sum |];
-    bgen = -1;
-    bruns = [||];
+    live = [||];
+    memos = [||];
   }
 
 let nil_uop = { run = (fun () -> -1); qp = -1; at = 0 }
@@ -244,20 +221,11 @@ let create m =
     gi = 0;
     base = 0;
     stalls = Array.make 64 0;
-    vals = Array.make 64 0;
     k = 0;
     res = 0;
     compiles = 0;
     compiled_slots = 0;
-    summarised = 0;
-    lmax =
-      (let c = m.M.cost in
-       List.fold_left max c.Cost.alu_latency
-         Cost.
-           [
-             c.mul_latency; c.load_latency; c.fp_load_latency; c.fp_latency;
-             c.fp_div_latency; c.fp_sqrt_latency; c.xfer_latency;
-           ]);
+    memo_hits = 0;
     wmark = Array.make nres 0;
     smark = Array.make nres 0;
     epoch = 0;
@@ -266,14 +234,9 @@ let create m =
     s_srcs = vec 0;
     s_evs = vec 0;
     lwmark = Array.make 256 0;
-    lwva = Array.make 256 0;
-    lwc = Array.make 256 0;
-    lwp = Array.make 256 0;
     lrmark = Array.make 256 0;
     pepoch = 0;
-    s_written = vec 0;
-    s_anc = vec 0;
-    s_terms = vec 0;
+    s_live = vec 0;
   }
 
 (* ---- semantic closures -------------------------------------------------- *)
@@ -994,14 +957,6 @@ let unconditional (insn : Insn.t) =
   (match insn.Insn.qp with None | Some 0 -> true | Some _ -> false)
   && match insn.Insn.sem with Insn.Br _ | Insn.Br_ind _ -> true | _ -> false
 
-(* A slot whose closure may leave the program (a taken branch or a cache
-   exit): its group is a point where the program can leave after whole
-   groups. *)
-let may_leave (insn : Insn.t) =
-  match insn.Insn.sem with
-  | Insn.Br _ | Insn.Br_ind _ | Insn.Chk_s _ | Insn.Chk_a _ | Insn.Hotc _ -> true
-  | _ -> false
-
 (* How a group scan ended. *)
 type ending = Stop | Split of Insn.t | Open
 
@@ -1015,66 +970,35 @@ type ending = Stop | Split of Insn.t | Open
    its closure, its uop and its share of the arrays. With [from] =
    ([d], n), the program is derived from [d], a program entered at
    [lin0] whose first n groups the tcache still holds ([held]): those
-   groups' records, aggregates, uops, anchors and summaries are taken
-   over, and the scan starts at the group after them.
-
-   The summaries ([sum]) follow the groups. [p] is a group's static
-   issue position: the cycle it issues at, less the entry cycle, where
-   no source makes it wait; the first group's is 1, and each group's
-   span adds to it. Group g issues no earlier than the end of the group
-   before it plus one, and at least p(g) - p(h) cycles after an earlier
-   group h. A source's term is dropped where it cannot make g wait
-   longer than that:
-   - a register written by h is ready at h's issue plus the latency:
-     dropped when the latency is at most p(g) - p(h);
-   - a live-in register is ready at most [lmax] cycles after the entry
-     cycle (every ready cycle was set by a group no later than the cycle
-     count that followed it, and cycles never fall): dropped from
-     p(g) >= [lmax] on, and where an earlier group of the program read
-     the same live-in, as g issues after that group. *)
+   groups' records, aggregates and uops are taken over, and the scan
+   starts at the group after them. Alongside the groups the compile
+   collects the program's live-ins, the GR/FR ids a group reads before
+   any earlier group of the program writes them, for the exit memos
+   ([charge]). *)
 let compile t ?(from = (dummy, 0)) ~carry lin0 =
   let m = t.m and tc = t.tc in
   let slots = m.M.cost.Cost.issue_slots in
   let ins = t.s_insns and pre = t.s_pre and srcs = t.s_srcs in
-  let evs = t.s_evs and written = t.s_written in
-  let anc = t.s_anc and terms = t.s_terms in
-  List.iter (fun v -> v.len <- 0) [ pre; srcs; evs; written; anc; terms ];
+  let evs = t.s_evs and live = t.s_live in
+  List.iter (fun v -> v.len <- 0) [ pre; srcs; evs; live ];
   ins.len <- 0;
   t.pepoch <- t.pepoch + 1;
   let pe = t.pepoch in
-  let groups = ref [] and sums = ref [] and ng = ref 0 in
+  let groups = ref [] in
   let nu = ref 0 and closed = ref true and split = ref None in
-  (* the summaries' running state: the next group's static position, the
-     current anchor's value and position, the whole groups' counters *)
-  let p = ref 1 and va = ref 0 and ap = ref 0 in
-  let sret = ref 0 and sspec = ref 0 in
-  let summary () =
-    let o = Array.make (2 * written.len) 0 in
-    for i = 0 to written.len - 1 do
-      let r = written.a.(i) in
-      o.(2 * i) <- (t.lwva.(r) lsl 8) lor r;
-      o.((2 * i) + 1) <- t.lwc.(r)
+  (* group [g] is done: its sources not written before are live-ins, and
+     its writes are written from now on *)
+  let track (g : group) =
+    for i = g.slo to g.shi - 1 do
+      let r = srcs.a.(i) in
+      if t.lwmark.(r) <> pe && t.lrmark.(r) <> pe then begin
+        t.lrmark.(r) <- pe;
+        push live r
+      end
     done;
-    { na = anc.len / 2; outs = o; ret = !sret; spec = !sspec }
-  in
-  (* group [g] (at position [!p]) is done: its writes set their
-     registers' ready cycles *)
-  let wrote (g : group) =
     for e = g.elo to g.ehi - 1 do
-      let x = evs.a.(e) in
-      let r = x land 255 and lat = x lsr 8 in
-      if t.lwmark.(r) <> pe then begin
-        t.lwmark.(r) <- pe;
-        push written r
-      end;
-      t.lwva.(r) <- g.va;
-      t.lwc.(r) <- g.vo + lat;
-      t.lwp.(r) <- !p + lat
-    done;
-    p := !p + g.span;
-    sret := !sret + g.ret;
-    sspec := !sspec + g.spec;
-    incr ng
+      t.lwmark.(evs.a.(e) land 255) <- pe
+    done
   in
   (* scan the group at program offset [off]; returns the offset of the
      next group, or -1 where the program ends *)
@@ -1082,7 +1006,6 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
     t.epoch <- t.epoch + 1;
     let ep = t.epoch in
     let w = ref 0 and ret = ref 0 and spec = ref 0 and leaves = ref false in
-    let exits = ref false in
     let slo = srcs.len and elo = evs.len and p0 = pre.len and ulo = !nu in
     let account insn reads =
       w := !w + M.slot_weight insn;
@@ -1132,7 +1055,6 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
           | Insn.Br (Insn.Out (Insn.Spec_fail _)) -> incr spec
           | _ -> ());
           if unconditional insn then leaves := true;
-          if may_leave insn then exits := true;
           push ins insn;
           if bundle.Bundle.stops.(s) then begin
             record ();
@@ -1144,31 +1066,7 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
     in
     let n, ending = scan 0 in
     let q = p0 + (5 * n) in
-    sums := (if !exits && !ng > 0 then summary () else no_sum) :: !sums;
-    (* the group's kept terms; with any, it is a new anchor *)
-    let shi = pre.a.(q + 3) and tlo = terms.len in
-    for i = slo to shi - 1 do
-      let r = srcs.a.(i) in
-      if t.lwmark.(r) = pe then begin
-        if t.lwp.(r) > !p then begin
-          push terms (256 + t.lwva.(r));
-          push terms t.lwc.(r)
-        end
-      end
-      else if t.lrmark.(r) <> pe then begin
-        t.lrmark.(r) <- pe;
-        if !p < t.lmax then begin
-          push terms r;
-          push terms 0
-        end
-      end
-    done;
-    if terms.len > tlo then begin
-      push anc (!p - !ap);
-      push anc terms.len;
-      va := anc.len / 2;
-      ap := !p
-    end;
+    let shi = pre.a.(q + 3) in
     let g =
       {
         off;
@@ -1185,12 +1083,11 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
         bundle = (lin0 + off + n) / 3;
         agg = p0;
         stop = (match ending with Stop -> true | Split _ | Open -> false);
-        va = !va;
-        vo = !p - !ap;
+        nlive = live.len;
       }
     in
     groups := g :: !groups;
-    wrote g;
+    track g;
     match ending with
     | Open ->
       closed := false;
@@ -1222,27 +1119,17 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
       take pre d.pre (g.agg + (5 * (g.n + 1)));
       take srcs d.srcs g.shi;
       take evs d.evs g.ehi;
-      (* the summaries' state after the groups taken over *)
       for i = 0 to shared - 1 do
         let g = d.groups.(i) in
         groups := g :: !groups;
-        sums := d.sums.(i) :: !sums;
-        for j = g.slo to g.shi - 1 do
-          let r = srcs.a.(j) in
-          if t.lwmark.(r) <> pe then t.lrmark.(r) <- pe
-        done;
-        va := g.va;
-        ap := !p - g.vo;
-        wrote g
+        track g
       done;
-      take anc d.anc (2 * g.va);
-      take terms d.terms (if g.va = 0 then 0 else d.anc.((2 * g.va) - 1));
       nu := g.uhi;
       off
     end
   in
   chain off0 ~first:(shared = 0);
-  sums := (if !closed then summary () else no_sum) :: !sums;
+  let groups = Array.of_list (List.rev !groups) in
   let insns = contents ins in
   let uops = Array.make !nu nil_uop in
   let shared_uops = if shared = 0 then 0 else d.groups.(shared - 1).uhi in
@@ -1270,25 +1157,21 @@ let compile t ?(from = (dummy, 0)) ~carry lin0 =
       b
     end
   in
-  t.stalls <- grow t.stalls (!ng + 1);
-  t.vals <- grow t.vals ((anc.len / 2) + 1);
+  t.stalls <- grow t.stalls (Array.length groups + 1);
   {
     lin = lin0;
     uops;
-    groups = Array.of_list (List.rev !groups);
+    groups;
     pre = contents pre;
     srcs = contents srcs;
     evs = contents evs;
+    live = contents live;
     closed = !closed;
     insns;
     split = !split;
     carry;
     vgen = t.gen;
-    anc = contents anc;
-    terms = contents terms;
-    sums = Array.of_list (List.rev !sums);
-    bgen = -1;
-    bruns = [||];
+    memos = [||];
   }
 
 (* ---- running ----------------------------------------------------------- *)
@@ -1375,6 +1258,15 @@ let[@inline] lookup t lin =
     if c.vgen = t.gen then c else prog_at t lin
   else prog_at t lin
 
+(* The ready cycle of GR/FR id [r]. *)
+let[@inline] ready (m : M.t) r =
+  if r < 128 then Array.unsafe_get m.M.ready r
+  else Array.unsafe_get m.M.fready (r - 128)
+
+let[@inline] set_ready (m : M.t) r v =
+  if r < 128 then Array.unsafe_set m.M.ready r v
+  else Array.unsafe_set m.M.fready (r - 128) v
+
 (* Close a group of [c]: issue span [span], sources [g.slo, shi), writes
    [g.elo, ehi), [extra] dcache-stall cycles, charged to bundle [ip].
    [M.close_group]'s accounting, replicated locally: the build's -opaque
@@ -1386,11 +1278,7 @@ let[@inline] close t c (g : group) ~span ~shi ~ehi ip extra =
     let issue = ref (stats.M.cycles + 1) in
     let srcs = c.srcs in
     for i = g.slo to shi - 1 do
-      let r = Array.unsafe_get srcs i in
-      let v =
-        if r < 128 then Array.unsafe_get m.M.ready r
-        else Array.unsafe_get m.M.fready (r - 128)
-      in
+      let v = ready m (Array.unsafe_get srcs i) in
       if v > !issue then issue := v
     done;
     let issue = !issue in
@@ -1407,9 +1295,7 @@ let[@inline] close t c (g : group) ~span ~shi ~ehi ip extra =
     let evs = c.evs in
     for e = g.elo to ehi - 1 do
       let x = Array.unsafe_get evs e in
-      let r = x land 255 and ready = issue + (x lsr 8) in
-      if r < 128 then Array.unsafe_set m.M.ready r ready
-      else Array.unsafe_set m.M.fready (r - 128) ready
+      set_ready m (x land 255) (issue + (x lsr 8))
     done
   end
 
@@ -1447,100 +1333,103 @@ let replay t c k =
   done;
   if k > t.base then t.base <- k
 
-(* [c]'s groups split into runs charged to one bucket, as [bucket_of]
-   is now; recomputed only after [Machine.set_bucket] or
-   [Machine.clear_buckets]. *)
-let bucket_runs t c =
-  let m = t.m in
-  if c.bgen <> m.M.bucket_gen then begin
-    let bo = m.M.bucket_of in
-    let bucket (g : group) =
-      if g.bundle < Array.length bo then bo.(g.bundle) land 7 else 0
-    in
-    let n = Array.length c.groups in
-    let runs = ref [] and cur = ref (bucket c.groups.(0)) in
-    for gi = 1 to n - 1 do
-      let b = bucket c.groups.(gi) in
-      if b <> !cur then begin
-        runs := !cur :: (gi - 1) :: !runs;
-        cur := b
-      end
-    done;
-    let a = Array.of_list (List.rev (!cur :: (n - 1) :: !runs)) in
-    c.bruns <- a;
-    c.bgen <- m.M.bucket_gen
-  end;
-  c.bruns
+(* Whether [x] was recorded under the key the machine shows now, entered
+   at cycle count [c0]: from live-in [i - 1] of [c] on. *)
+let rec same_key m c (x : memo) c0 i =
+  i = Array.length x.key
+  || (let d = ready m (Array.unsafe_get c.live (i - 1)) - c0 in
+      (if d < 1 then 1 else d) = Array.unsafe_get x.key i)
+     && same_key m c x c0 (i + 1)
 
-(* Charge [c]'s first [k] whole groups from their summary [s]: evaluate
-   the anchors' timing values, bill the cycles up to the end of each
-   bucket run to its bucket, and set the ready cycles the groups
-   leave. The live-in terms read [ready]/[fready] before any is set. *)
-let summarise t c k s =
+(* Charge what [x] records of [c]'s first [k] whole groups. *)
+let apply t (x : memo) c0 =
   let m = t.m in
-  let stats = m.M.stats and v = t.vals in
-  let c0 = stats.M.cycles in
-  Array.unsafe_set v 0 c0;
-  let anc = c.anc and terms = c.terms in
-  let e = ref 0 in
-  for j = 0 to s.na - 1 do
-    let x = ref (Array.unsafe_get v j + Array.unsafe_get anc (2 * j)) in
-    let hi = Array.unsafe_get anc ((2 * j) + 1) in
-    while !e < hi do
-      let r = Array.unsafe_get terms !e in
-      let y =
-        if r < 128 then Array.unsafe_get m.M.ready r
-        else if r < 256 then Array.unsafe_get m.M.fready (r - 128)
-        else Array.unsafe_get v (r - 256) + Array.unsafe_get terms (!e + 1)
-      in
-      if y > !x then x := y;
-      e := !e + 2
-    done;
-    Array.unsafe_set v (j + 1) !x
+  let stats = m.M.stats and bk = m.M.buckets in
+  stats.M.cycles <- c0 + x.cycles;
+  for i = 0 to Array.length x.bks - 1 do
+    let v = Array.unsafe_get x.bks i in
+    Array.unsafe_set bk (v land 7) (Array.unsafe_get bk (v land 7) + (v lsr 3))
   done;
-  let runs = bucket_runs t c and bk = m.M.buckets in
-  let i = ref 0 and upto = ref c0 and last = ref (-1) in
-  while !last < k - 1 do
-    last := min (Array.unsafe_get runs !i) (k - 1);
-    let g = Array.unsafe_get c.groups !last in
-    let cyc = Array.unsafe_get v g.va + g.vo + g.span - 1 in
-    let b = Array.unsafe_get runs (!i + 1) in
-    Array.unsafe_set bk b (Array.unsafe_get bk b + cyc - !upto);
-    upto := cyc;
-    i := !i + 2
+  for i = 0 to Array.length x.outs - 1 do
+    let v = Array.unsafe_get x.outs i in
+    set_ready m (v land 255) (c0 + (v lsr 8))
   done;
-  stats.M.cycles <- !upto;
-  let o = s.outs in
-  let i = ref 0 in
-  while !i < Array.length o do
-    let x = Array.unsafe_get o !i in
-    let r = x land 255 and ready = Array.unsafe_get v (x lsr 8) + Array.unsafe_get o (!i + 1) in
-    if r < 128 then Array.unsafe_set m.M.ready r ready
-    else Array.unsafe_set m.M.fready (r - 128) ready;
-    i := !i + 2
+  stats.M.groups <- stats.M.groups + x.ngroups;
+  stats.M.slots_retired <- stats.M.slots_retired + x.ret;
+  stats.M.spec_checks <- stats.M.spec_checks + x.spec;
+  t.memo_hits <- t.memo_hits + 1
+
+(* No memo yet: its key matches no [Machine.bucket_gen]. *)
+let no_memo =
+  { key = [| -1 |]; cycles = 0; ngroups = 0; ret = 0; spec = 0; bks = [||]; outs = [||] }
+
+(* Replay [c]'s first [k] whole groups and record what that did, under
+   the key read before it. *)
+let fill t c k c0 =
+  let m = t.m in
+  let stats = m.M.stats in
+  let nl =
+    if k < Array.length c.groups then (Array.unsafe_get c.groups k).nlive
+    else Array.length c.live
+  in
+  let key = Array.make (nl + 1) m.M.bucket_gen in
+  for i = 1 to nl do
+    key.(i) <- max 1 (ready m c.live.(i - 1) - c0)
   done;
-  stats.M.groups <- stats.M.groups + k;
-  stats.M.slots_retired <- stats.M.slots_retired + s.ret;
-  stats.M.spec_checks <- stats.M.spec_checks + s.spec;
-  t.summarised <- t.summarised + 1
+  let bk0 = Array.copy m.M.buckets and groups0 = stats.M.groups in
+  let ret0 = stats.M.slots_retired and spec0 = stats.M.spec_checks in
+  replay t c k;
+  let bks = ref [] and outs = ref [] in
+  Array.iteri
+    (fun b n -> if n > bk0.(b) then bks := ((n - bk0.(b)) lsl 3) lor b :: !bks)
+    m.M.buckets;
+  t.epoch <- t.epoch + 1;
+  for e = 0 to c.groups.(k - 1).ehi - 1 do
+    let r = c.evs.(e) land 255 in
+    if t.wmark.(r) <> t.epoch then begin
+      t.wmark.(r) <- t.epoch;
+      outs := ((ready m r - c0) lsl 8) lor r :: !outs
+    end
+  done;
+  if Array.length c.memos = 0 then
+    c.memos <- Array.make (Array.length c.groups + 1) no_memo;
+  c.memos.(k) <-
+    {
+      key;
+      cycles = stats.M.cycles - c0;
+      ngroups = stats.M.groups - groups0;
+      ret = stats.M.slots_retired - ret0;
+      spec = stats.M.spec_checks - spec0;
+      bks = Array.of_list !bks;
+      outs = Array.of_list !outs;
+    }
 
 (* Charge [c]'s whole groups before group [k], where the program leaves
-   by a taken branch, a cache exit or off its end: from the summary when
-   it holds — none of them charged yet, no charge probe to see each
-   group, no dcache stall in them — else one by one. *)
+   by a taken branch, a cache exit or off its end. Where none of them is
+   charged yet, no charge probe sees each group and no dcache stall fell
+   in them, their charge depends only on the cycle count c0, which
+   nothing moved since the entry, on [bucket_of] and on the ready cycles
+   of the live-ins they read; and a shift of c0 and those ready cycles
+   shifts every result alike, while a live-in ready by c0 + 1 holds up
+   no group. So the memo of the last such exit after [k] groups charges
+   them when its key holds; else they replay and refill it. *)
 let charge t c k =
-  if t.base < k then begin
-    let s = Array.unsafe_get c.sums k in
+  if t.base < k then
     if
-      t.base = 0 && s != no_sum
+      t.base = 0
       && Array.unsafe_get t.stalls k = Array.unsafe_get t.stalls 0
       && match t.m.M.charge_probe with None -> true | Some _ -> false
     then begin
-      summarise t c k s;
-      t.base <- k
+      let m = t.m in
+      let c0 = m.M.stats.M.cycles in
+      let x = if Array.length c.memos = 0 then no_memo else Array.unsafe_get c.memos k in
+      if Array.unsafe_get x.key 0 = m.M.bucket_gen && same_key m c x c0 1 then begin
+        apply t x c0;
+        t.base <- k
+      end
+      else fill t c k c0
     end
     else replay t c k
-  end
 
 let sync t = replay t t.cur t.gi
 
@@ -1857,7 +1746,7 @@ let reference_run ?(fuel = max_int) t =
 (* Diagnostics for tests. *)
 let compiled t = t.compiles
 let compiled_slots t = t.compiled_slots
-let summarised t = t.summarised
+let memo_hits t = t.memo_hits
 
 let reusable t c = same_content t.tc c
 

@@ -22,18 +22,24 @@
     for that bundle, as it is when they are charged.
 
     Between two groups a program charges nothing. Its whole groups are
-    charged when it leaves: by a taken branch, a cache exit or off its
-    end, from a compile-time summary of those groups — the cycle count,
-    its split by bucket and the ready cycles of the registers they wrote,
-    as max-plus functions of the entry cycle and the few live-in ready
-    cycles that can matter. The summary relies on every ready cycle
-    being at most the cycle count plus the cost model's longest latency
-    at a program's entry, which charging keeps true. With a charge probe
-    attached, each group is charged as it ends, so the probe sees every
-    group as it closes. Where a dcache stall fell in the whole groups,
-    and at every other exit, they are charged one by one, as each would
-    have closed. A callback that fires inside a program and reads the
-    cycle count calls {!sync} first.
+    charged when it leaves, one by one, as each would have closed when
+    it ended. Where it leaves by a taken branch, a cache exit or off its
+    end, that replay is memoized per exit point. The replay of whole
+    groups with no dcache stall depends only on the cycle count at the
+    entry, on [bucket_of] and on the ready cycles of the registers the
+    groups read before writing them (their live-ins); shifting the cycle
+    count and those ready cycles together shifts every result alike, and
+    a live-in ready by the cycle after the entry holds up no group. So
+    the key of a memo is {!Machine.bucket_gen} and each live-in's ready
+    cycle less the entry cycle, clipped at 1, read before the replay;
+    an exit that finds the key of the last replay at that point adds
+    the cycles, bucket split, counters and ready cycles that replay
+    left, and any other exit replays and records anew. With a charge
+    probe attached, each group is charged as it ends, so the probe sees
+    every group as it closes. Where a dcache stall fell in the whole
+    groups, and at every other exit (fault, fuel, a rewritten program),
+    they replay without a memo. A callback that fires inside a program
+    and reads the cycle count calls {!sync} first.
 
     A program is valid while the tcache holds its content: the same slot
     instructions and stop bits up to where its last group ended and,
@@ -55,9 +61,10 @@
     has met both its unpatched and its chain-patched content. Where
     neither comes back whole, the new program is derived from the one of
     the two whose leading groups the tcache still holds: it shares those
-    groups' uops and takes over their compile-time fields, and compiles
-    from the first changed group on. A chain patch rewrites a block's
-    exit, in its last groups, so the patched block compiles only those.
+    groups' uops and takes over their compile-time fields, compiles
+    from the first changed group on and starts with no memos. A chain
+    patch rewrites a block's exit, in its last groups, so the patched
+    block compiles only those.
 
     {!reference_run} runs the same closures one fetched slot at a time
     and derives the timing per slot. It exists as the test oracle for the
@@ -106,10 +113,10 @@ val compiled_slots : t -> int
     {!compiled}, the compile work a run did (diagnostics/benchmarks). A
     derived program counts only the slots after the groups it took over. *)
 
-val summarised : t -> int
-(** Program exits whose whole groups {!run} charged from the program's
-    compile-time summary rather than group by group, over the cache's
-    lifetime (diagnostics/tests). *)
+val memo_hits : t -> int
+(** Program exits whose whole groups {!run} charged from the memo of an
+    earlier exit at the same point rather than group by group, over the
+    cache's lifetime (diagnostics/tests). *)
 
 val cached_programs : t -> int
 (** Number of entry positions whose current program is {!reusable}: at

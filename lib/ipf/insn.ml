@@ -291,14 +291,6 @@ let writes { sem; _ } =
   | Hotc _ | Edgec _ -> []
   | Nop _ -> []
 
-let is_branch { sem; _ } =
-  match sem with Br _ | Br_ind _ -> true | _ -> false
-
-let is_memory { sem; _ } =
-  match sem with Ld _ | St _ | Ldf _ | Stf _ -> true | _ -> false
-
-let is_store { sem; _ } = match sem with St _ | Stf _ -> true | _ -> false
-
 (* ------------------------------------------------------------------ *)
 (* Pretty printing                                                     *)
 (* ------------------------------------------------------------------ *)

@@ -184,10 +184,6 @@ val writes : t -> res list
     dependence analysis orders consumers of a speculative load after its
     check. *)
 
-val is_branch : t -> bool
-val is_memory : t -> bool
-val is_store : t -> bool
-
 val pp_target : Format.formatter -> target -> unit
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

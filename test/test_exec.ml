@@ -264,7 +264,7 @@ let test_exec_cache_stable () =
    ip/slot, last_exit and the register files. Each case aims a side exit
    at the middle of a multi-bundle issue group. Every case runs a second
    time with no charge probe, where [Exec.run] charges a program's whole
-   groups from its compile-time summary. *)
+   groups from the memo of an earlier exit where its key holds. *)
 
 module I = Ipf.Insn
 module Mc = Ipf.Machine
@@ -801,6 +801,43 @@ let test_chain_tcache_end () =
   ignore
     (twin off_end "off end re-appended" [ (None, keep); (None, reappend off_end) ])
 
+(* One program entered at bundle 2 again and again, its live-in r4 ready
+   1, 1, 2, 0 and 3 cycles after the entry cycle, then 3 again after the
+   bundle its first group is charged to moved to another bucket, then 1;
+   last, r4 ready 1 cycle and r5, which that group reads and then
+   writes, 2 cycles after the entry cycle: what the entry before left r5
+   with. An exit memo charges only the second entry: ready by the entry
+   cycle + 1 is as good as ready, any later is not, a moved bucket
+   counts, and the key is what a live-in held before the program ran. *)
+let test_memo_key () =
+  let block =
+    prologue
+    @ [ bun (add 6 4 5) (add 5 4 4) nop; bun (add 8 6 4) nop (out I.Exit_program) ]
+  in
+  let enter ?(moved = false) ?r5 d s =
+    let m = s.m in
+    m.Mc.ready.(4) <- m.Mc.stats.Mc.cycles + d;
+    Option.iter (fun d -> m.Mc.ready.(5) <- m.Mc.stats.Mc.cycles + d) r5;
+    if moved then Mc.set_bucket m ~start:3 ~len:1 5;
+    at 2 0 s
+  in
+  let _, plain, results =
+    run_twin block
+      [
+        (None, keep);
+        (None, enter 1);
+        (None, enter 1);
+        (None, enter 2);
+        (None, enter 0);
+        (None, enter 3);
+        (None, enter ~moved:true 3);
+        (None, enter 1);
+        (None, enter ~r5:2 1);
+      ]
+  in
+  List.iter (fun (what, a, b) -> checks ("memo key " ^ what) a b) results;
+  checki "exits charged from a memo" 1 (Ipf.Exec.memo_hits plain.x)
+
 (* A store whose write watch rewrites a later group of the running
    chain: mid-group, as the last slot of a group a stop bit ends, and as
    the last slot of a group a RAW split ends. Each must see the later
@@ -930,16 +967,18 @@ let test_chain_patch_derives () =
    ALAT entries flow between slots.
    Each case runs with fuel at a random offset, then twice more without
    a limit: after an exit a run resumes behind it, after a fault it
-   faults again, after the last exit it runs off the tcache. Then it
-   runs from the start four more times: after the tcache is flushed and
-   the same bundles appended again (programs come back by content), after
-   one slot is patched to another instruction, after that slot is
+   faults again, after the last exit it runs off the tcache. Before each
+   of those two, live-ins' ready cycles move around the cycle count and
+   one bundle moves to another bucket, so exit memos meet new keys. Then
+   it runs from the start four more times: after the tcache is flushed
+   and the same bundles appended again (programs come back by content),
+   after one slot is patched to another instruction, after that slot is
    patched back, and after every cache exit to 0x1234 is patched into a
    branch to a random bundle ([Tcache.patch_dispatch], as the engine
    chains blocks). A third of the cases also watch the data page: every
    store there rewrites one random slot, which may lie in a later group
    of the running chain or in the running group itself. Most cases must
-   charge some program exit from a summary when no probe is attached. *)
+   charge some program exit from a memo when no probe is attached. *)
 module G = QCheck.Gen
 
 let gen_prologue = prologue @ [ bun (movi 13 (data + 3)) (movi 25 3) nop ]
@@ -1096,9 +1135,9 @@ let print_case { body; fuel; patch = idx, si, insn; smc; dest } =
   Buffer.contents b
 
 (* Cases run, and those whose probe-less fast side charged a program
-   exit from a summary. *)
+   exit from a memo. *)
 let generated = ref 0
-let summarised = ref 0
+let memoized = ref 0
 
 let test_generated =
   QCheck.Test.make ~count:2000 ~name:"generated-tcaches"
@@ -1116,6 +1155,20 @@ let test_generated =
         done;
         at 0 0 s
       in
+      (* live-ins ready from one cycle before the cycle count to four
+         after it, and one body bundle charged to another bucket *)
+      let perturb k s =
+        let m = s.m in
+        let c = m.Mc.stats.Mc.cycles and v r = ((7 * r) + fuel + k) mod 6 - 1 in
+        List.iter
+          (fun r -> m.Mc.ready.(r) <- c + v r)
+          [ 4; 5; 16; 17; 18; 19; 20; 21; 22; 23 ];
+        for f = 16 to 23 do
+          m.Mc.fready.(f) <- c + v (f + 1)
+        done;
+        let b = List.length gen_prologue + ((fuel + k) mod List.length body) in
+        Mc.set_bucket m ~start:b ~len:1 (b + k)
+      in
       let setup mem tc =
         Option.iter
           (fun (idx, slot, insn) ->
@@ -1128,8 +1181,8 @@ let test_generated =
         run_twin ~setup bundles
           [
             (Some fuel, keep);
-            (None, keep);
-            (None, keep);
+            (None, perturb 1);
+            (None, perturb 2);
             (None, reappend bundles);
             (None, patch insn);
             (None, patch orig);
@@ -1137,7 +1190,7 @@ let test_generated =
           ]
       in
       incr generated;
-      if Ipf.Exec.summarised plain.x > 0 then incr summarised;
+      if Ipf.Exec.memo_hits plain.x > 0 then incr memoized;
       match List.find_opt (fun (_, a, b) -> a <> b) results with
       | None -> true
       | Some (what, a, b) ->
@@ -1200,6 +1253,7 @@ let () =
           Alcotest.test_case "chain-indirect-targets" `Quick
             test_chain_indirect_targets;
           Alcotest.test_case "chain-tcache-end" `Quick test_chain_tcache_end;
+          Alcotest.test_case "memo-key" `Quick test_memo_key;
           (* a fixed seed: the same 2000 tcaches on every run *)
           (let name, speed, run =
              QCheck_alcotest.to_alcotest
@@ -1211,13 +1265,13 @@ let () =
              fun () ->
                run ();
                Printf.eprintf
-                 "[summary] %d of %d generated cases charged an exit from a \
-                  summary\n%!"
-                 !summarised !generated;
-               if 2 * !summarised <= !generated then
+                 "[memo] %d of %d generated cases charged an exit from a \
+                  memo\n%!"
+                 !memoized !generated;
+               if 2 * !memoized <= !generated then
                  Alcotest.failf
                    "only %d of %d generated cases charged a program exit \
-                    from a summary"
-                   !summarised !generated ));
+                    from a memo"
+                   !memoized !generated ));
         ] );
     ]
