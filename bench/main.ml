@@ -1,12 +1,10 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation section (see DESIGN.md §3 and EXPERIMENTS.md) and, with
-   [--bechamel], runs Bechamel micro-benchmarks of the translator itself.
+   evaluation section (see DESIGN.md §3 and EXPERIMENTS.md).
 
    Usage:
      bench/main.exe                 run everything
      bench/main.exe fig5            one experiment
      bench/main.exe --scale 2 all   bigger workloads
-     bench/main.exe --bechamel      Bechamel micro-benchmarks
      bench/main.exe --json          write BENCH_results.json (no text report)
 *)
 
@@ -1391,89 +1389,6 @@ let perf ~scale ~min_time () =
   close_out oc;
   Printf.printf "wrote %s\n" wallclock_file
 
-(* ---------------- Bechamel micro-benchmarks ---------------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let mk_run name f = Test.make ~name (Staged.stage f) in
-  let small_image =
-    Workloads.Spec_int.twolf.Workloads.Common.build ~scale:1 ~wide:false
-  in
-  let cold_translate () =
-    let mem = Ia32.Memory.create () in
-    ignore (Ia32.Asm.load small_image mem);
-    let eng =
-      Ia32el.Engine.create ~config:Ia32el.Config.cold_only
-        ~btlib:(module Btlib.Linuxsim) mem
-    in
-    ignore
-      (Ia32el.Cold.translate eng.Ia32el.Engine.cold_env
-         ~entry:small_image.Ia32.Asm.entry ~entry_tos:0 ~stage2:false)
-  in
-  let interp_run () =
-    let mem = Ia32.Memory.create () in
-    let st = Ia32.Asm.load small_image mem in
-    let vos = Btlib.Vos.create mem in
-    ignore (Ia32el.Refvehicle.run ~btlib:(module Btlib.Linuxsim) vos st)
-  in
-  (* one Test.make per table/figure driver (at scale 1) plus translator
-     throughput probes *)
-  let tests =
-    [
-      mk_run "table1.precise-exception" (fun () ->
-          let mem = Ia32.Memory.create () in
-          let open Ia32.Insn in
-          let image =
-            Ia32.Asm.build
-              ~code:
-                [ Ia32.Asm.label "start";
-                  Ia32.Asm.i (Mov (S32, R Esp, I 0x30000000));
-                  Ia32.Asm.i (Push (R Eax)) ]
-              ~data:[] ()
-          in
-          let st = Ia32.Asm.load image mem in
-          let eng =
-            Ia32el.Engine.create ~config:Ia32el.Config.cold_only
-              ~btlib:(module Btlib.Linuxsim) mem
-          in
-          ignore (Ia32el.Engine.run ~fuel:10_000 eng st));
-      mk_run "fig5.el-vpr" (fun () -> ignore (B.run_el Workloads.Spec_int.vpr ~scale:1));
-      mk_run "fig6.el-twolf" (fun () -> ignore (B.run_el Workloads.Spec_int.twolf ~scale:1));
-      mk_run "fig7.el-sysmark" (fun () ->
-          ignore (B.run_el Workloads.Sysmark.office ~scale:1));
-      mk_run "fig8.xeon-model-twolf" (fun () ->
-          ignore (B.run_xeon Workloads.Spec_int.twolf ~scale:1));
-      mk_run "misalign.stress-on" (fun () ->
-          ignore (B.run_el Workloads.Sysmark.misalign_stress ~scale:1));
-      mk_run "stats.cold-translate" cold_translate;
-      mk_run "stats.reference-interpreter" interp_run;
-    ]
-  in
-  let test = Test.make_grouped ~name:"ia32el" ~fmt:"%s.%s" tests in
-  let benchmark () =
-    let instances = Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:3 ~quota:(Time.second 1.0) ~kde:None () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let results = Analyze.all ols Instance.monotonic_clock results in
-    Analyze.merge ols Instance.[ monotonic_clock ] [ results ]
-  in
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun _ tbl ->
-      Hashtbl.iter
-        (fun name ols ->
-          match Bechamel.Analyze.OLS.estimates ols with
-          | Some [ t ] -> Printf.printf "%-40s %14.0f ns/run\n" name t
-          | _ -> Printf.printf "%-40s (no estimate)\n" name)
-        tbl)
-    results
-
 (* ---------------- driver ---------------- *)
 
 let () =
@@ -1510,7 +1425,6 @@ let () =
   in
   (match cmds with
   | [] | [ "all" ] -> if not !json then all ()
-  | [ "--bechamel" ] -> bechamel ()
   | cmds ->
     List.iter
       (function

@@ -18,7 +18,6 @@ type handshake =
   | Major_mismatch of version * version
   | Btlib_too_old of version * version
 
-val handshake : btlib:version -> btgeneric:version -> handshake
 val handshake_ok : btlib:version -> btgeneric:version -> bool
 
 (** The services BTLib provides to BTGeneric. All OS knowledge (syscall

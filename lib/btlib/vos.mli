@@ -86,9 +86,6 @@ type t = {
 }
 
 val heap_base_default : int
-val heap_limit_default : int
-
-val default_quantum : int
 
 val create : Ia32.Memory.t -> t
 
@@ -111,9 +108,6 @@ val bind_request : t -> string -> unit
 val response : t -> string
 (** Bytes the guest has appended with [Send] since the last
     {!bind_request}. *)
-
-val request_remaining : t -> int
-(** Request bytes not yet delivered by [Recv]. *)
 
 val perform : t -> Ia32.State.t -> Syscall.call -> Syscall.result
 (** Execute a system service against guest state. The service "runs
@@ -164,10 +158,6 @@ val take_wake : thread -> int option
 
 val park : t -> Ia32.State.t -> unit
 (** Save [st] as the current thread's parked state. *)
-
-val charge_current : t -> now:int -> unit
-(** Charge virtual cycles since the last charge point to the current
-    thread (recording only). *)
 
 val need_resched : t -> now:int -> bool
 (** True when the current thread's quantum has expired or it yielded.

@@ -19,10 +19,9 @@ type seq = Nil | One of item | Cat of seq * seq
 type t = {
   mutable items : seq; (* reversed *)
   mutable next_label : int;
-  mutable ninsns : int;
 }
 
-let create () = { items = Nil; next_label = 0; ninsns = 0 }
+let create () = { items = Nil; next_label = 0 }
 
 let new_label t =
   let l = t.next_label in
@@ -30,14 +29,11 @@ let new_label t =
   l
 
 let emit ?(tag = -1) t insn =
-  t.items <- Cat (One (I (insn, tag)), t.items);
-  t.ninsns <- t.ninsns + 1
+  t.items <- Cat (One (I (insn, tag)), t.items)
 
 let stop t = t.items <- Cat (One Stop, t.items)
 
 let bind t l = t.items <- Cat (One (Lbl l), t.items)
-
-let length t = t.ninsns
 
 (* Prepend previously generated items (used to put block-head checks in
    front of an already generated body). In reversed storage the head's
@@ -45,7 +41,6 @@ let length t = t.ninsns
    counter takes the max to keep future labels fresh. *)
 let prepend t (head : t) =
   t.items <- Cat (t.items, head.items);
-  t.ninsns <- t.ninsns + head.ninsns;
   t.next_label <- max t.next_label head.next_label
 
 (* Flatten a reversed seq into a forward (program-order) item list.

@@ -20,7 +20,6 @@ type seq = Nil | One of item | Cat of seq * seq
 type t = {
   mutable items : seq;  (** reversed *)
   mutable next_label : int;
-  mutable ninsns : int;
 }
 
 val create : unit -> t
@@ -30,13 +29,9 @@ val emit : ?tag:int -> t -> Ipf.Insn.t -> unit
 val stop : t -> unit
 val bind : t -> int -> unit
 
-val length : t -> int
-(** Instructions emitted so far. *)
-
 val prepend : t -> t -> unit
 (** [prepend t head] puts [head]'s items before [t]'s (block-head checks
-    in front of an already generated body) in O(1); [length] counts both
-    buffers afterwards. *)
+    in front of an already generated body) in O(1). *)
 
 val local : int -> Ipf.Insn.target
 (** Branch-target placeholder for a local label, encoded as

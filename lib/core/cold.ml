@@ -142,7 +142,6 @@ let make_ctx env cg ~block_id ~entry_tos ~stage2 ~ma_base ~edge_slot ~is_cond =
       access_idx = 0;
       misalign_policy;
       ma_pred_cache = Hashtbl.create 8;
-      config = env.config;
     }
   in
   let reset_scratch ~keep_preds =

@@ -293,15 +293,15 @@ let note_smc_invalidation t page =
   if count >= t.config.Config.smc_storm_limit then degrade_page_to_interp t page
   else false
 
-let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ?dcache
-    ~btlib mem =
+let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ~btlib
+    mem =
   let module L = (val btlib : Btlib.Btos.S) in
   (* load-time version handshake between BTGeneric and BTLib (paper §3) *)
   let btlib = Btlib.Btos.init (module L) in
   let tcache = Ipf.Tcache.create () in
   let cache = Block.create_cache () in
   let acct = Account.create () in
-  let machine = M.create ~cost:mcost ?dcache mem tcache in
+  let machine = M.create ~cost:mcost mem tcache in
   let vos = Btlib.Vos.create mem in
   (* map the profile arena *)
   Ia32.Memory.map mem ~addr:Block.arena_base ~len:Block.arena_size
@@ -1783,11 +1783,6 @@ let distribution t = Account.distribution t.acct t.machine
 let clock t = now t
 let current_tid t = Btlib.Vos.current t.vos
 
-(* Snapshot the current architectural state (block-boundary precision). *)
-let capture t =
-  let snapshot = here_snapshot t in
-  Reconstruct.extract t.machine ~eip:(M.get32 t.machine Regs.r_state) ~snapshot
-
 (* ---- observability ----------------------------------------------------- *)
 
 let attach_trace t tr =
@@ -1864,8 +1859,6 @@ let attach_timers t tm =
 let trace t = t.trace
 let profile t = t.profile
 let sampler t = t.sampler
-let hists t = t.hists
-let timers t = t.timers
 
 let live_blocks t =
   Hashtbl.fold

@@ -142,7 +142,6 @@ exception Smc_abort
 val create :
   ?config:Config.t ->
   ?cost:Ipf.Cost.t ->
-  ?dcache:Ipf.Dcache.t ->
   btlib:(module Btlib.Btos.S) ->
   Ia32.Memory.t ->
   t
@@ -218,28 +217,6 @@ val pages_restored : t -> int
 val epoch_id : epoch -> int
 val epoch_trace_index : epoch -> int
 
-(** {2 Graceful degradation}
-
-    The degradation ladder bounds how much retranslation churn one entry
-    or source page can cause: repeated invalidation-driven retranslations
-    escalate an entry to stage-2 then stage-3 misalignment avoidance and
-    finally to interpret-only; an SMC storm (too many invalidation events
-    on one source page within a dispatch window) degrades the whole page
-    to interpretation. Under attack the engine loses throughput but keeps
-    making forward progress. *)
-
-val interp_only_at : t -> int -> bool
-(** [interp_only_at t eip] is true when the degradation ladder has demoted
-    [eip] (or its source page) to interpretation. *)
-
-val blacklist_entry : t -> int -> unit
-(** Force an entry onto the last rung: interpret-only from now on. *)
-
-val degrade_page_to_interp : t -> int -> bool
-(** Degrade a whole source page (page number, not address) to
-    interpretation. Returns true when the currently running block had to
-    be deferred, i.e. a caller inside translated code must abort. *)
-
 (** {2 Chaos primitives}
 
     Semantics-preserving perturbations for the deterministic fault
@@ -276,10 +253,6 @@ val current_tid : t -> int
 (** Tid of the currently scheduled guest thread (0 when single-threaded).
     Inside an [on_commit] observer this is the committing thread: the
     scheduler switches only after the syscall completes. *)
-
-val capture : t -> Ia32.State.t
-(** Snapshot the current architectural state (block-boundary
-    precision). *)
 
 (** {2 Observability}
 
@@ -321,11 +294,6 @@ val attach_timers : t -> Obs.Timers.t -> unit
 val trace : t -> Obs.Trace.t option
 val profile : t -> Obs.Profile.t option
 val sampler : t -> Obs.Sample.t option
-val hists : t -> Obs.Hist.set option
-val timers : t -> Obs.Timers.t option
-
-val live_blocks : t -> int
-(** Number of live blocks in the block cache. *)
 
 val metrics : t -> Obs.Metrics.t
 (** Snapshot everything measurable into the stable ["ia32el-metrics/2"]

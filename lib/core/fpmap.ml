@@ -20,7 +20,6 @@ type t = {
   mutable known_valid : int; (* physical regs known Valid here *)
   mutable known_empty : int;
   mutable written : int; (* physical regs written by this block *)
-  mutable writes_cc : bool; (* block writes the FP condition codes *)
   mutable used : bool; (* any x87 instruction translated *)
 }
 
@@ -39,7 +38,6 @@ let create ~entry_tos =
     known_valid = 0;
     known_empty = 0;
     written = 0;
-    writes_cc = false;
     used = false;
   }
 

@@ -27,7 +27,6 @@ type t = {
   mutable known_valid : int;  (** slots known Valid at this point *)
   mutable known_empty : int;
   mutable written : int;  (** slots written by this block *)
-  mutable writes_cc : bool;  (** block writes the FP condition codes *)
   mutable used : bool;  (** any x87 instruction translated *)
 }
 
@@ -37,15 +36,6 @@ exception Static_fault
     out and lets the runtime interpret to raise the precise fault. *)
 
 val create : entry_tos:int -> t
-
-val slot_of_st : t -> int -> int
-(** Architectural slot of ST(i) at the current virtual TOS. *)
-
-val phys_of_st : t -> int -> int
-(** IPF slot of ST(i) under the FXCHG permutation. *)
-
-val fr_of_st : t -> int -> int
-(** IPF FP register holding ST(i). *)
 
 val read : t -> int -> int
 (** Record a read of ST(i) (must be Valid; recorded as an entry

@@ -279,8 +279,6 @@ type hstate = {
   mutable reg_version : int array; (* per guest reg *)
   ea_cache : (string, int) Hashtbl.t;
   mutable in_diamond : int option; (* side predicate *)
-  mutable tail : (I.t * int) list; (* trace end code (reversed) *)
-  mutable emitting_tail : bool;
 }
 
 let is_canonic_gr r = (r >= 8 && r <= 23) || (r >= 40 && r <= 71)
@@ -711,8 +709,6 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
       reg_version = Array.make 8 0;
       ea_cache = Hashtbl.create 16;
       in_diamond = None;
-      tail = [];
-      emitting_tail = false;
     }
   in
   let fp = Fpmap.create ~entry_tos in
@@ -903,7 +899,6 @@ let translate_exn (env : Cold.env) ~entry ~entry_tos ~profile ~avoid =
       access_idx = 0;
       misalign_policy;
       ma_pred_cache = Hashtbl.create 16;
-      config;
     }
   in
   (* --- lazy flag helpers ----------------------------------------------- *)

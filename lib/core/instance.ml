@@ -11,7 +11,6 @@
    session per worker. *)
 
 type t = {
-  mem : Ia32.Memory.t;
   eng : Engine.t;
   mutable st : Ia32.State.t;
 }
@@ -32,23 +31,23 @@ type result = {
 let built = Atomic.make 0
 let created () = Atomic.get built
 
-let create ?config ?cost ?dcache
-    ?(btlib : (module Btlib.Btos.S) = (module Btlib.Linuxsim))
+let create ?config ?(btlib : (module Btlib.Btos.S) = (module Btlib.Linuxsim))
     (image : Ia32.Asm.image) =
   Atomic.incr built;
   let mem = Ia32.Memory.create () in
   let st = Ia32.Asm.load image mem in
-  let eng = Engine.create ?config ?cost ?dcache ~btlib mem in
-  { mem; eng; st }
+  let eng = Engine.create ?config ~btlib mem in
+  { eng; st }
 
-let default_fuel = 2_000_000_000
+(* Fuel (guest instructions) of every instance run. *)
+let fuel = 2_000_000_000
 
 (* The watchdog surfaces as a structured [Bt_error] out of [Engine.run];
    an instance run converts exactly that error — component "watchdog" —
    into a [Budget_exhausted] stop so pool layers can treat a blown budget
    as a normal per-request outcome rather than a harness crash. Any other
    [Bt_error] still escapes: those are translator invariant violations. *)
-let run ?(fuel = default_fuel) ?max_cycles ?request t =
+let run ?max_cycles ?request t =
   t.eng.Engine.max_cycles <- max_cycles;
   (match request with
   | Some payload -> Btlib.Vos.bind_request t.eng.Engine.vos payload
@@ -94,7 +93,6 @@ let rewind s =
   s.inst.st <- s.st0
 
 let metrics t = Engine.metrics t.eng
-let clock t = Engine.clock t.eng
 
 let stop_to_string = function
   | Exited c -> Printf.sprintf "exited(%d)" c

@@ -11,7 +11,6 @@
     ([Serve]) keeps one session per worker. *)
 
 type t = {
-  mem : Ia32.Memory.t;
   eng : Engine.t;
   mutable st : Ia32.State.t;  (** updated with the final precise state *)
 }
@@ -34,8 +33,6 @@ type result = {
 
 val create :
   ?config:Config.t ->
-  ?cost:Ipf.Cost.t ->
-  ?dcache:Ipf.Dcache.t ->
   ?btlib:(module Btlib.Btos.S) ->
   Ia32.Asm.image ->
   t
@@ -46,9 +43,7 @@ val created : unit -> int
 (** Instances {!create}d by this process so far (diagnostics: what a
     serving worker spends on builds). *)
 
-val default_fuel : int
-
-val run : ?fuel:int -> ?max_cycles:int -> ?request:string -> t -> result
+val run : ?max_cycles:int -> ?request:string -> t -> result
 (** Run the guest from its current state. [max_cycles] arms the engine
     watchdog (absolute virtual-clock bound) for this run; without it the
     watchdog is off, whatever an earlier run set. The resulting
@@ -85,5 +80,4 @@ val rewind : session -> unit
     to restart. *)
 
 val metrics : t -> Obs.Metrics.t
-val clock : t -> int
 val stop_to_string : stop -> string

@@ -83,7 +83,6 @@ type ctx = {
   misalign_policy : int -> int -> ma_policy;  (** access idx, width *)
   ma_pred_cache : (int * int, int * int) Hashtbl.t;
       (** misalignment predicates per (address GR, width) *)
-  config : Config.t;
 }
 
 (** {1 Emission helpers} *)
@@ -95,21 +94,11 @@ val emitp : ctx -> int -> I.sem -> unit
 val stop : ctx -> unit
 (** Place a group stop after the last emitted instruction. *)
 
-val imm : ctx -> int -> int
-(** Load a 32-bit immediate into a fresh scratch GR. *)
-
-val imm64 : ctx -> int64 -> int
-
 val default_ea : ctx -> mem -> int
 (** Compute an effective address into a GR (base + scaled index +
     displacement, masked to 32 bits). *)
 
 (** {1 EFLAGS} *)
-
-val materialize : ctx -> producer -> flag list -> unit
-(** Emit the formulas writing the listed flags of [producer] into the
-    canonic flag registers ({!Regs.gr_of_flag}). Forces CF with OF for
-    left shifts/rotates (the OF formula reads the materialized CF). *)
 
 val set_flag : ctx -> producer -> flag -> unit
 
@@ -129,7 +118,6 @@ val check_tos : int
 val check_tag : int
 val check_mode_fp : int
 val check_mode_mmx : int
-val check_sse : int
 val check_park : int
 
 val r_fpcc : int

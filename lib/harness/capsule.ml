@@ -198,8 +198,6 @@ let observe r (eng : E.t) =
         record r eng ev st;
         match prev with Some f -> f ev st | None -> ())
 
-let recorded r = r.r_total
-
 let finalize r failure =
   let snap_epoch, snap_ix =
     match r.r_engine with
@@ -343,12 +341,6 @@ let load file =
       c)
 
 (* ---- description ------------------------------------------------------- *)
-
-let failure_class = function
-  | F_bt_error _ -> "bt-error"
-  | F_divergence _ -> "divergence"
-  | F_unhandled_fault _ -> "unhandled-fault"
-  | F_other _ -> "other"
 
 let describe_failure = function
   | F_bt_error f ->

@@ -17,10 +17,6 @@
 val magic : string
 (** File format tag, ["IA32EL-CAPSULE/4"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3 and 4 mark two shrinkings of {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
 
-val log_cap : int
-(** Commit points retained in a capsule's log (the total count is kept
-    even when the log is truncated). *)
-
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
 
 type entry = {
@@ -82,9 +78,6 @@ val observe : recorder -> Ia32el.Engine.t -> unit
     is in the log by the time the checker raises). Also remembers the
     engine so {!finalize} can read the nearest snapshot anchor. *)
 
-val recorded : recorder -> int
-(** Commit points recorded so far. *)
-
 val finalize : recorder -> failure -> t
 val failure_of_bt : Ia32el.Bt_error.t -> failure
 val failure_of_divergence : Ia32el.Lockstep.divergence -> failure
@@ -116,9 +109,6 @@ val corrupt_config_fp : t -> int64 -> t
 val describe : t -> string
 (** Multi-line human summary (failure, image size, parameters, log
     length, snapshot anchor). *)
-
-val failure_class : failure -> string
-val describe_failure : failure -> string
 
 (** {1 Replay} *)
 

@@ -27,7 +27,6 @@ let space n = Space n
 let jmp name = Ins_lab (name, fun a -> Insn.Jmp a)
 let jcc c name = Ins_lab (name, fun a -> Insn.Jcc (c, a))
 let call name = Ins_lab (name, fun a -> Insn.Call a)
-let push_lab name = Ins_lab (name, fun a -> Insn.Push (Insn.I a))
 let mov_ri_lab r name = Ins_lab (name, fun a -> Insn.Mov (Insn.S32, Insn.R r, Insn.I a))
 
 (* Build any instruction from a label address. *)
@@ -152,10 +151,13 @@ type image = {
   labels : (string * int) list; (* every label, sorted by address *)
 }
 
-let build ?(code_base = default_code_base) ?(data_base = default_data_base)
-    ?(entry = "start") ~code ~data () =
+let build ~code ~data () =
   let parts, lookup, env =
-    assemble_env [ section ~base:code_base code; section ~base:data_base data ]
+    assemble_env
+      [
+        section ~base:default_code_base code;
+        section ~base:default_data_base data;
+      ]
   in
   let labels =
     Hashtbl.fold (fun name addr acc -> (name, addr) :: acc) env []
@@ -165,10 +167,10 @@ let build ?(code_base = default_code_base) ?(data_base = default_data_base)
   match parts with
   | [ (_, code_bytes); (_, data_bytes) ] ->
     {
-      entry = lookup entry;
-      code_base;
+      entry = lookup "start";
+      code_base = default_code_base;
       code = code_bytes;
-      data_base;
+      data_base = default_data_base;
       data = data_bytes;
       stack_top = default_stack_top;
       lookup;

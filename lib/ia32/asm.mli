@@ -24,7 +24,6 @@ val space : int -> item
 val jmp : string -> item
 val jcc : Insn.cond -> string -> item
 val call : string -> item
-val push_lab : string -> item
 val mov_ri_lab : Insn.reg -> string -> item
 
 (** [with_lab name f] emits [f addr] once [name] resolves to [addr]; the
@@ -53,7 +52,6 @@ val assemble : section list -> (int * string) list * (string -> int)
 val default_code_base : int
 val default_data_base : int
 val default_stack_top : int
-val default_stack_size : int
 
 type image = {
   entry : int;
@@ -68,15 +66,9 @@ type image = {
           observability consumers name guest blocks symbolically *)
 }
 
-(** Build a two-section program image; entry defaults to label ["start"]. *)
-val build :
-  ?code_base:int ->
-  ?data_base:int ->
-  ?entry:string ->
-  code:item list ->
-  data:item list ->
-  unit ->
-  image
+(** Build a two-section program image at {!default_code_base} and
+    {!default_data_base}; the entry is label ["start"]. *)
+val build : code:item list -> data:item list -> unit -> image
 
 (** Map the image into guest memory (code RX unless [writable_code]), map a
     stack, and return a fresh architectural state at the entry point. *)

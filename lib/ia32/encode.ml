@@ -433,18 +433,3 @@ let encode ~ip insn =
   let e = { buf = Buffer.create 8; ip } in
   encode_insn e insn;
   Buffer.contents e.buf
-
-(* Instruction length; independent of placement because branches are always
-   rel32. *)
-let length insn = String.length (encode ~ip:0 insn)
-
-let encode_list ~ip insns =
-  let buf = Buffer.create 64 in
-  let cur = ref ip in
-  List.iter
-    (fun insn ->
-      let s = encode ~ip:!cur insn in
-      Buffer.add_string buf s;
-      cur := !cur + String.length s)
-    insns;
-  Buffer.contents buf

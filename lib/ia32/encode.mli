@@ -10,9 +10,3 @@ exception Cannot_encode of string
 (** [encode ~ip insn] is the machine code of [insn] when placed at address
     [ip] (needed for relative branch displacements). *)
 val encode : ip:int -> Insn.insn -> string
-
-(** Encoded length in bytes; placement-independent. *)
-val length : Insn.insn -> int
-
-(** Encode a straight-line sequence starting at [ip]. *)
-val encode_list : ip:int -> Insn.insn list -> string

@@ -18,8 +18,6 @@ type t =
 
 exception Fault of t
 
-val access_name : access -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 (** IA-32 exception vector number (0 = #DE, 6 = #UD, 14 = #PF, ...). *)

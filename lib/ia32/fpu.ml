@@ -35,8 +35,6 @@ let create () =
 
 let phys t i = (t.top + i) land 7
 
-let tag_of t i = t.tags.(phys t i)
-
 let stack_fault () = raise (Fault.Fault Fault.Fp_stack_fault)
 
 (* Reading ST(i) faults when the entry is empty (stack underflow). *)

@@ -25,7 +25,6 @@ val create : unit -> t
 (** Physical register index of ST(i). *)
 val phys : t -> int -> int
 
-val tag_of : t -> int -> tag
 val get : t -> int -> float
 val set : t -> int -> float -> unit
 val push : t -> float -> unit

@@ -40,9 +40,6 @@ let create () =
   }
 
 let set_enabled t b = t.enabled <- b
-let enabled t = t.enabled
-
-let clear t = if t.eips != no_eips then Array.fill t.eips 0 size (-1)
 
 (* Slot index on hit, -1 on miss. Valid generations are >= 1 and never
    reused, so comparing against a stored 0 (empty) or a stale generation

@@ -14,12 +14,6 @@ val set_enabled : t -> bool -> unit
 (** When disabled, {!find} always misses and {!fill} is a no-op, so every
     step goes through the real decoder. *)
 
-val enabled : t -> bool
-
-val clear : t -> unit
-(** Drop every entry (diagnostic; generation validation already makes stale
-    entries unreachable). *)
-
 val find : t -> Memory.t -> int -> int
 (** [find t mem eip] is the slot index of a valid entry for [eip], or [-1].
     Pass the slot to {!insn} / {!len}. *)

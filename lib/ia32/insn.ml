@@ -34,7 +34,6 @@ type mem = {
 let mem_abs disp = { base = None; index = None; disp = Word.mask32 disp }
 let mem_b base = { base = Some base; index = None; disp = 0 }
 let mem_bd base disp = { base = Some base; index = None; disp = Word.mask32 disp }
-let mem_bis base index scale = { base = Some base; index = Some (index, scale); disp = 0 }
 let mem_full base index scale disp =
   { base = Some base; index = Some (index, scale); disp = Word.mask32 disp }
 
@@ -65,10 +64,6 @@ type flag = CF | PF | AF | ZF | SF | OF | DF
 
 let all_flags = [ CF; PF; AF; ZF; SF; OF; DF ]
 let arith_flags = [ CF; PF; AF; ZF; SF; OF ]
-
-let flag_name = function
-  | CF -> "cf" | PF -> "pf" | AF -> "af" | ZF -> "zf"
-  | SF -> "sf" | OF -> "of" | DF -> "df"
 
 (* Flags read to evaluate a condition. *)
 let cond_uses = function
@@ -246,8 +241,6 @@ type insn =
 (* Metadata used by the translator.                                    *)
 (* ------------------------------------------------------------------ *)
 
-let is_cmp_like = function Alu (Cmp, _, _, _) | Test (_, _, _) -> true | _ -> false
-
 (* Flags written by an instruction. Shifts by a possibly-zero CL amount
    conservatively count as writing (the interpreter leaves flags unchanged
    for a zero shift; the translator treats CL shifts as both using and
@@ -294,20 +287,6 @@ let flags_use = function
 let is_block_end = function
   | Jmp _ | Jcc _ | Call _ | Jmp_ind _ | Call_ind _ | Ret _ | Int_n _ | Hlt | Ud2 -> true
   | _ -> false
-
-let mem_of_operand = function M m -> Some m | R _ | I _ -> None
-
-let mmx_mem = function MMem m -> Some m | MM _ -> None
-let xmm_mem = function XMem m -> Some m | XM _ -> None
-
-let fp_mem = function
-  | Fld_m (_, m) | Fst_m (_, m, _) | Fild (_, m) | Fist_m (_, m, _)
-  | Fop_m (_, _, m) | Fcom_m (_, m, _) ->
-    Some m
-  | Fld_st _ | Fld1 | Fldz | Fldpi | Fst_st _ | Fop_st0_st _ | Fop_st_st0 _
-  | Fchs | Fabs | Fsqrt | Frndint | Fcom_st _ | Fnstsw_ax | Fxch _ | Ffree _
-  | Fincstp | Fdecstp ->
-    None
 
 (* Memory locations touched by an instruction, together with the access
    width in bytes and whether it is a store. Implicit stack and string

@@ -31,7 +31,6 @@ type mem = {
 val mem_abs : int -> mem
 val mem_b : reg -> mem
 val mem_bd : reg -> int -> mem
-val mem_bis : reg -> reg -> int -> mem
 val mem_full : reg -> reg -> int -> int -> mem
 
 type operand =
@@ -51,8 +50,6 @@ val cond_name : cond -> string
 type flag = CF | PF | AF | ZF | SF | OF | DF
 
 val all_flags : flag list
-val arith_flags : flag list
-val flag_name : flag -> string
 
 (** Flags read when evaluating a condition. *)
 val cond_uses : cond -> flag list
@@ -61,11 +58,8 @@ type alu = Add | Or | Adc | Sbb | And | Sub | Xor | Cmp
 
 val alu_index : alu -> int
 val alu_of_index : int -> alu
-val alu_name : alu -> string
 
 type shift = Shl | Shr | Sar | Rol | Ror
-
-val shift_name : shift -> string
 
 (** Shift amount: immediate or the CL register. *)
 type amount = Amt_imm of int | Amt_cl
@@ -76,8 +70,6 @@ type rep = No_rep | Rep | Repe | Repne
 type fsize = F32 | F64
 type isize = I16 | I32
 type fop = FAdd | FSub | FSubr | FMul | FDiv | FDivr
-
-val fop_name : fop -> string
 
 (** x87 floating-point instructions. [st(i)] operands are top-relative. *)
 type fp_insn =
@@ -129,13 +121,9 @@ type xmm_rm = XM of int | XMem of mem
 
 type sse_op = SAdd | SSub | SMul | SDiv | SMin | SMax
 
-val sse_op_name : sse_op -> string
-
 (** The four XMM data formats tracked by the translator's SSE format
     speculation, plus packed-integer. *)
 type sse_fmt = Packed_single | Packed_double | Scalar_single | Scalar_double | Packed_int
-
-val sse_fmt_name : sse_fmt -> string
 
 type sse_insn =
   | Movaps of xmm_rm * xmm_rm
@@ -204,9 +192,6 @@ type insn =
   | Mmx of mmx_insn
   | Sse of sse_insn
 
-(** [true] for compare-like instructions that only produce flags. *)
-val is_cmp_like : insn -> bool
-
 (** EFLAGS bits written by the instruction. *)
 val flags_def : insn -> flag list
 
@@ -220,11 +205,6 @@ val flags_use : insn -> flag list
 (** [true] when control leaves the basic block after the instruction. *)
 val is_block_end : insn -> bool
 
-val mem_of_operand : operand -> mem option
-val mmx_mem : mmx_rm -> mem option
-val xmm_mem : xmm_rm -> mem option
-val fp_mem : fp_insn -> mem option
-
 (** Memory locations accessed: [(addressing mode, width in bytes, is_store)].
     Implicit stack/string accesses are reported through their base register. *)
 val mem_refs : insn -> (mem * int * bool) list
@@ -233,7 +213,5 @@ val mem_refs : insn -> (mem * int * bool) list
     divide error, FP stack fault, ...). *)
 val may_fault : insn -> bool
 
-val pp_mem : Format.formatter -> mem -> unit
-val pp_operand : size -> Format.formatter -> operand -> unit
 val pp : Format.formatter -> insn -> unit
 val to_string : insn -> string

@@ -70,25 +70,6 @@ let set_reg size t r v =
   | Insn.S16 -> set16 t r v
   | Insn.S32 -> set32 t r v
 
-let get_flag t = function
-  | Insn.CF -> t.cf
-  | Insn.PF -> t.pf
-  | Insn.AF -> t.af
-  | Insn.ZF -> t.zf
-  | Insn.SF -> t.sf
-  | Insn.OF -> t.of_
-  | Insn.DF -> t.df
-
-let set_flag t f v =
-  match f with
-  | Insn.CF -> t.cf <- v
-  | Insn.PF -> t.pf <- v
-  | Insn.AF -> t.af <- v
-  | Insn.ZF -> t.zf <- v
-  | Insn.SF -> t.sf <- v
-  | Insn.OF -> t.of_ <- v
-  | Insn.DF -> t.df <- v
-
 (* EFLAGS image for pushfd/popfd. Bit 1 is always set on IA-32. *)
 let eflags_word t =
   0x2
@@ -184,27 +165,3 @@ let restore_into ~src ~dst =
   dst.fpu.Fpu.c3 <- src.fpu.Fpu.c3;
   Array.blit src.xmm_lo 0 dst.xmm_lo 0 8;
   Array.blit src.xmm_hi 0 dst.xmm_hi 0 8
-
-(* Architectural equality, ignoring memory (compared separately) and EIP if
-   requested. Used by the differential tests. *)
-let equal ?(with_eip = true) a b =
-  Array.for_all2 ( = ) a.regs b.regs
-  && ((not with_eip) || a.eip = b.eip)
-  && a.cf = b.cf && a.pf = b.pf && a.af = b.af && a.zf = b.zf && a.sf = b.sf
-  && a.of_ = b.of_ && a.df = b.df
-  && Fpu.equal a.fpu b.fpu
-  && Array.for_all2 Int64.equal a.xmm_lo b.xmm_lo
-  && Array.for_all2 Int64.equal a.xmm_hi b.xmm_hi
-
-let pp ppf t =
-  Fmt.pf ppf "eip=%08x@." t.eip;
-  List.iter
-    (fun r -> Fmt.pf ppf "%s=%08x " (Insn.reg_name r) (get32 t r))
-    Insn.all_regs;
-  Fmt.pf ppf "@.flags: cf=%b pf=%b af=%b zf=%b sf=%b of=%b df=%b@."
-    t.cf t.pf t.af t.zf t.sf t.of_ t.df;
-  Fmt.pf ppf "fpu: %a@." Fpu.pp t.fpu;
-  for i = 0 to 7 do
-    if not (Int64.equal t.xmm_lo.(i) 0L) || not (Int64.equal t.xmm_hi.(i) 0L)
-    then Fmt.pf ppf "xmm%d=%Lx:%Lx " i t.xmm_hi.(i) t.xmm_lo.(i)
-  done

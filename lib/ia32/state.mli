@@ -32,12 +32,8 @@ val set16 : t -> Insn.reg -> int -> unit
     ah/ch/dh/bh. *)
 val get8 : t -> Insn.reg -> int
 
-val set8 : t -> Insn.reg -> int -> unit
 val get_reg : Insn.size -> t -> Insn.reg -> int
 val set_reg : Insn.size -> t -> Insn.reg -> int -> unit
-
-val get_flag : t -> Insn.flag -> bool
-val set_flag : t -> Insn.flag -> bool -> unit
 
 (** EFLAGS image as pushed by [pushfd] (bit 1 always set). *)
 val eflags_word : t -> int
@@ -61,6 +57,3 @@ val restore_into : src:t -> dst:t -> unit
     (cache entries validate against page generations, so a warm cache
     stays correct across a snapshot revert). Existing references to
     [dst] remain valid — the point of restoring in place. *)
-
-val equal : ?with_eip:bool -> t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -101,11 +101,3 @@ let make ?(stop_end = false) insns =
   let b = { template; slots; stops } in
   check b;
   b
-
-let pp ppf b =
-  Fmt.pf ppf "{ .%s" (template_name b.template);
-  Array.iteri
-    (fun i s ->
-      Fmt.pf ppf "@ %a%s" Insn.pp s (if b.stops.(i) then " ;;" else ""))
-    b.slots;
-  Fmt.pf ppf " }"

@@ -88,28 +88,25 @@ let access_level l addr =
     end
   end
 
-type t = {
-  l1 : level;
-  l2 : level;
-  l2_penalty : int;
-  mem_penalty : int;
-}
+type t = { l1 : level; l2 : level }
+
+(* Stall cycles of an L1 miss that hits L2, and the further cycles of a
+   miss in both levels. *)
+let l2_penalty = 7
+let mem_penalty = 80
 
 let create ?(l1_size = 16 * 1024) ?(l1_assoc = 4) ?(l1_line = 64)
-    ?(l2_size = 256 * 1024) ?(l2_assoc = 8) ?(l2_line = 128) ?(l2_penalty = 7)
-    ?(mem_penalty = 80) () =
+    ?(l2_size = 256 * 1024) ?(l2_assoc = 8) ?(l2_line = 128) () =
   {
     l1 = make_level ~size:l1_size ~assoc:l1_assoc ~line:l1_line;
     l2 = make_level ~size:l2_size ~assoc:l2_assoc ~line:l2_line;
-    l2_penalty;
-    mem_penalty;
   }
 
 (* Extra stall cycles for an access at [addr] (0 on an L1 hit). *)
 let access t addr =
   if access_level t.l1 addr then 0
-  else if access_level t.l2 addr then t.l2_penalty
-  else t.l2_penalty + t.mem_penalty
+  else if access_level t.l2 addr then l2_penalty
+  else l2_penalty + mem_penalty
 
 type stats = {
   l1_hits : int;

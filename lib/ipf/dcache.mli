@@ -20,8 +20,6 @@ val create :
   ?l2_size:int ->
   ?l2_assoc:int ->
   ?l2_line:int ->
-  ?l2_penalty:int ->
-  ?mem_penalty:int ->
   unit ->
   t
 (** Defaults: 16 KiB 4-way 64-byte L1; 256 KiB 8-way 128-byte L2;
@@ -31,8 +29,8 @@ val create :
 
 val access : t -> int -> int
 (** [access t addr] simulates one access and returns the extra stall
-    cycles: 0 on an L1 hit, [l2_penalty] on an L2 hit, and
-    [l2_penalty + mem_penalty] on a full miss. Fills lines on misses. *)
+    cycles: 0 on an L1 hit, 7 on an L2 hit, and 7 + 80 on a full miss.
+    Fills lines on misses. *)
 
 type stats = {
   l1_hits : int;

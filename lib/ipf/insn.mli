@@ -29,8 +29,6 @@ type unit_kind = M | I | F | B
 (** Integer compare relations ([u] = unsigned). *)
 type cmp_rel = Ceq | Cne | Clt | Cle | Cgt | Cge | Cltu | Cleu | Cgtu | Cgeu
 
-val cmp_rel_name : cmp_rel -> string
-
 (** Compare types: normal (sets both predicates), unconditional (also
     clears when qualified false), parallel and/or. *)
 type cmp_type = Cnorm | Cunc | Cand_ | Cor_
@@ -171,7 +169,7 @@ val mk : ?qp:pr -> sem -> t
 
 val unit_of : sem -> unit_kind
 (** Functional unit that executes the instruction ([I]-kind ALU
-    instructions also fit [M] slots; see {!Bundle.kind_fits}). *)
+    instructions also fit [M] slots; see {!Bundle.make}). *)
 
 (** A resource read or written, for dependence analysis. *)
 type res = Rgr of int | Rfr of int | Rpr of int | Rbr of int | Rmem
@@ -184,8 +182,6 @@ val writes : t -> res list
     dependence analysis orders consumers of a speculative load after its
     check. *)
 
-val pp_target : Format.formatter -> target -> unit
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 val map_regs : g:(gr -> gr) -> f:(fr -> fr) -> p:(pr -> pr) -> t -> t

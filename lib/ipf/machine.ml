@@ -104,8 +104,8 @@ let counter_slot addr = (addr lxor (addr lsr 12)) land (counter_slots - 1)
    needs taken-vs-use ordering, not exact totals. *)
 let edgec_saturate = 0xFFFF
 
-let create ?(cost = Cost.default) ?dcache mem tcache =
-  let dcache = match dcache with Some d -> d | None -> Dcache.create () in
+let create ?(cost = Cost.default) mem tcache =
+  let dcache = Dcache.create () in
   let m =
     {
       gr =
@@ -169,7 +169,6 @@ let[@inline] setf m f v =
   end
 
 let[@inline] getp m p = if p = 0 then true else m.pr.(p)
-let[@inline] setp m p v = if p <> 0 then m.pr.(p) <- v
 
 (* Convenience for the translator runtime: 32-bit canonical view. *)
 let get32 m r = Int64.to_int (Int64.logand (get m r) 0xFFFFFFFFL)

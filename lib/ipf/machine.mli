@@ -46,8 +46,6 @@ type stats = {
   mutable spec_checks : int;  (** executed speculation-check branches *)
 }
 
-val fresh_stats : unit -> stats
-
 type t = {
   gr : (int64, Bigarray.int64_elt, Bigarray.c_layout) Bigarray.Array1.t;
       (** 128 general registers; [r0] reads as zero. A [Bigarray] so the
@@ -103,7 +101,7 @@ val counter_slot : int -> int
 val edgec_saturate : int
 (** Ceiling at which [edgec] slots stop counting. *)
 
-val create : ?cost:Cost.t -> ?dcache:Dcache.t -> Ia32.Memory.t -> Tcache.t -> t
+val create : ?cost:Cost.t -> Ia32.Memory.t -> Tcache.t -> t
 
 (** {1 Register access} *)
 
@@ -117,7 +115,6 @@ val set_nat : t -> Insn.gr -> unit
 val getf : t -> Insn.fr -> float
 val setf : t -> Insn.fr -> float -> unit
 val getp : t -> Insn.pr -> bool
-val setp : t -> Insn.pr -> bool -> unit
 
 val get32 : t -> Insn.gr -> int
 (** Low 32 bits of a GR as a non-negative int (IA-32 state lives in the

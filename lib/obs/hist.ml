@@ -143,10 +143,3 @@ let set_fields s =
   ]
 
 let set_to_json s = List.map (fun (k, h) -> (k, to_json h)) (set_fields s)
-
-let pp ppf t =
-  if t.count = 0 then Fmt.pf ppf "(empty)"
-  else
-    Fmt.pf ppf "n=%d min=%d p50=%d p90=%d p99=%d max=%d" t.count
-      (min_value t) (percentile t 0.50) (percentile t 0.90)
-      (percentile t 0.99) t.vmax

@@ -36,8 +36,6 @@ val to_json : t -> Metrics.json
 (** [Obj] with count/sum/min/max/p50/p90/p99 plus a sparse ["buckets"]
     list of [lo, count] pairs, ascending. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 The engine's histogram set}
 
     The six latency/size distributions the metrics schema carries
@@ -58,8 +56,5 @@ type set = {
 }
 
 val create_set : unit -> set
-
-val set_fields : set -> (string * t) list
-(** Stable (name, histogram) pairs in schema order. *)
 
 val set_to_json : set -> (string * Metrics.json) list

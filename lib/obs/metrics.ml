@@ -279,7 +279,7 @@ let to_json t =
     (("schema", Str t.schema)
     :: List.map (fun (name, fields) -> (name, Obj fields)) (sections t))
 
-let to_string ?pretty t = json_to_string ?pretty (to_json t)
+let to_string t = json_to_string (to_json t)
 
 let write t oc = output_string oc (to_string t)
 

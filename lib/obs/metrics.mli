@@ -20,6 +20,10 @@ type json =
 val json_to_string : ?pretty:bool -> json -> string
 (** [pretty] defaults to [true] (2-space indent, trailing newline). *)
 
+val escape : Buffer.t -> string -> unit
+(** [escape buf s] appends [s] as the body of a JSON string literal (no
+    quotes), escaping the quote, the backslash and control characters. *)
+
 val parse : string -> (json, string) result
 (** Minimal recursive-descent JSON parser. Rejects trailing garbage.
     [\uXXXX] escapes decode to UTF-8 without surrogate recombination. *)
@@ -39,7 +43,7 @@ val to_json : t -> json
 (** [Obj] with a leading ["schema"] field followed by one field per
     section. *)
 
-val to_string : ?pretty:bool -> t -> string
+val to_string : t -> string
 val write : t -> out_channel -> unit
 
 val counters : t -> (string * int) list

@@ -26,15 +26,11 @@ val note_runtime : t -> cycles:int -> unit
 
 val exec_cycles : row -> int
 
-val rows : t -> (int * row) list
-(** All rows, sorted by executed cycles, descending. *)
-
 val top : int -> t -> (int * row) list
 
 val runtime_cycles : t -> int
 val hot_exec : t -> int
 val cold_exec : t -> int
-val total_exec : t -> int
 
 val render :
   ?top:int ->

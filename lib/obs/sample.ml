@@ -139,13 +139,3 @@ let render_top ?(top_n = 10) ppf t =
           k)
       (top top_n t)
   end
-
-let to_json t =
-  Metrics.Obj
-    [
-      ("interval", Metrics.Int t.interval);
-      ("samples", Metrics.Int t.taken);
-      ( "buckets",
-        Metrics.Obj
-          (List.map (fun (k, n) -> (k, Metrics.Int n)) (sorted_buckets t)) );
-    ]

@@ -36,21 +36,11 @@ val entry_samples : t -> int -> int
 (** Samples attributed to a given block/trace entry EIP — feeds the
     sample-share column of the --profile table. *)
 
-val symbol_of : t -> int -> string
-(** The symbol an EIP attributes to (exposed for tests). *)
-
 val folded : t -> string
 (** Collapsed-stack ("folded") flamegraph lines, sorted by stack key —
     pipe into flamegraph.pl or load into speedscope. Deterministic. *)
 
 val write_folded : t -> string -> unit
 
-val top : int -> t -> (string * int) list
-(** Top-n buckets by sample count (ties broken by key). *)
-
 val render_top : ?top_n:int -> Format.formatter -> t -> unit
 (** Human-readable hot-region table with per-bucket sample share. *)
-
-val to_json : t -> Metrics.json
-(** The ["sample"] section of ia32el-metrics/2: interval, total samples,
-    and every bucket with its count. *)

@@ -39,9 +39,6 @@ let time t phase f =
   let t0 = t.clock () in
   Fun.protect ~finally:(fun () -> add t phase (t.clock () -. t0)) f
 
-let seconds t phase = t.secs.(index phase)
-let count t phase = t.counts.(index phase)
-
 let to_json t =
   List.concat_map
     (fun p ->

@@ -6,9 +6,6 @@
 
 type phase = Translate | Execute | Persist_io | Snapshot
 
-val phase_name : phase -> string
-val phases : phase list
-
 type t
 
 val create : ?clock:(unit -> float) -> unit -> t
@@ -21,9 +18,6 @@ val time : t -> phase -> (unit -> 'a) -> 'a
 
 val add : t -> phase -> float -> unit
 (** Record an externally measured span (seconds; negatives clamp to 0). *)
-
-val seconds : t -> phase -> float
-val count : t -> phase -> int
 
 val to_json : t -> (string * Metrics.json) list
 (** The ["host_timers"] section: [<phase>_s] Float seconds and

@@ -166,20 +166,6 @@ let pp_event ppf { at; tid; ev } =
 
 (* ---- Chrome trace_event export ---------------------------------------- *)
 
-let json_escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 (* Events with an intrinsic span render as complete ("X") trace events;
    everything else is an instant ("i"). Timestamps are virtual cycles,
    reported in the trace_event microsecond field. *)
@@ -200,7 +186,7 @@ let to_chrome t =
       (Printf.sprintf "{\"name\":\"%s\",\"ph\":\"M\",\"pid\":1,\"tid\":%d,"
          name tid);
     Buffer.add_string buf "\"args\":{\"name\":\"";
-    json_escape buf value;
+    Metrics.escape buf value;
     Buffer.add_string buf "\"}}"
   in
   let evs = events t in
@@ -220,7 +206,7 @@ let to_chrome t =
       if not !first then Buffer.add_string buf ",\n" else Buffer.add_char buf '\n';
       first := false;
       Buffer.add_string buf "{\"name\":\"";
-      json_escape buf (name ev);
+      Metrics.escape buf (name ev);
       (* chrome tids are 1-based; guest tid 0 maps to trace tid 1 *)
       Buffer.add_string buf (Printf.sprintf "\",\"pid\":1,\"tid\":%d," (tid + 1));
       (match span ev with
@@ -236,13 +222,13 @@ let to_chrome t =
         (fun i (k, v) ->
           if i > 0 then Buffer.add_char buf ',';
           Buffer.add_char buf '"';
-          json_escape buf k;
+          Metrics.escape buf k;
           Buffer.add_string buf "\":";
           match v with
           | Anum n -> Buffer.add_string buf (string_of_int n)
           | Astr s ->
             Buffer.add_char buf '"';
-            json_escape buf s;
+            Metrics.escape buf s;
             Buffer.add_char buf '"')
         (args ev);
       Buffer.add_string buf "}}")

@@ -41,8 +41,6 @@ type event = { at : int; tid : int; ev : ev }
 
 type t
 
-val default_capacity : int
-
 val create : ?capacity:int -> unit -> t
 (** [create ()] makes a trace with the default 65536-event window. *)
 
@@ -76,7 +74,6 @@ val absolute_index : t -> int
 val events : t -> event list
 (** Retained events, oldest first. *)
 
-val name : ev -> string
 val pp_event : event Fmt.t
 
 val to_chrome : t -> Buffer.t

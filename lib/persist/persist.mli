@@ -33,9 +33,6 @@ val format_version : int
 val crc32 : ?init:int -> string -> int
 (** CRC-32 (IEEE, reflected) of a string; [init] chains computations. *)
 
-val fnv1a64 : string -> int64
-(** FNV-1a 64-bit hash. *)
-
 val config_fingerprint : Ia32el.Config.t -> int64
 (** Fingerprint of every translation-relevant configuration switch plus
     the cache format version: any config drift invalidates the cache. *)
@@ -61,6 +58,12 @@ val load : path:string -> image_hash:int64 -> config_fp:int64 -> store * Ia32el.
     the whole file) are dropped — the returned store holds exactly the
     entries that verified. A missing file is an empty store with no
     diagnostics. *)
+
+val with_stale_image_hash : string -> string option
+(** The bytes of a cache file with one image-hash byte flipped and the
+    header checksum re-stamped, so {!load} rejects the file as stale
+    rather than corrupt; [None] when shorter than a header. For fault
+    injection. *)
 
 val save : store -> path:string -> Ia32el.Bt_error.t list
 (** Atomically save (write to a temp file, then rename), guarded by a
@@ -97,7 +100,6 @@ val restart : session -> unit
     zeroed. The store keeps what was recorded. *)
 
 val stats : session -> stats
-val store_of : session -> store
 
 val pp_stats : Format.formatter -> stats -> unit
 

@@ -30,13 +30,13 @@ exception Workload_failed of string
 (* IA-32 EL itself                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_el ?(config = Ia32el.Config.default) ?cost ?dcache
-    ?(attach = fun _ -> ()) ?(check_exit = true) (w : Common.t) ~scale =
+let run_el ?(config = Ia32el.Config.default) ?(attach = fun _ -> ())
+    ?(check_exit = true) (w : Common.t) ~scale =
   let image = w.Common.build ~scale ~wide:false in
   let mem = Ia32.Memory.create () in
   let st = Ia32.Asm.load image mem in
   let eng =
-    Ia32el.Engine.create ~config ?cost ?dcache ~btlib:(module Btlib.Linuxsim) mem
+    Ia32el.Engine.create ~config ~btlib:(module Btlib.Linuxsim) mem
   in
   attach eng;
   match Ia32el.Engine.run ~fuel:2_000_000_000 eng st with

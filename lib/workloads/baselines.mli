@@ -27,8 +27,6 @@ exception Workload_failed of string
 
 val run_el :
   ?config:Ia32el.Config.t ->
-  ?cost:Ipf.Cost.t ->
-  ?dcache:Ipf.Dcache.t ->
   ?attach:(Ia32el.Engine.t -> unit) ->
   ?check_exit:bool ->
   Common.t ->
@@ -40,9 +38,6 @@ val run_el :
     true) raises {!Workload_failed} on a nonzero guest exit; pass false
     to get the exit code in the result instead (the runner propagates it
     to the host shell). *)
-
-val native_config : Ia32el.Config.t
-val native_cost : Ipf.Cost.t
 
 val run_native : Common.t -> scale:int -> result
 (** Run the [wide] variant under the native-compiler model. *)

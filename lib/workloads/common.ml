@@ -60,8 +60,8 @@ type t = {
   paper_score : int option;
 }
 
-let build_image ?(code_base = A.default_code_base) code data =
-  A.build ~code_base ~code:(A.label "start" :: (code @ exit0)) ~data ()
+let build_image code data =
+  A.build ~code:(A.label "start" :: (code @ exit0)) ~data ()
 
 let lcg_next = [ (* eax = eax * 1103515245 + 12345 *)
     a32 (Imul_rri (Eax, R Eax, 1103515245));

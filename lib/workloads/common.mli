@@ -10,9 +10,6 @@
 
 val a32 : Ia32.Insn.insn -> Ia32.Asm.item
 
-val exit0 : Ia32.Asm.item list
-(** [exit(0)] epilogue. *)
-
 val kernel_work : int -> Ia32.Asm.item list
 (** Spend [n] cycles in the (natively executing) OS kernel — Sysmark's
     kernel/driver component. Preserves registers. *)
@@ -39,9 +36,9 @@ type t = {
 }
 (** A synthetic workload. *)
 
-val build_image :
-  ?code_base:int -> Ia32.Asm.item list -> Ia32.Asm.item list -> Ia32.Asm.image
-(** Wrap code with the [start] label and {!exit0}, then assemble. *)
+val build_image : Ia32.Asm.item list -> Ia32.Asm.item list -> Ia32.Asm.image
+(** Wrap code with the [start] label and an [exit(0)] epilogue, then
+    assemble. *)
 
 val lcg_next : Ia32.Asm.item list
 (** One step of the classic LCG in EAX (pseudo-random input data). *)

@@ -11,5 +11,4 @@ val swim : Common.t
 val mgrid : Common.t
 val equake : Common.t
 val art : Common.t
-val ammp : Common.t
 val all : Common.t list

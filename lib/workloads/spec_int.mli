@@ -13,15 +13,8 @@
 
 val gzip : Common.t
 val vpr : Common.t
-val gcc : Common.t
 val mcf : Common.t
 val crafty : Common.t
-val parser : Common.t
-val eon : Common.t
-val perlbmk : Common.t
-val gap : Common.t
-val vortex : Common.t
-val bzip2 : Common.t
 val twolf : Common.t
 
 val all : Common.t list

@@ -14,10 +14,4 @@ val producer_consumer : workers:int -> Common.t
     under futex wait/wake, each mixing items through a compute burst.
     Verifies produced sum = consumed sum and per-worker join codes. *)
 
-val parallel_workers : workers:int -> Common.t
-(** "threads-ptask": a Sysmark-flavoured parallel job — [workers]
-    threads alternate compute bursts, native kernel work and think-time
-    idle, yielding between rounds, while the main thread idles and then
-    joins them. *)
-
 val all : workers:int -> Common.t list
