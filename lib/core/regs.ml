@@ -21,9 +21,8 @@ let gr_of_flag = function
    translation is executing (updated before potentially-faulty sequences). *)
 let r_state = 23
 
-(* Cold-code scratch pool, reset at each IA-32 instruction. *)
-let cold_scratch_first = 24
-let cold_scratch_last = 39
+(* r24..r39 stay free: cold code takes its scratch GRs from the hot pool
+   below, reset at each IA-32 instruction. *)
 
 (* FP runtime status: current top-of-stack, TAG valid mask (bit i = physical
    x87 register i is valid), MMX-mode boolean, SSE format status (one nibble
@@ -83,11 +82,9 @@ let hot_fpool_first = 48
 let hot_fpool_last = 118
 
 (* Predicate conventions: p0 = true; p1..p5 reserved for block-head checks;
-   p6..p40 general; hot predication allocates from p8 up. *)
-let pr_check1 = 1
-let pr_check2 = 2
+   p6..p40 general (cold scratch from p6 up); hot predication allocates
+   from p8 up. *)
 let pr_scratch1 = 6
-let pr_scratch2 = 7
 let hot_pr_first = 8
 let hot_pr_last = 40
 

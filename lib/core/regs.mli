@@ -18,9 +18,6 @@ val r_state : int
     translation is executing, updated before potentially-faulty
     sequences in cold code (paper §4.2). *)
 
-val cold_scratch_first : int
-val cold_scratch_last : int
-
 val r_tos : int
 (** Runtime x87 top-of-stack (r41), checked by FP block heads. *)
 
@@ -72,12 +69,10 @@ val cold_fscratch_last : int
 val hot_fpool_first : int
 val hot_fpool_last : int
 
-val pr_check1 : int
-(** Predicates p1/p2 are reserved for block-head speculation checks. *)
-
-val pr_check2 : int
 val pr_scratch1 : int
-val pr_scratch2 : int
+(** First cold scratch predicate (p6); p1..p5 are reserved for
+    block-head speculation checks. *)
+
 val hot_pr_first : int
 val hot_pr_last : int
 
