@@ -198,6 +198,11 @@ let fault_case fault =
         check int "no load diagnostics" 0 (List.length diags);
         check bool "save refuses while the lock is held" true
           (Persist.save store2 ~path:tmp <> [])
+      | I.Stale_fingerprint ->
+        (* the re-stamped header must read as stale, not corrupt *)
+        check (Alcotest.list string) "classified as stale"
+          [ "stale cache: guest image hash mismatch" ]
+          (List.map (fun d -> d.Ia32el.Bt_error.what) diags)
       | _ ->
         check bool "fault surfaced a structured diagnostic" true (diags <> []));
       let code_w, m_warm, _ = run_with ~config w store2 in
