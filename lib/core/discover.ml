@@ -34,7 +34,6 @@ type terminator =
   | T_fallthrough of int (* block split: falls into next address *)
 
 type bb = {
-  start : int;
   insns : (int * Ia32.Insn.insn) array; (* address, instruction *)
   term : terminator;
   next : int; (* address after the last instruction *)
@@ -80,7 +79,7 @@ let decode_bb mem start =
         end
   in
   let term, next = go start 0 in
-  { start; insns = Array.of_list (List.rev !buf); term; next }
+  { insns = Array.of_list (List.rev !buf); term; next }
 
 (* Static successor addresses for the neighbourhood walk / liveness. A call
    continues at its return address (callee effects are summarized as
@@ -93,10 +92,7 @@ let succs bb =
   | T_fallthrough next -> [ next ]
   | T_indirect | T_syscall _ | T_fault -> []
 
-type region = {
-  entry : int;
-  blocks : (int, bb) Hashtbl.t; (* by start address *)
-}
+type region = { blocks : (int, bb) Hashtbl.t (* by start address *) }
 
 (* BFS over direct successors up to [max_blocks] basic blocks. *)
 let discover ?(max_blocks = 16) mem ~entry =
@@ -115,7 +111,7 @@ let discover ?(max_blocks = 16) mem ~entry =
       | exception (Ia32.Decode.Invalid _ | Ia32.Fault.Fault _) -> ()
     end
   done;
-  { entry; blocks }
+  { blocks }
 
 (* ------------------------------------------------------------------ *)
 (* EFLAGS liveness over the region                                     *)
