@@ -1051,7 +1051,7 @@ let perf ~scale ~min_time () =
   in
   let lock_s =
     seconds_per ~min_time (fun () ->
-        Harness.Resilience.run_lockstep Workloads.Spec_int.gzip ~scale)
+        Harness.Resilience.run ~lockstep:true Workloads.Spec_int.gzip ~scale)
   in
   let fuzz_ps = fuzz_rate ~min_time in
   let forkserver_ps = forkserver_rate ~min_time in

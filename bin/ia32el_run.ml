@@ -266,76 +266,56 @@ let print_capsule_written = function
   | Some file -> Printf.printf "crash capsule -> %s\n" file
   | None -> ()
 
-(* --lockstep: run the engine against the reference interpreter, with the
-   chaos injector when --inject SEED is given. *)
-let run_lockstep_cmd w config desc scale stats obs labels
-    ((pattach, pfinish) : (Ia32el.Engine.t -> unit) * (unit -> unit)) seed
-    max_cycles snap_every capsule sabotage =
+(* The resilience path: --lockstep (the engine against the reference
+   interpreter), --inject SEED, and any run that arms --max-cycles,
+   --snapshot-every, --capsule or --sabotage. *)
+let resilience_cmd w config desc scale stats obs labels
+    ((pattach, pfinish) : (Ia32el.Engine.t -> unit) * (unit -> unit))
+    ~lockstep seed max_cycles snap_every capsule sabotage =
   let r =
-    Harness.Resilience.run_lockstep ~config ?seed ?max_cycles ?snap_every
-      ?capsule ?sabotage
-      ~attach_extra:(fun eng ->
-        obs_attach obs labels eng;
-        pattach eng)
-      w ~scale
-  in
-  (match r.Harness.Resilience.report.Ia32el.Lockstep.divergence with
-  | Some d ->
-    Fmt.epr "%s under %s DIVERGED:@.%a@." w.C.name desc
-      Ia32el.Lockstep.pp_divergence d;
-    print_inject_stats r.Harness.Resilience.inject_stats;
-    print_capsule_written r.Harness.Resilience.capsule_written;
-    exit 1
-  | None -> ());
-  (match r.Harness.Resilience.report.Ia32el.Lockstep.outcome with
-  | Some (Ia32el.Engine.Exited (code, _)) ->
-    Printf.printf "%s under %s in lockstep: exit %d, %d commit points agree\n"
-      w.C.name desc code r.Harness.Resilience.report.Ia32el.Lockstep.commits
-  | Some (Ia32el.Engine.Unhandled_fault (f, st)) ->
-    Printf.printf
-      "%s under %s in lockstep: unhandled %s at 0x%x (both vehicles), %d \
-       commit points agree\n"
-      w.C.name desc (Ia32.Fault.to_string f) st.Ia32.State.eip
-      r.Harness.Resilience.report.Ia32el.Lockstep.commits
-  | Some Ia32el.Engine.Out_of_fuel | None ->
-    Printf.printf "%s under %s in lockstep: out of fuel\n" w.C.name desc);
-  print_inject_stats r.Harness.Resilience.inject_stats;
-  print_capsule_written r.Harness.Resilience.capsule_written;
-  if stats then print_stats r.Harness.Resilience.engine;
-  obs_finish obs labels r.Harness.Resilience.engine;
-  pfinish ()
-
-(* Engine-only path with the resilience knobs: --inject without
-   --lockstep, and any plain run that arms --max-cycles,
-   --snapshot-every or --capsule. *)
-let run_plain_cmd w config desc scale stats obs labels
-    ((pattach, pfinish) : (Ia32el.Engine.t -> unit) * (unit -> unit)) seed
-    max_cycles snap_every capsule sabotage =
-  let r =
-    Harness.Resilience.run_plain ~config ?seed ?max_cycles ?snap_every
-      ?capsule ?sabotage
+    Harness.Resilience.run ~config ?seed ?max_cycles ?snap_every ?capsule
+      ?sabotage ~lockstep
       ~attach:(fun eng ->
         obs_attach obs labels eng;
         pattach eng)
       w ~scale
   in
-  let with_seed =
-    match seed with
-    | Some seed -> Printf.sprintf " with injection seed %d" seed
-    | None -> ""
+  let report = r.Harness.Capsule.report in
+  (match report.Ia32el.Lockstep.divergence with
+  | Some d ->
+    Fmt.epr "%s under %s DIVERGED:@.%a@." w.C.name desc
+      Ia32el.Lockstep.pp_divergence d;
+    print_inject_stats r.Harness.Capsule.inject_stats;
+    print_capsule_written r.Harness.Capsule.capsule_written;
+    exit 1
+  | None -> ());
+  (* a lockstep line counts the agreeing commit points; an engine-only
+     line names the injection seed *)
+  let mode, agree =
+    if lockstep then
+      ( " in lockstep",
+        Printf.sprintf ", %d commit points agree"
+          report.Ia32el.Lockstep.commits )
+    else
+      ( (match seed with
+        | Some seed -> Printf.sprintf " with injection seed %d" seed
+        | None -> ""),
+        "" )
   in
-  (match r.Harness.Resilience.outcome with
-  | Ia32el.Engine.Exited (code, _) ->
-    Printf.printf "%s under %s%s: exit %d\n" w.C.name desc with_seed code
-  | Ia32el.Engine.Unhandled_fault (f, st) ->
-    Printf.printf "%s under %s%s: unhandled %s at 0x%x\n" w.C.name desc
-      with_seed (Ia32.Fault.to_string f) st.Ia32.State.eip
-  | Ia32el.Engine.Out_of_fuel ->
-    Printf.printf "%s under %s%s: out of fuel\n" w.C.name desc with_seed);
-  print_inject_stats r.Harness.Resilience.inject_stats;
-  print_capsule_written r.Harness.Resilience.capsule_written;
-  if stats then print_stats r.Harness.Resilience.engine;
-  obs_finish obs labels r.Harness.Resilience.engine;
+  (match report.Ia32el.Lockstep.outcome with
+  | Some (Ia32el.Engine.Exited (code, _)) ->
+    Printf.printf "%s under %s%s: exit %d%s\n" w.C.name desc mode code agree
+  | Some (Ia32el.Engine.Unhandled_fault (f, st)) ->
+    Printf.printf "%s under %s%s: unhandled %s at 0x%x%s%s\n" w.C.name desc
+      mode (Ia32.Fault.to_string f) st.Ia32.State.eip
+      (if lockstep then " (both vehicles)" else "")
+      agree
+  | Some Ia32el.Engine.Out_of_fuel | None ->
+    Printf.printf "%s under %s%s: out of fuel\n" w.C.name desc mode);
+  print_inject_stats r.Harness.Capsule.inject_stats;
+  print_capsule_written r.Harness.Capsule.capsule_written;
+  if stats then print_stats r.Harness.Capsule.engine;
+  obs_finish obs labels r.Harness.Capsule.engine;
   pfinish ()
 
 (* --replay CAPSULE: rebuild the failing run from the capsule file and
@@ -445,31 +425,20 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
           "--lockstep/--inject/--trace/--profile/--metrics/--tcache-file \
            only apply to the translator models\n";
         exit 1
-      | M_el (config, desc) when lockstep -> (
-        let pers = tcache_setup ?timers:obs.timers tc ~config w ~scale ~stats in
-        match inject_seeds with
-        | None ->
-          run_lockstep_cmd w config desc scale stats obs labels pers None
-            max_cycles snap_every capsule sabotage
-        | Some seeds ->
-          List.iter
-            (fun s ->
-              run_lockstep_cmd w config desc scale stats obs labels pers
-                (Some s) max_cycles snap_every capsule sabotage)
-            seeds)
-      | M_el (config, desc) when inject_seeds <> None ->
-        let pers = tcache_setup ?timers:obs.timers tc ~config w ~scale ~stats in
-        List.iter
-          (fun s ->
-            run_plain_cmd w config desc scale stats obs labels pers (Some s)
-              max_cycles snap_every capsule sabotage)
-          (Option.get inject_seeds)
       | M_el (config, desc)
-        when max_cycles <> None || snap_every <> None || capsule <> None
-             || sabotage <> None ->
+        when lockstep || inject_seeds <> None || max_cycles <> None
+             || snap_every <> None || capsule <> None || sabotage <> None ->
         let pers = tcache_setup ?timers:obs.timers tc ~config w ~scale ~stats in
-        run_plain_cmd w config desc scale stats obs labels pers None
-          max_cycles snap_every capsule sabotage
+        let seeds =
+          match inject_seeds with
+          | Some seeds -> List.map Option.some seeds
+          | None -> [ None ]
+        in
+        List.iter
+          (fun seed ->
+            resilience_cmd w config desc scale stats obs labels pers
+              ~lockstep seed max_cycles snap_every capsule sabotage)
+          seeds
       | M_el (config, desc) ->
         let pattach, pfinish = tcache_setup ?timers:obs.timers tc ~config w ~scale ~stats in
         let r =

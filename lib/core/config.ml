@@ -29,7 +29,6 @@ type t = {
       (* bundles before the translation cache is flushed wholesale (the
          paper's fixed-size cache, default 64MB, flushed when full) *)
   (* commit points *)
-  commit_interval : int; (* target insns per commit point (~10 native) *)
   enable_commit : bool; (* false = no precise-state machinery in hot code
                            (used by the native-compiler model) *)
   flags_preserved_at_exit : bool; (* false = EFLAGS need not be live at
@@ -40,7 +39,6 @@ type t = {
   sse_format_speculation : bool;
   (* misalignment machinery *)
   misalign_avoidance : bool;
-  misalign_stage3_guard : bool; (* light instrumentation on dangerous insns *)
   (* scheduling *)
   enable_scheduling : bool; (* false = emit hot IL in order, cold-style *)
   enable_control_spec : bool;
@@ -82,14 +80,12 @@ let default =
     unroll_max_insns = 10;
     neighborhood_blocks = 16;
     tcache_limit = 4_000_000;
-    commit_interval = 10;
     enable_commit = true;
     flags_preserved_at_exit = true;
     fp_stack_speculation = true;
     mmx_mode_speculation = true;
     sse_format_speculation = true;
     misalign_avoidance = true;
-    misalign_stage3_guard = true;
     enable_scheduling = true;
     enable_control_spec = true;
     enable_flag_elim = true;

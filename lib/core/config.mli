@@ -35,7 +35,6 @@ type t = {
   tcache_limit : int;
       (** bundles before the translation cache is flushed wholesale (the
           paper's fixed-size cache, flushed when full) *)
-  commit_interval : int;  (** target IA-32 insns per hot commit point *)
   enable_commit : bool;
       (** false = no precise-state machinery in hot code (used by the
           native-compiler model, which has no translation-time faults to
@@ -46,8 +45,6 @@ type t = {
   mmx_mode_speculation : bool;  (** FP/MMX staleness checks (§4.4) *)
   sse_format_speculation : bool;  (** XMM format checks *)
   misalign_avoidance : bool;  (** the 3-stage machinery (§4.5) *)
-  misalign_stage3_guard : bool;
-      (** light instrumentation on dangerous accesses in hot code *)
   enable_scheduling : bool;
       (** false = emit hot IL in order, cold-style *)
   enable_control_spec : bool;

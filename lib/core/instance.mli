@@ -43,6 +43,11 @@ val created : unit -> int
 (** Instances {!create}d by this process so far (diagnostics: what a
     serving worker spends on builds). *)
 
+val fuel : int
+(** Guest instructions a run may execute before it stops with
+    [Fuel_exhausted]: the one fuel bound of every whole-workload run
+    (instances, the resilience runner, the baseline models). *)
+
 val run : ?max_cycles:int -> ?request:string -> t -> result
 (** Run the guest from its current state. [max_cycles] arms the engine
     watchdog (absolute virtual-clock bound) for this run; without it the

@@ -18,7 +18,7 @@ module E = Ia32el.Engine
 module L = Ia32el.Lockstep
 module Memory = Ia32.Memory
 
-let magic = "IA32EL-CAPSULE/4"
+let magic = "IA32EL-CAPSULE/5"
 let log_cap = 65536
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
@@ -134,33 +134,32 @@ let dump_pages mem =
         Some (p, prot, Memory.dump_bytes mem (p lsl Memory.page_bits) Memory.page_size))
     (Memory.mapped_pages mem)
 
+(* The parameters of one run: everything a capsule needs, besides the
+   image and the initial state, to run it again. *)
+type params = {
+  p_config : Ia32el.Config.t;
+  p_fuel : int;
+  p_max_cycles : int option;
+  p_snap_every : int option;
+  p_inject_seed : int option;
+  p_sabotage : sabotage option;
+  p_lockstep : bool;
+}
+
 type recorder = {
   r_pages : (int * Memory.prot * string) list;
   r_arch : arch;
-  r_config : Ia32el.Config.t;
-  r_fuel : int;
-  r_max_cycles : int option;
-  r_snap_every : int option;
-  r_inject_seed : int option;
-  r_sabotage : sabotage option;
-  r_lockstep : bool;
+  r_params : params;
   mutable r_engine : E.t option;
   r_log : entry Queue.t;
   mutable r_total : int;
 }
 
-let recorder ?max_cycles ?snap_every ?inject_seed ?sabotage
-    ?(lockstep = false) ~config ~fuel mem (st : Ia32.State.t) =
+let recorder p mem (st : Ia32.State.t) =
   {
     r_pages = dump_pages mem;
     r_arch = arch_of st;
-    r_config = config;
-    r_fuel = fuel;
-    r_max_cycles = max_cycles;
-    r_snap_every = snap_every;
-    r_inject_seed = inject_seed;
-    r_sabotage = sabotage;
-    r_lockstep = lockstep;
+    r_params = p;
     r_engine = None;
     r_log = Queue.create ();
     r_total = 0;
@@ -207,42 +206,25 @@ let finalize r failure =
       | [] -> (None, None))
     | None -> (None, None)
   in
+  let p = r.r_params in
   {
     c_magic = magic;
     c_pages = r.r_pages;
     c_arch = r.r_arch;
-    c_config = r.r_config;
-    c_config_fp = Persist.config_fingerprint r.r_config;
-    c_fuel = r.r_fuel;
-    c_max_cycles = r.r_max_cycles;
-    c_snap_every = r.r_snap_every;
-    c_inject_seed = r.r_inject_seed;
-    c_sabotage = r.r_sabotage;
-    c_lockstep = r.r_lockstep;
+    c_config = p.p_config;
+    c_config_fp = Persist.config_fingerprint p.p_config;
+    c_fuel = p.p_fuel;
+    c_max_cycles = p.p_max_cycles;
+    c_snap_every = p.p_snap_every;
+    c_inject_seed = p.p_inject_seed;
+    c_sabotage = p.p_sabotage;
+    c_lockstep = p.p_lockstep;
     c_snap_epoch = snap_epoch;
     c_snap_trace_index = snap_ix;
     c_log = List.of_seq (Queue.to_seq r.r_log);
     c_log_total = r.r_total;
     c_failure = failure;
   }
-
-let failure_of_bt (e : Ia32el.Bt_error.t) =
-  F_bt_error
-    {
-      fb_component = e.Ia32el.Bt_error.component;
-      fb_what = e.Ia32el.Bt_error.what;
-      fb_eip = e.Ia32el.Bt_error.eip;
-      fb_block = e.Ia32el.Bt_error.block;
-      fb_detail = e.Ia32el.Bt_error.detail;
-    }
-
-let failure_of_divergence (d : L.divergence) =
-  F_divergence
-    {
-      fd_commit_index = d.L.commit_index;
-      fd_diffs = d.L.diffs;
-      fd_window = d.L.window;
-    }
 
 let sabotage_attach sb (eng : E.t) =
   let prev = eng.E.on_dispatch in
@@ -389,6 +371,105 @@ let describe c =
   | _ -> ());
   Buffer.contents b
 
+(* ---- running ----------------------------------------------------------- *)
+
+(* How a run ended, as a capsule failure: a structured translator error
+   (the watchdog included), a lockstep divergence or an unhandled fault.
+   A clean exit and running out of fuel are [F_other]: no failure, no
+   capsule. *)
+let failure_of = function
+  | Error (e : Ia32el.Bt_error.t) ->
+    F_bt_error
+      {
+        fb_component = e.Ia32el.Bt_error.component;
+        fb_what = e.Ia32el.Bt_error.what;
+        fb_eip = e.Ia32el.Bt_error.eip;
+        fb_block = e.Ia32el.Bt_error.block;
+        fb_detail = e.Ia32el.Bt_error.detail;
+      }
+  | Ok (r : L.report) -> (
+    match r.L.divergence with
+    | Some d ->
+      F_divergence
+        {
+          fd_commit_index = d.L.commit_index;
+          fd_diffs = d.L.diffs;
+          fd_window = d.L.window;
+        }
+    | None -> (
+      match r.L.outcome with
+      | Some (E.Unhandled_fault (f, _)) ->
+        F_unhandled_fault (Ia32.Fault.to_string f)
+      | Some (E.Exited (code, _)) ->
+        F_other (Printf.sprintf "clean exit %d" code)
+      | Some E.Out_of_fuel | None -> F_other "out of fuel"))
+
+type run_result = {
+  report : L.report;
+  engine : E.t;
+  inject_stats : Inject.stats option;
+  failure : failure;
+  capsule_written : string option;
+}
+
+(* The recorder is built before the engine exists: the initial image
+   must not contain the profile arena the engine maps. The hooks go on
+   in a fixed order — injector, sabotage, the caller's [attach], commit
+   recorder — so the recorder, chained last, logs each commit before any
+   other observer (the lockstep checker included) sees it. *)
+let run ?capsule ?(attach = fun (_ : E.t) -> ()) p mem st =
+  let recorder = Option.map (fun _ -> recorder p mem st) capsule in
+  let injector =
+    Option.map (fun seed -> Inject.create ~seed ()) p.p_inject_seed
+  in
+  let engine = ref None in
+  let attach eng =
+    engine := Some eng;
+    eng.E.max_cycles <- p.p_max_cycles;
+    eng.E.snap_every <- p.p_snap_every;
+    Option.iter (fun i -> Inject.attach i eng) injector;
+    Option.iter (fun sb -> sabotage_attach sb eng) p.p_sabotage;
+    attach eng;
+    Option.iter (fun r -> observe r eng) recorder
+  in
+  let ended =
+    match
+      if p.p_lockstep then
+        L.run ~config:p.p_config ~fuel:p.p_fuel ~attach
+          ~btlib:(module Btlib.Linuxsim)
+          mem st
+      else begin
+        let eng =
+          E.create ~config:p.p_config ~btlib:(module Btlib.Linuxsim) mem
+        in
+        attach eng;
+        let outcome = E.run ~fuel:p.p_fuel eng st in
+        { L.commits = 0; outcome = Some outcome; divergence = None }
+      end
+    with
+    | report -> Ok report
+    | exception Ia32el.Bt_error.Error e -> Error e
+  in
+  let failure = failure_of ended in
+  let capsule_written =
+    match (capsule, recorder, failure) with
+    | Some file, Some r, (F_bt_error _ | F_divergence _ | F_unhandled_fault _)
+      ->
+      save file (finalize r failure);
+      Some file
+    | _ -> None
+  in
+  match ended with
+  | Error e -> raise (Ia32el.Bt_error.Error e)
+  | Ok report ->
+    {
+      report;
+      engine = Option.get !engine;
+      inject_stats = Option.map Inject.stats injector;
+      failure;
+      capsule_written;
+    }
+
 (* ---- replay ------------------------------------------------------------ *)
 
 type verdict = {
@@ -465,9 +546,7 @@ let replay ?(log = ignore) c =
              est.Ia32.State.eip (E.clock eng))
       end
   in
-  let observe (eng : E.t) =
-    eng.E.max_cycles <- c.c_max_cycles;
-    eng.E.snap_every <- c.c_snap_every;
+  let verify_commits (eng : E.t) =
     let prev = eng.E.on_commit in
     eng.E.on_commit <-
       Some
@@ -475,40 +554,21 @@ let replay ?(log = ignore) c =
           verify eng ev est;
           match prev with Some f -> f ev est | None -> ())
   in
-  let injector = Option.map (fun s -> Inject.create ~seed:s ()) c.c_inject_seed in
-  let attach eng =
-    Option.iter (fun i -> Inject.attach i eng) injector;
-    Option.iter (fun sb -> sabotage_attach sb eng) c.c_sabotage;
-    observe eng
+  let p =
+    {
+      p_config = c.c_config;
+      p_fuel = c.c_fuel;
+      p_max_cycles = c.c_max_cycles;
+      p_snap_every = c.c_snap_every;
+      p_inject_seed = c.c_inject_seed;
+      p_sabotage = c.c_sabotage;
+      p_lockstep = c.c_lockstep;
+    }
   in
   let got =
-    if c.c_lockstep then begin
-      match
-        L.run ~config:c.c_config ~fuel:c.c_fuel ~attach
-          ~btlib:(module Btlib.Linuxsim)
-          mem st
-      with
-      | report -> (
-        match report.L.divergence with
-        | Some d -> failure_of_divergence d
-        | None -> (
-          match report.L.outcome with
-          | Some (E.Exited (code, _)) ->
-            F_other (Printf.sprintf "clean exit %d" code)
-          | Some (E.Unhandled_fault (f, _)) ->
-            F_unhandled_fault (Ia32.Fault.to_string f)
-          | Some E.Out_of_fuel | None -> F_other "out of fuel"))
-      | exception Ia32el.Bt_error.Error e -> failure_of_bt e
-    end
-    else begin
-      let eng = E.create ~config:c.c_config ~btlib:(module Btlib.Linuxsim) mem in
-      attach eng;
-      match E.run ~fuel:c.c_fuel eng st with
-      | E.Exited (code, _) -> F_other (Printf.sprintf "clean exit %d" code)
-      | E.Unhandled_fault (f, _) -> F_unhandled_fault (Ia32.Fault.to_string f)
-      | E.Out_of_fuel -> F_other "out of fuel"
-      | exception Ia32el.Bt_error.Error e -> failure_of_bt e
-    end
+    match run ~attach:verify_commits p mem st with
+    | r -> r.failure
+    | exception Ia32el.Bt_error.Error e -> failure_of (Error e)
   in
   let same_failure =
     match (c.c_failure, got) with

@@ -15,7 +15,7 @@
     time-travel anchor into the run's {!Obs.Trace} stream. *)
 
 val magic : string
-(** File format tag, ["IA32EL-CAPSULE/4"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3 and 4 mark two shrinkings of {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
+(** File format tag, ["IA32EL-CAPSULE/5"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3, 4 and 5 mark three shrinkings of {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
 
@@ -52,38 +52,51 @@ type failure =
 
 type t
 
-(** {1 Recording} *)
+(** {1 Running} *)
 
-type recorder
+type params = {
+  p_config : Ia32el.Config.t;
+  p_fuel : int;
+  p_max_cycles : int option;  (** runaway-guest watchdog bound *)
+  p_snap_every : int option;  (** auto-snapshot cadence *)
+  p_inject_seed : int option;  (** attach the {!Inject} chaos injector *)
+  p_sabotage : sabotage option;
+  p_lockstep : bool;  (** run against the reference interpreter *)
+}
+(** The parameters of one run: what a capsule records, besides the image
+    and the initial state, to run it again. *)
 
-val recorder :
-  ?max_cycles:int ->
-  ?snap_every:int ->
-  ?inject_seed:int ->
-  ?sabotage:sabotage ->
-  ?lockstep:bool ->
-  config:Ia32el.Config.t ->
-  fuel:int ->
+type run_result = {
+  report : Ia32el.Lockstep.report;
+      (** an engine-only run reports its outcome with [commits = 0]:
+          nothing was compared *)
+  engine : Ia32el.Engine.t;
+  inject_stats : Inject.stats option;
+  failure : failure;
+      (** how the run ended; [F_other] for a clean exit or running out
+          of fuel *)
+  capsule_written : string option;
+      (** crash-capsule file written, when [capsule] was given and the
+          run failed *)
+}
+
+val run :
+  ?capsule:string ->
+  ?attach:(Ia32el.Engine.t -> unit) ->
+  params ->
   Ia32.Memory.t ->
   Ia32.State.t ->
-  recorder
-(** Capture the initial image and state {e now} — call after
-    [Ia32.Asm.load] but before the engine is created (the engine maps
-    its runtime-private arena into the guest image). *)
-
-val observe : recorder -> Ia32el.Engine.t -> unit
-(** Chain a commit-log recorder onto the engine's [on_commit] observer
-    (composes with the injector and the lockstep checker; the commit is
-    recorded before the previous observer runs, so a diverging commit
-    is in the log by the time the checker raises). Also remembers the
-    engine so {!finalize} can read the nearest snapshot anchor. *)
-
-val finalize : recorder -> failure -> t
-val failure_of_bt : Ia32el.Bt_error.t -> failure
-val failure_of_divergence : Ia32el.Lockstep.divergence -> failure
-
-val sabotage_attach : sabotage -> Ia32el.Engine.t -> unit
-(** Install the corruption, chaining any existing [on_dispatch] hook. *)
+  run_result
+(** Run a loaded guest under the engine, in lockstep with the reference
+    interpreter when [p_lockstep] is set. The engine gets the watchdog
+    and snapshot knobs, then the injector, the sabotage, [attach] (the
+    caller's hook: traces, profiles, a replay's commit checker) and, when
+    [capsule] names a file, a commit-log recorder, in that order. Call
+    on a freshly loaded [(mem, st)]: the recorder captures the initial
+    image before the engine maps its profile arena. The capsule is
+    written when the run diverges, ends in an unhandled fault or raises a
+    structured [Ia32el.Bt_error.Error] (the watchdog included); the error
+    is re-raised after the capsule is saved. *)
 
 val parse_sabotage : string -> (sabotage, string) result
 (** Parse a ["DISPATCH:REG:VALUE"] spec (e.g. ["10:esi:0xBEEF"]). *)
@@ -122,7 +135,6 @@ type verdict = {
 
 val replay : ?log:(string -> unit) -> t -> verdict
 (** Rebuild memory and state from the capsule and re-run from the start
-    under the recorded parameters (lockstep when the original ran
-    lockstep, with the injector re-attached when a seed was recorded),
-    verifying each commit point against the recorded log. [log] receives
+    through {!run}, the runner that recorded it, under the recorded
+    parameters, verifying each commit point against the recorded log. [log] receives
     a diagnostic line at the first mismatching commit, if any. *)

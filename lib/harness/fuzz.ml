@@ -1447,33 +1447,41 @@ type run_result =
 
 type exec = { result : run_result; engine : E.t option }
 
-let run_one ?config ?(fuel = 12_000_000) ?inject_seed ?attach_extra p =
+(* How a lockstep run ended; shared by [run_one] and the fork-server's
+   per-input [server_run]. *)
+let result_of_report (report : L.report) =
+  match report.L.divergence with
+  | Some d -> R_diverged d
+  | None -> (
+    match report.L.outcome with
+    | Some (E.Exited (code, _)) ->
+      R_ok { commits = report.L.commits; exit_code = code }
+    | Some (E.Unhandled_fault (f, _)) -> R_halted f
+    | Some E.Out_of_fuel | None -> R_fuel)
+
+let run_one ?(config = Ia32el.Config.default) ?(fuel = 12_000_000)
+    ?inject_seed ?(attach_extra = fun (_ : E.t) -> ()) p =
   let engine = ref None in
   match
-    let image = build_image p in
     let mem = Memory.create () in
-    let st0 = Asm.load ~writable_code:true image mem in
+    let st0 = Asm.load ~writable_code:true (build_image p) mem in
     let attach e =
       engine := Some e;
-      (match inject_seed with
-      | Some s -> Inject.attach (Inject.create ~seed:s ()) e
-      | None -> ());
-      match attach_extra with Some f -> f e | None -> ()
+      attach_extra e
     in
-    L.run ?config ~fuel ~attach ~btlib:(module Btlib.Linuxsim) mem st0
+    Capsule.run ~attach
+      {
+        Capsule.p_config = config;
+        p_fuel = fuel;
+        p_max_cycles = None;
+        p_snap_every = None;
+        p_inject_seed = inject_seed;
+        p_sabotage = None;
+        p_lockstep = true;
+      }
+      mem st0
   with
-  | report ->
-    let result =
-      match report.L.divergence with
-      | Some d -> R_diverged d
-      | None -> (
-        match report.L.outcome with
-        | Some (E.Exited (code, _)) ->
-          R_ok { commits = report.L.commits; exit_code = code }
-        | Some (E.Unhandled_fault (f, _)) -> R_halted f
-        | Some E.Out_of_fuel | None -> R_fuel)
-    in
-    { result; engine = !engine }
+  | r -> { result = result_of_report r.Capsule.report; engine = !engine }
   | exception ex -> { result = R_crash (Printexc.to_string ex); engine = !engine }
 
 (* ---------------------------------------------------------------- *)
@@ -1954,15 +1962,7 @@ let server_run srv muts =
   apply_mutation srv muts;
   let result =
     match L.run_in ~fuel:srv.srv_fuel srv.srv_session with
-    | report -> (
-      match report.L.divergence with
-      | Some d -> R_diverged d
-      | None -> (
-        match report.L.outcome with
-        | Some (E.Exited (code, _)) ->
-          R_ok { commits = report.L.commits; exit_code = code }
-        | Some (E.Unhandled_fault (f, _)) -> R_halted f
-        | Some E.Out_of_fuel | None -> R_fuel))
+    | report -> result_of_report report
     | exception ex -> R_crash (Printexc.to_string ex)
   in
   srv.srv_translations <-

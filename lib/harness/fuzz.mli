@@ -108,9 +108,10 @@ val run_one :
   ?attach_extra:(Ia32el.Engine.t -> unit) ->
   prog ->
   exec
-(** Build the program image and run it under lockstep, optionally with
-    the chaos injector at [inject_seed]; [attach_extra] runs after the
-    injector (it must chain [on_dispatch] if both are used). *)
+(** Build the program image and run it under lockstep through
+    {!Capsule.run}, optionally with the chaos injector at [inject_seed];
+    [attach_extra] runs after the injector (it must chain [on_dispatch]
+    if both are used). *)
 
 (** {1 Findings and shrinking} *)
 

@@ -1,47 +1,9 @@
-(** Resilience harness: one-call runners tying a workload to the lockstep
-    differential vehicle ({!Ia32el.Lockstep}) and the deterministic fault
-    injector ({!Inject}). *)
+(** Resilience harness: one call runs a workload through {!Capsule.run},
+    tying it to the lockstep differential vehicle
+    ({!Ia32el.Lockstep}) and the deterministic fault injector
+    ({!Inject}). *)
 
-type lockstep_result = {
-  report : Ia32el.Lockstep.report;
-  engine : Ia32el.Engine.t;
-  inject_stats : Inject.stats option;
-  output : string;  (** guest console output (engine side) *)
-  capsule_written : string option;
-      (** crash-capsule file written, when [capsule] was given and the
-          run failed *)
-}
-
-val run_lockstep :
-  ?config:Ia32el.Config.t ->
-  ?seed:int ->
-  ?max_cycles:int ->
-  ?snap_every:int ->
-  ?capsule:string ->
-  ?sabotage:Capsule.sabotage ->
-  ?attach_extra:(Ia32el.Engine.t -> unit) ->
-  Workloads.Common.t ->
-  scale:int ->
-  lockstep_result
-(** Run a workload under the engine with the reference interpreter in
-    lockstep. [seed] attaches the chaos injector; [attach_extra] runs
-    after it (test hook for seeding deliberate bugs). [max_cycles] arms
-    the runaway-guest watchdog, [snap_every] the auto-snapshot cadence.
-    [capsule] names a crash-capsule file: written when the run diverges,
-    ends in an unhandled fault, or raises a structured
-    [Ia32el.Bt_error.Error] (the error is re-raised after the capsule is
-    saved). [sabotage] installs a deterministic register corruption
-    (recorded in the capsule, reinstalled on replay) — the lockstep
-    oracle's self-test. *)
-
-type plain_result = {
-  outcome : Ia32el.Engine.outcome;
-  engine : Ia32el.Engine.t;
-  inject_stats : Inject.stats option;
-  capsule_written : string option;
-}
-
-val run_plain :
+val run :
   ?config:Ia32el.Config.t ->
   ?seed:int ->
   ?max_cycles:int ->
@@ -49,10 +11,19 @@ val run_plain :
   ?capsule:string ->
   ?sabotage:Capsule.sabotage ->
   ?attach:(Ia32el.Engine.t -> unit) ->
+  lockstep:bool ->
   Workloads.Common.t ->
   scale:int ->
-  plain_result
-(** Run a workload under the engine alone (no reference), optionally with
-    the injector attached. [attach] runs after the injector, before the
-    run — the CLI uses it to install traces and profiles. [max_cycles],
-    [snap_every], [capsule] and [sabotage] as in {!run_lockstep}. *)
+  Capsule.run_result
+(** Build the workload's image and run it for {!Ia32el.Instance.fuel}
+    guest instructions under the engine, with the reference interpreter
+    in lockstep when [lockstep] is set. [seed] attaches the chaos
+    injector; [attach] runs after it, before the run (the CLI installs
+    traces and profiles with it, tests seed deliberate bugs).
+    [max_cycles] arms the runaway-guest watchdog, [snap_every] the
+    auto-snapshot cadence. [capsule] names a crash-capsule file, written
+    when the run diverges, ends in an unhandled fault, or raises a
+    structured [Ia32el.Bt_error.Error] (re-raised after the capsule is
+    saved). [sabotage] installs a deterministic register corruption,
+    recorded in the capsule and reinstalled on replay: the lockstep
+    oracle's self-test. *)

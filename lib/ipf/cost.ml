@@ -20,7 +20,6 @@ type t = {
   fp_sqrt_latency : int;
   xfer_latency : int; (* getf/setf: GR <-> FR moves — expensive on IPF *)
   os_misalign_cost : int; (* OS-handled misaligned access (paper: ~1000s) *)
-  hw_misalign_cost : int; (* microcode-split access when HW handles it *)
   (* translator runtime costs, in cycles *)
   interp_per_insn : int; (* interpretation cost per IA-32 instruction *)
   cold_translate_per_insn : int; (* per IA-32 instruction *)
@@ -46,7 +45,6 @@ let default =
     fp_sqrt_latency = 24;
     xfer_latency = 5;
     os_misalign_cost = 2500;
-    hw_misalign_cost = 40;
     interp_per_insn = 45;
     cold_translate_per_insn = 40;
     hot_translate_per_insn = 800;

@@ -24,8 +24,6 @@ type t = {
           MMX-on-FR aliasing needs mode speculation *)
   os_misalign_cost : int;
       (** OS-handled misaligned access (paper: thousands of cycles) *)
-  hw_misalign_cost : int;
-      (** microcode-split access when hardware handles it (Xeon model) *)
   interp_per_insn : int;  (** interpretation cost per IA-32 instruction *)
   cold_translate_per_insn : int;  (** per IA-32 instruction *)
   hot_translate_per_insn : int;  (** roughly 20x cold, per the paper *)

@@ -30,17 +30,15 @@ exception Workload_failed of string
 (* IA-32 EL itself                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let run_el ?(config = Ia32el.Config.default) ?(attach = fun _ -> ())
-    ?(check_exit = true) (w : Common.t) ~scale =
-  let image = w.Common.build ~scale ~wide:false in
-  let mem = Ia32.Memory.create () in
-  let st = Ia32.Asm.load image mem in
-  let eng =
-    Ia32el.Engine.create ~config ~btlib:(module Btlib.Linuxsim) mem
+let run_el ?config ?(attach = fun _ -> ()) ?(check_exit = true)
+    (w : Common.t) ~scale =
+  let inst =
+    Ia32el.Instance.create ?config (w.Common.build ~scale ~wide:false)
   in
+  let eng = inst.Ia32el.Instance.eng in
   attach eng;
-  match Ia32el.Engine.run ~fuel:2_000_000_000 eng st with
-  | Ia32el.Engine.Exited (c, _) when c = 0 || not check_exit ->
+  match (Ia32el.Instance.run inst).Ia32el.Instance.stop with
+  | Ia32el.Instance.Exited c when c = 0 || not check_exit ->
     let d = Ia32el.Engine.distribution eng in
     {
       cycles = d.Ia32el.Account.total;
@@ -49,14 +47,15 @@ let run_el ?(config = Ia32el.Config.default) ?(attach = fun _ -> ())
       distribution = Some d;
       engine = Some eng;
     }
-  | Ia32el.Engine.Exited (c, _) ->
+  | Ia32el.Instance.Exited c ->
     raise (Workload_failed (Printf.sprintf "%s: exit code %d" w.Common.name c))
-  | Ia32el.Engine.Unhandled_fault (f, st) ->
+  | Ia32el.Instance.Faulted f ->
     raise
       (Workload_failed
          (Printf.sprintf "%s: fault %s at 0x%x" w.Common.name
-            (Ia32.Fault.to_string f) st.Ia32.State.eip))
-  | Ia32el.Engine.Out_of_fuel ->
+            (Ia32.Fault.to_string f) inst.Ia32el.Instance.st.Ia32.State.eip))
+  | Ia32el.Instance.Budget_exhausted e -> raise (Ia32el.Bt_error.Error e)
+  | Ia32el.Instance.Fuel_exhausted ->
     raise (Workload_failed (w.Common.name ^ ": out of fuel"))
 
 (* ------------------------------------------------------------------ *)
@@ -98,7 +97,7 @@ let run_native (w : Common.t) ~scale =
     Ia32el.Engine.create ~config:native_config ~cost:native_cost
       ~btlib:(module Btlib.Linuxsim) mem
   in
-  match Ia32el.Engine.run ~fuel:2_000_000_000 eng st with
+  match Ia32el.Engine.run ~fuel:Ia32el.Instance.fuel eng st with
   | Ia32el.Engine.Exited (0, _) ->
     let d = Ia32el.Engine.distribution eng in
     {

@@ -217,10 +217,12 @@ let test_instance_build_major_budget () =
 let test_interp_states_major_budget () =
   Gc.minor ();
   let before = (Gc.quick_stat ()).Gc.major_words in
-  let r = Harness.Resilience.run_plain ~seed:0 Workloads.Spec_int.gzip ~scale:1 in
+  let r = Harness.Resilience.run ~seed:0 ~lockstep:false Workloads.Spec_int.gzip
+      ~scale:1
+  in
   let words = (Gc.quick_stat ()).Gc.major_words -. before in
-  (match r.Harness.Resilience.outcome with
-  | E.Exited _ -> ()
+  (match r.Harness.Capsule.report.Ia32el.Lockstep.outcome with
+  | Some (E.Exited _) -> ()
   | _ -> Alcotest.fail "gzip should exit under injection");
   Printf.eprintf "[alloc] injected gzip: %.0f major words\n%!" words;
   if words > 16e6 then

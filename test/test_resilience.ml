@@ -14,6 +14,7 @@ module C = Workloads.Common
 module E = Ia32el.Engine
 module L = Ia32el.Lockstep
 module R = Harness.Resilience
+module Cap = Harness.Capsule
 module Inject = Harness.Inject
 
 let check = Alcotest.check
@@ -32,13 +33,16 @@ let contains s sub =
   let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
   go 0
 
+(* Guest console output of a run (engine side). *)
+let output (r : Cap.run_result) = Btlib.Vos.output r.Cap.engine.E.vos
+
 (* Exit code of a lockstep run; fails the test on divergence (with the
    structured diagnosis), unhandled fault, or fuel exhaustion. *)
-let lockstep_exit_code name (r : R.lockstep_result) =
-  (match r.R.report.L.divergence with
+let lockstep_exit_code name (r : Cap.run_result) =
+  (match r.Cap.report.L.divergence with
   | Some d -> Alcotest.failf "%s diverged:@.%a" name (fun ppf -> L.pp_divergence ppf) d
   | None -> ());
-  match r.R.report.L.outcome with
+  match r.Cap.report.L.outcome with
   | Some (E.Exited (code, _)) -> code
   | Some (E.Unhandled_fault (f, st)) ->
     Alcotest.failf "%s: unhandled %s at 0x%x" name (Fault.to_string f)
@@ -55,21 +59,21 @@ let lockstep_tests =
     (fun w ->
       Alcotest.test_case w.C.name `Slow (fun () ->
           (* clean lockstep run: the baseline for guest-visible behaviour *)
-          let base = R.run_lockstep w ~scale:1 in
+          let base = R.run ~lockstep:true w ~scale:1 in
           check int (w.C.name ^ ": clean exit code") 0
             (lockstep_exit_code w.C.name base);
           check bool (w.C.name ^ ": commit points compared") true
-            (base.R.report.L.commits > 0);
+            (base.Cap.report.L.commits > 0);
           let injected_total = ref 0 in
           List.iter
             (fun seed ->
               let name = Printf.sprintf "%s/seed%d" w.C.name seed in
-              let r = R.run_lockstep ~seed w ~scale:1 in
+              let r = R.run ~lockstep:true ~seed w ~scale:1 in
               check int (name ^ ": exit code") 0 (lockstep_exit_code name r);
               check bool (name ^ ": output byte-identical to uninjected")
                 true
-                (String.equal base.R.output r.R.output);
-              match r.R.inject_stats with
+                (String.equal (output base) (output r));
+              match r.Cap.inject_stats with
               | Some s -> injected_total := !injected_total + Inject.total_injections s
               | None -> ())
             seeds;
@@ -331,10 +335,10 @@ let degradation_test =
       in
       let w = find_workload "gzip" in
       let r =
-        R.run_lockstep ~attach_extra:(fun e -> Inject.attach inj e) w ~scale:1
+        R.run ~lockstep:true ~attach:(fun e -> Inject.attach inj e) w ~scale:1
       in
       check int "exit code" 0 (lockstep_exit_code "gzip/storm" r);
-      let eng = r.R.engine in
+      let eng = r.Cap.engine in
       check bool "spurious invalidations happened" true
         ((Inject.stats inj).Inject.smc_invalidations > 0);
       check bool "stage-2/3 avoidance escalation" true

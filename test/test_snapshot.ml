@@ -6,8 +6,9 @@
    phases and with a translation cache small enough to flush mid-run,
    including a multithreaded guest
    whose run crosses a cross-thread SMC shootdown.
-   On top: crash-capsule round trips (watchdog and seeded-divergence
-   capsules must replay to the same failure with every commit point
+   On top: crash-capsule round trips (watchdog capsules, plain and
+   injected, seeded-divergence capsules and unhandled-fault capsules in
+   both modes must replay to the same failure with every commit point
    matching) and fork-server equivalence (a snapshotted/reverted session
    must classify inputs exactly as one-shot lockstep runs do). *)
 
@@ -711,8 +712,73 @@ let contains ~sub s =
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
 
+(* Record a failing run of [w] to a capsule, then replay it: it must
+   reproduce with every recorded commit matched. *)
+let record_and_replay ?seed ?max_cycles ~lockstep ~file w =
+  let r =
+    match R.run ?seed ?max_cycles ~capsule:file ~lockstep w ~scale:1 with
+    | r -> Some r
+    | exception Ia32el.Bt_error.Error _ -> None
+  in
+  check bool "capsule file exists" true (Sys.file_exists file);
+  let c = Cap.load file in
+  let v = Cap.replay c in
+  check bool "reproduced" true v.Cap.v_reproduced;
+  check int "all recorded commits matched" v.Cap.v_log_total
+    v.Cap.v_log_match;
+  Sys.remove file;
+  (r, c, v)
+
+(* A guest that makes one system call, then loads from an unmapped
+   address with no fault handler installed. *)
+let faulting_workload =
+  let open Ia32.Insn in
+  let code =
+    Ia32.Asm.
+      [
+        i (Mov (S32, R Eax, I 20));
+        i (Int_n 0x80);
+        i (Mov (S32, R Ebx, M (mem_abs 0x10)));
+      ]
+  in
+  {
+    Workloads.Common.name = "unhandled-fault";
+    build = (fun ~scale:_ ~wide:_ -> Workloads.Common.build_image code []);
+    paper_score = None;
+  }
+
 let capsule_tests =
   [
+    Alcotest.test_case "injected watchdog capsule replays the injector"
+      `Quick (fun () ->
+        (* the injector's chaos moves the virtual clock of every commit
+           point, so the log matches only when replay re-attaches it *)
+        let w =
+          Workloads.Threads.producer_consumer
+            ~workers:Workloads.Threads.default_workers
+        in
+        let r, c, v =
+          record_and_replay ~seed:3 ~max_cycles:30_000 ~lockstep:false
+            ~file:(tmp_capsule "ia32el-test-inject-watchdog.capsule") w
+        in
+        check bool "watchdog tripped" true (r = None);
+        check bool "seed recorded" true
+          (contains ~sub:"inject seed 3" (Cap.describe c));
+        check bool "commits recorded" true (v.Cap.v_log_total > 0));
+    Alcotest.test_case "unhandled-fault capsule replays, lockstep and plain"
+      `Quick (fun () ->
+        List.iter
+          (fun lockstep ->
+            let r, _, v =
+              record_and_replay ~lockstep
+                ~file:(tmp_capsule "ia32el-test-fault.capsule")
+                faulting_workload
+            in
+            (match r with
+            | Some { Cap.failure = Cap.F_unhandled_fault _; _ } -> ()
+            | _ -> Alcotest.fail "guest did not end in an unhandled fault");
+            check bool "commits recorded" true (v.Cap.v_log_total > 0))
+          [ true; false ]);
     Alcotest.test_case "watchdog capsule replays bit-identically" `Quick
       (fun () ->
         let file = tmp_capsule "ia32el-test-watchdog.capsule" in
@@ -721,7 +787,7 @@ let capsule_tests =
             ~workers:Workloads.Threads.default_workers
         in
         (match
-           R.run_plain ~max_cycles:30_000 ~snap_every:4 ~capsule:file w
+           R.run ~max_cycles:30_000 ~snap_every:4 ~capsule:file ~lockstep:false w
              ~scale:1
          with
         | _ -> Alcotest.fail "watchdog did not trip"
@@ -750,11 +816,11 @@ let capsule_tests =
           Workloads.Threads.producer_consumer
             ~workers:Workloads.Threads.default_workers
         in
-        let r = R.run_lockstep ~sabotage:sb ~capsule:file w ~scale:1 in
-        (match r.R.report.Ia32el.Lockstep.divergence with
+        let r = R.run ~sabotage:sb ~capsule:file ~lockstep:true w ~scale:1 in
+        (match r.Cap.report.Ia32el.Lockstep.divergence with
         | None -> Alcotest.fail "sabotage did not diverge"
         | Some _ -> ());
-        check bool "capsule written" true (r.R.capsule_written = Some file);
+        check bool "capsule written" true (r.Cap.capsule_written = Some file);
         let c = Cap.load file in
         let v = Cap.replay c in
         check bool "reproduced" true v.Cap.v_reproduced;
@@ -768,7 +834,7 @@ let capsule_tests =
           Workloads.Threads.producer_consumer
             ~workers:Workloads.Threads.default_workers
         in
-        (try ignore (R.run_plain ~max_cycles:30_000 ~capsule:file w ~scale:1)
+        (try ignore (R.run ~max_cycles:30_000 ~capsule:file ~lockstep:false w ~scale:1)
          with Ia32el.Bt_error.Error _ -> ());
         let c1 = Cap.load file in
         let c2 = Cap.load file in
@@ -792,7 +858,7 @@ let capsule_tests =
           Workloads.Threads.producer_consumer
             ~workers:Workloads.Threads.default_workers
         in
-        (try ignore (R.run_plain ~max_cycles:30_000 ~capsule:file w ~scale:1)
+        (try ignore (R.run ~max_cycles:30_000 ~capsule:file ~lockstep:false w ~scale:1)
          with Ia32el.Bt_error.Error _ -> ());
         (* a capsule from a build whose translation semantics drifted:
            same config, different fingerprint *)
@@ -813,7 +879,7 @@ let capsule_tests =
           Workloads.Threads.producer_consumer
             ~workers:Workloads.Threads.default_workers
         in
-        (try ignore (R.run_plain ~max_cycles:30_000 ~capsule:file w ~scale:1)
+        (try ignore (R.run ~max_cycles:30_000 ~capsule:file ~lockstep:false w ~scale:1)
          with Ia32el.Bt_error.Error _ -> ());
         let pristine = Cap.load file in
         let d = Ia32el.Config.default in
@@ -848,22 +914,24 @@ let capsule_tests =
           Workloads.Threads.producer_consumer
             ~workers:Workloads.Threads.default_workers
         in
-        (try ignore (R.run_plain ~max_cycles:30_000 ~capsule:file w ~scale:1)
+        (try ignore (R.run ~max_cycles:30_000 ~capsule:file ~lockstep:false w ~scale:1)
          with Ia32el.Bt_error.Error _ -> ());
         let ic = open_in_bin file in
         let body = really_input_string ic (in_channel_length ic) in
         close_in ic;
         let n = String.length Cap.magic in
-        let old = "IA32EL-CAPSULE/3" in
-        check int "same tag width" n (String.length old);
-        let oc = open_out_bin file in
-        output_string oc (old ^ String.sub body n (String.length body - n));
-        close_out oc;
-        (match Cap.load file with
-        | _ -> Alcotest.fail "older-format capsule accepted"
-        | exception Ia32el.Bt_error.Error e ->
-          check string "structured component" "capsule"
-            e.Ia32el.Bt_error.component);
+        List.iter
+          (fun old ->
+            check int "same tag width" n (String.length old);
+            let oc = open_out_bin file in
+            output_string oc (old ^ String.sub body n (String.length body - n));
+            close_out oc;
+            match Cap.load file with
+            | _ -> Alcotest.failf "%s capsule accepted" old
+            | exception Ia32el.Bt_error.Error e ->
+              check string "structured component" "capsule"
+                e.Ia32el.Bt_error.component)
+          [ "IA32EL-CAPSULE/3"; "IA32EL-CAPSULE/4" ];
         Sys.remove file);
   ]
 

@@ -75,13 +75,13 @@ let test_quantum_determinism () =
 let test_lockstep_clean () =
   List.iter
     (fun w ->
-      let r = Harness.Resilience.run_lockstep w ~scale:1 in
-      match r.Harness.Resilience.report.Ia32el.Lockstep.divergence with
+      let r = Harness.Resilience.run ~lockstep:true w ~scale:1 in
+      match r.Harness.Capsule.report.Ia32el.Lockstep.divergence with
       | Some d ->
         Alcotest.failf "%s diverged: %s" w.Workloads.Common.name
           (Fmt.str "%a" Ia32el.Lockstep.pp_divergence d)
       | None -> (
-        match r.Harness.Resilience.report.Ia32el.Lockstep.outcome with
+        match r.Harness.Capsule.report.Ia32el.Lockstep.outcome with
         | Some (E.Exited (0, _)) -> ()
         | _ -> Alcotest.failf "%s did not exit 0" w.Workloads.Common.name))
     (Workloads.Threads.all ~workers:3)
@@ -188,16 +188,16 @@ let test_eviction_storm_threads () =
       ~rate_squeeze:11 ~rate_transient:0 ~seed:5 ()
   in
   let r =
-    Harness.Resilience.run_lockstep
-      ~attach_extra:(fun e -> Harness.Inject.attach inject e)
+    Harness.Resilience.run ~lockstep:true
+      ~attach:(fun e -> Harness.Inject.attach inject e)
       w ~scale:1
   in
-  (match r.Harness.Resilience.report.Ia32el.Lockstep.divergence with
+  (match r.Harness.Capsule.report.Ia32el.Lockstep.divergence with
   | Some d ->
     Alcotest.failf "storm diverged: %s"
       (Fmt.str "%a" Ia32el.Lockstep.pp_divergence d)
   | None -> ());
-  (match r.Harness.Resilience.report.Ia32el.Lockstep.outcome with
+  (match r.Harness.Capsule.report.Ia32el.Lockstep.outcome with
   | Some (E.Exited (0, _)) -> ()
   | _ -> Alcotest.fail "storm run did not exit 0");
   let s = Harness.Inject.stats inject in
