@@ -349,6 +349,120 @@ let degradation_test =
       check bool "SMC-storm page degradation fired" true
         (eng.E.acct.Ia32el.Account.degrade_smc_storms > 0))
 
+(* The ladder's thresholds, one rung at a time. [churn_run ~fire] runs a
+   guest whose every loop iteration comes back to the dispatcher through
+   a syscall; at each dispatch hook [fire k d] says whether the k-th
+   chaos invalidation (counting from 0) happens now, [d] being the
+   engine's dispatch count. Each invalidation kills the oldest live
+   block, all of them on the loop's one source page. Returns the engine,
+   that page and the dispatch counts at which invalidations fired. *)
+let churn_run ?(observe = fun _ -> ()) ~fire () =
+  let open Insn in
+  let code =
+    Asm.(
+      [ label "start"; i (Mov (S32, R Ecx, I 3000)); label "loop" ]
+      @ C.kernel_work 1
+      @ [ i (Dec (S32, R Ecx)); jcc Ne "loop" ]
+      @ exit0)
+  in
+  let image = Asm.build ~code ~data:[] () in
+  let mem = Memory.create () in
+  let st = Asm.load image mem in
+  let e = E.create ~btlib:(module Btlib.Linuxsim) mem in
+  let fired = ref [] in
+  e.E.on_dispatch <-
+    Some
+      (fun _ ->
+        observe e;
+        let d = e.E.acct.Ia32el.Account.dispatches in
+        if fire (List.length !fired) d (List.rev !fired)
+           && E.spurious_smc_invalidate e ~max:1 = 1
+        then fired := d :: !fired);
+  (match E.run ~fuel:100_000_000 e st with
+  | E.Exited (0, _) -> ()
+  | _ -> Alcotest.fail "expected a clean exit");
+  (e, image.Asm.lookup "loop" lsr Memory.page_bits, List.rev !fired)
+
+let retrans_count (e : E.t) entry =
+  Option.value ~default:0 (Hashtbl.find_opt e.E.retrans_counts entry)
+
+let ladder_entry_test =
+  Alcotest.test_case "ladder: stage-2 at the 6th retranslation, interp at the 12th"
+    `Quick (fun () ->
+      (* invalidations 40 dispatches apart: at most 13 fall in one
+         512-dispatch storm window, so only the per-entry rungs act *)
+      let stages = Hashtbl.create 16 in
+      let rung_errors = ref [] in
+      let observe (e : E.t) =
+        Hashtbl.iter
+          (fun entry (b : Ia32el.Block.t) ->
+            let n = retrans_count e entry in
+            if b.Ia32el.Block.live && b.Ia32el.Block.kind = Ia32el.Block.Cold
+            then Hashtbl.replace stages (n, b.Ia32el.Block.misalign_stage) ())
+          e.E.cache.Ia32el.Block.by_entry;
+        Hashtbl.iter
+          (fun entry n ->
+            if Hashtbl.mem e.E.stage2_entries entry <> (n >= 6)
+               || Hashtbl.mem e.E.avoid_entries entry <> (n >= 6)
+               || Hashtbl.mem e.E.interp_only entry <> (n >= 12)
+            then
+              rung_errors :=
+                Printf.sprintf "entry %#x after %d retranslations" entry n
+                :: !rung_errors)
+          e.E.retrans_counts
+      in
+      let fire _ d fired =
+        match List.rev fired with
+        | [] -> d >= 10
+        | last :: _ -> d >= last + 40
+      in
+      let e, _, _ = churn_run ~observe ~fire () in
+      check Alcotest.(list string) "every entry sits on the rung its count names" []
+        (List.rev !rung_errors);
+      let counts = Hashtbl.fold (fun _ n acc -> n :: acc) e.E.retrans_counts [] in
+      check int "the most retranslated entry stopped at 12" 12
+        (List.fold_left max 0 counts);
+      check int "entries gone interpret-only"
+        (List.length (List.filter (fun n -> n >= 12) counts))
+        e.E.acct.Ia32el.Account.degrade_interp_entries;
+      check bool "after 5 retranslations: stage 1" true
+        (Hashtbl.mem stages (5, 1) && not (Hashtbl.mem stages (5, 2)));
+      check bool "after 6 retranslations: regenerated at stage 2" true
+        (Hashtbl.mem stages (6, 2) && not (Hashtbl.mem stages (6, 1)));
+      check bool "after 11 retranslations: still translated" true
+        (Hashtbl.mem stages (11, 2));
+      check bool "after 12 retranslations: never translated again" false
+        (Hashtbl.fold (fun (n, _) () acc -> acc || n >= 12) stages false);
+      check int "no page storm" 0 e.E.acct.Ia32el.Account.degrade_smc_storms)
+
+let ladder_storm_test =
+  Alcotest.test_case "ladder: 16 page invalidations within 512 dispatches"
+    `Quick (fun () ->
+      (* 16 invalidations on one page: 15 gaps of 34 dispatches, then
+         the last one [last] dispatches after the first *)
+      let run last =
+        let fire k d fired =
+          match fired with
+          | [] -> d >= 10
+          | first :: _ -> d >= first + if k = 15 then last else 34 * k
+        in
+        let e, page, fired = churn_run ~fire:(fun k d f -> k < 16 && fire k d f) () in
+        check int "16 invalidations" 16 (List.length fired);
+        check int "the 16th came [last] dispatches after the first" last
+          (List.nth fired 15 - List.hd fired);
+        (e, page)
+      in
+      let e, page = run 512 in
+      check int "page degraded at the 16th within 512 dispatches" 1
+        e.E.acct.Ia32el.Account.degrade_smc_storms;
+      check bool "the loop's page interprets" true
+        (Hashtbl.mem e.E.interp_only_pages page);
+      let e, page = run 513 in
+      check int "513 dispatches: a new window, no storm" 0
+        e.E.acct.Ia32el.Account.degrade_smc_storms;
+      check int "the 16th event opened a new window" 1
+        (snd (Hashtbl.find e.E.smc_page_hits page)))
+
 (* ------------------------------------------------------------------ *)
 (* A deliberately seeded translator bug must be caught by lockstep      *)
 (* ------------------------------------------------------------------ *)
@@ -674,6 +788,8 @@ let () =
           store_before_block_test;
           straddling_fault_address_test;
           degradation_test;
+          ladder_entry_test;
+          ladder_storm_test;
           seeded_bug_test;
           two_page_memory_diff_test;
           smc_window_test;
