@@ -16,24 +16,12 @@
 module B = Workloads.Baselines
 module C = Workloads.Common
 
-let workloads ~threads : C.t list =
-  Workloads.Spec_int.all @ Workloads.Spec_fp.all
-  @ [
-      Workloads.Sysmark.office;
-      Workloads.Sysmark.misalign_stress;
-      Workloads.Serve_echo.workload;
-    ]
-  @ Workloads.Threads.all ~workers:threads
-
-let find_workload ~threads name =
-  List.find_opt (fun w -> w.C.name = name) (workloads ~threads)
-
 let print_diags diags =
   List.iter (fun d -> Fmt.epr "tcache: %a@." Ia32el.Bt_error.pp d) diags
 
 let compile_cmd name scale tcache_file train train_payload threads =
   let config = Ia32el.Config.default in
-  match find_workload ~threads name with
+  match Workloads.Catalog.find ~threads name with
   | None ->
     Printf.eprintf "unknown workload %S; try `ia32el-run list'\n" name;
     exit 1

@@ -21,18 +21,6 @@
 module B = Workloads.Baselines
 module C = Workloads.Common
 
-let workloads ~threads : C.t list =
-  Workloads.Spec_int.all @ Workloads.Spec_fp.all
-  @ [
-      Workloads.Sysmark.office;
-      Workloads.Sysmark.misalign_stress;
-      Workloads.Serve_echo.workload;
-    ]
-  @ Workloads.Threads.all ~workers:threads
-
-let find_workload ~threads name =
-  List.find_opt (fun w -> w.C.name = name) (workloads ~threads)
-
 (* ------------------------------------------------------------------ *)
 (* run                                                                 *)
 (* ------------------------------------------------------------------ *)
@@ -407,7 +395,7 @@ let run_cmd name model scale stats lockstep inject trace_file trace_stderr
         Printf.eprintf "--inject: %s\n" msg;
         exit 2)
   in
-  match find_workload ~threads name with
+  match Workloads.Catalog.find ~threads name with
   | None ->
     Printf.eprintf "unknown workload %S; try `ia32el-run list'\n" name;
     exit 1
@@ -495,7 +483,7 @@ let list_cmd () =
         (match w.C.paper_score with
         | Some s -> string_of_int s
         | None -> "-"))
-    (workloads ~threads:Workloads.Threads.default_workers)
+    (Workloads.Catalog.all ~threads:Workloads.Threads.default_workers)
 
 (* ------------------------------------------------------------------ *)
 (* cmdliner plumbing                                                   *)

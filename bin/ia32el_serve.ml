@@ -21,15 +21,6 @@
 
 module C = Workloads.Common
 
-let workloads ~threads : C.t list =
-  Workloads.Spec_int.all @ Workloads.Spec_fp.all
-  @ [
-      Workloads.Sysmark.office;
-      Workloads.Sysmark.misalign_stress;
-      Workloads.Serve_echo.workload;
-    ]
-  @ Workloads.Threads.all ~workers:threads
-
 let read_jobs_file path =
   let ic = open_in path in
   let rec go acc =
@@ -54,9 +45,8 @@ let serve_cmd workload_name scale workers queue backend_name_arg tcache_file
   in
   let workload =
     match
-      List.find_opt
-        (fun w -> w.C.name = workload_name)
-        (workloads ~threads:Workloads.Threads.default_workers)
+      Workloads.Catalog.find ~threads:Workloads.Threads.default_workers
+        workload_name
     with
     | Some w -> w
     | None ->

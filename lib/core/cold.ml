@@ -160,8 +160,7 @@ let make_ctx env cg ~block_id ~entry_tos ~stage2 ~ma_base ~edge_slot ~is_cond =
 let translate env ~entry ~entry_tos ~stage2 =
   let region =
     try
-      Discover.discover ~max_blocks:env.config.neighborhood_blocks env.mem
-        ~entry
+      Discover.discover env.mem ~entry
     with Ia32.Decode.Invalid _ | Ia32.Fault.Fault _ -> raise (Cannot_translate entry)
   in
   let bb =

@@ -3,10 +3,16 @@
     Every paper-relevant design choice is a switch here so the ablation
     benches ([bench/main.exe ablations]) can turn it off and measure the
     difference, and so the baseline models ({!Workloads.Baselines}) can
-    derive their configurations from the translator's own. Host-speed
-    mechanisms are not switches: translated code always runs on
-    {!Ipf.Exec}, the engine's IA-32 decode cache is always on, and heat
-    detection is always the hash-indexed [Hotc]/[Edgec] counter uops. *)
+    derive their configurations from the translator's own. Besides the
+    switches it holds only the knobs a caller sets: [heat_threshold] and
+    [session_candidates] (the native model), [tcache_limit] (tests force
+    flushes with it) and [quantum] ([--quantum]). Fixed tuning constants
+    live in the one module that reads them: the trace shape in {!Hot},
+    the cold neighbourhood in {!Discover}, the degradation ladder in
+    {!Engine}. Host-speed mechanisms are not switches: translated code
+    always runs on {!Ipf.Exec}, the engine's IA-32 decode cache is always
+    on, and heat detection is always the hash-indexed [Hotc]/[Edgec]
+    counter uops. *)
 
 (** How first-phase (not-yet-hot) code runs. *)
 type first_phase =
@@ -23,24 +29,11 @@ type t = {
           optimization candidate *)
   session_candidates : int;
       (** registrations that trigger a hot-translation session *)
-  max_trace_blocks : int;  (** hyper-block length limit, in basic blocks *)
-  max_trace_insns : int;
   enable_predication : bool;  (** if-convert small diamonds *)
-  predication_max_side : int;  (** max IA-32 insns per if-converted side *)
-  enable_unroll : bool;
-  unroll_factor : int;
-  unroll_max_insns : int;  (** only unroll loop bodies up to this size *)
-  neighborhood_blocks : int;
-      (** basic blocks analysed around a cold entry for EFLAGS liveness *)
+  enable_unroll : bool;  (** unroll tight self-loop traces *)
   tcache_limit : int;
       (** bundles before the translation cache is flushed wholesale (the
           paper's fixed-size cache, flushed when full) *)
-  enable_commit : bool;
-      (** false = no precise-state machinery in hot code (used by the
-          native-compiler model, which has no translation-time faults to
-          reconstruct) *)
-  flags_preserved_at_exit : bool;
-      (** false = EFLAGS need not be live at block exits (native model) *)
   fp_stack_speculation : bool;  (** block-head TOS/TAG checks (§4.3) *)
   mmx_mode_speculation : bool;  (** FP/MMX staleness checks (§4.4) *)
   sse_format_speculation : bool;  (** XMM format checks *)
@@ -53,17 +46,6 @@ type t = {
   enable_flag_elim : bool;
       (** EFLAGS liveness elimination + compare/branch fusion *)
   enable_cse : bool;  (** effective-address CSE in hot code *)
-  retrans_avoid_limit : int;
-      (** per-entry invalidation-driven retranslations before the entry is
-          escalated to full (stage-2 + stage-3) avoidance *)
-  retrans_interp_limit : int;
-      (** per-entry retranslations before the entry goes interpret-only
-          (the last rung of the graceful-degradation ladder) *)
-  smc_storm_window : int;
-      (** dispatch-count window for SMC-storm detection *)
-  smc_storm_limit : int;
-      (** SMC invalidation events on one source page within the window
-          before the whole page is degraded to interpretation *)
   quantum : int;
       (** virtual cycles per guest-thread scheduling slice; rescheduling
           happens only at syscall commit points, so preemption is

@@ -94,8 +94,11 @@ let succs bb =
 
 type region = { blocks : (int, bb) Hashtbl.t (* by start address *) }
 
+(* Basic blocks analysed around a cold entry for EFLAGS liveness. *)
+let max_blocks = 16
+
 (* BFS over direct successors up to [max_blocks] basic blocks. *)
-let discover ?(max_blocks = 16) mem ~entry =
+let discover mem ~entry =
   let blocks = Hashtbl.create 32 in
   let queue = Queue.create () in
   Queue.add entry queue;

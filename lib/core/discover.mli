@@ -37,8 +37,9 @@ val succs : bb -> int list
 
 type region = { blocks : (int, bb) Hashtbl.t  (** by start address *) }
 
-val discover : ?max_blocks:int -> Ia32.Memory.t -> entry:int -> region
-(** BFS over direct successors up to [max_blocks] basic blocks. *)
+val discover : Ia32.Memory.t -> entry:int -> region
+(** BFS over direct successors up to 16 basic blocks: the neighbourhood a
+    cold entry's EFLAGS liveness is computed over. *)
 
 (** {1 EFLAGS liveness} *)
 

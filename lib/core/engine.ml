@@ -232,10 +232,20 @@ let blacklist_entry t entry =
     | None -> ()
   end
 
+(* The ladder's rungs: per-entry invalidation-driven retranslations before
+   the entry is regenerated with full (stage-2 + stage-3) avoidance, and
+   before it goes interpret-only; SMC invalidation events on one source
+   page within a window of dispatches before the whole page is degraded
+   to interpretation. *)
+let avoid_after_retrans = 6
+let interp_after_retrans = 12
+let storm_window = 512
+let storm_events = 16
+
 (* Count an invalidation-driven retranslation of [entry] and escalate:
-   beyond [retrans_avoid_limit] the entry is regenerated with full
-   misalignment avoidance (the conservative translation), beyond
-   [retrans_interp_limit] it goes interpret-only. *)
+   from [avoid_after_retrans] on the entry is regenerated with full
+   misalignment avoidance (the conservative translation), at
+   [interp_after_retrans] it goes interpret-only. *)
 let note_retranslation t entry =
   let n =
     1
@@ -244,8 +254,8 @@ let note_retranslation t entry =
       | None -> 0)
   in
   Hashtbl.replace t.retrans_counts entry n;
-  if n >= t.config.Config.retrans_interp_limit then blacklist_entry t entry
-  else if n >= t.config.Config.retrans_avoid_limit then begin
+  if n >= interp_after_retrans then blacklist_entry t entry
+  else if n >= avoid_after_retrans then begin
     Hashtbl.replace t.stage2_entries entry ();
     Hashtbl.replace t.avoid_entries entry ()
   end
@@ -284,13 +294,12 @@ let note_smc_invalidation t page =
   let here = t.acct.Account.dispatches in
   let start, count =
     match Hashtbl.find_opt t.smc_page_hits page with
-    | Some (start, count) when here - start <= t.config.Config.smc_storm_window
-      ->
+    | Some (start, count) when here - start <= storm_window ->
       (start, count + 1)
     | _ -> (here, 1)
   in
   Hashtbl.replace t.smc_page_hits page (start, count);
-  if count >= t.config.Config.smc_storm_limit then degrade_page_to_interp t page
+  if count >= storm_events then degrade_page_to_interp t page
   else false
 
 let create ?(config = Config.default) ?cost:(mcost = Ipf.Cost.default) ~btlib

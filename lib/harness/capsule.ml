@@ -18,13 +18,12 @@ module E = Ia32el.Engine
 module L = Ia32el.Lockstep
 module Memory = Ia32.Memory
 
-let magic = "IA32EL-CAPSULE/5"
+let magic = "IA32EL-CAPSULE/6"
 let log_cap = 65536
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
 
 type entry = {
-  en_index : int;
   en_clock : int;
   en_tid : int;
   en_eip : int;
@@ -42,14 +41,11 @@ type failure =
   | F_bt_error of {
       fb_component : string;
       fb_what : string;
-      fb_eip : int option;
-      fb_block : int option;
       fb_detail : string option;
     }
   | F_divergence of {
       fd_commit_index : int;
       fd_diffs : string list;
-      fd_window : string list;
     }
   | F_unhandled_fault of string
   | F_other of string
@@ -176,7 +172,6 @@ let record r eng ev (st : Ia32.State.t) =
   if ix < log_cap then
     Queue.add
       {
-        en_index = ix;
         en_clock = E.clock eng;
         en_tid = E.current_tid eng;
         en_eip = st.Ia32.State.eip;
@@ -383,8 +378,6 @@ let failure_of = function
       {
         fb_component = e.Ia32el.Bt_error.component;
         fb_what = e.Ia32el.Bt_error.what;
-        fb_eip = e.Ia32el.Bt_error.eip;
-        fb_block = e.Ia32el.Bt_error.block;
         fb_detail = e.Ia32el.Bt_error.detail;
       }
   | Ok (r : L.report) -> (
@@ -394,7 +387,6 @@ let failure_of = function
         {
           fd_commit_index = d.L.commit_index;
           fd_diffs = d.L.diffs;
-          fd_window = d.L.window;
         }
     | None -> (
       match r.L.outcome with

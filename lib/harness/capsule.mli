@@ -15,12 +15,11 @@
     time-travel anchor into the run's {!Obs.Trace} stream. *)
 
 val magic : string
-(** File format tag, ["IA32EL-CAPSULE/5"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3, 4 and 5 mark three shrinkings of {!Ia32el.Config.t}; a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
+(** File format tag, ["IA32EL-CAPSULE/6"]: version 2 added the configuration fingerprint ({!Persist.config_fingerprint}) checked at load — a capsule recorded by a build with different translation semantics is refused with a structured error (component ["capsule"]) instead of silently mis-replaying. Versions 3 to 6 mark four shrinkings of {!Ia32el.Config.t} (version 6 also dropped the failure and log-entry fields replay never read); a capsule with an older version tag is refused the same way, before anything is unmarshalled. *)
 
 type event = Ev_syscall of int | Ev_fault of string | Ev_exit of int
 
 type entry = {
-  en_index : int;
   en_clock : int; (** virtual clock at the commit point *)
   en_tid : int;
   en_eip : int;
@@ -38,14 +37,11 @@ type failure =
   | F_bt_error of {
       fb_component : string;
       fb_what : string;
-      fb_eip : int option;
-      fb_block : int option;
       fb_detail : string option;
     }  (** a structured {!Ia32el.Bt_error} (includes the watchdog) *)
   | F_divergence of {
       fd_commit_index : int;
       fd_diffs : string list;
-      fd_window : string list;
     }  (** lockstep divergence *)
   | F_unhandled_fault of string
   | F_other of string

@@ -1678,12 +1678,14 @@ let psize p =
    the lockstep reproducer window — atoms not implicated are tried
    first), flatten loops and shrink trip counts, drop single
    instructions, simplify operands. Each candidate re-runs lockstep and
-   is kept only when the same failure class persists; [budget] bounds
-   the number of re-runs. Deterministic. *)
-let shrink ?(budget = 400) ?fuel ?attach_extra f =
+   is kept only when the same failure class persists; [shrink_budget]
+   bounds the number of re-runs. Deterministic. *)
+let shrink_budget = 300
+
+let shrink ?fuel ?attach_extra f =
   let runs = ref 0 in
   let try_case prog seed =
-    if !runs >= budget then false
+    if !runs >= shrink_budget then false
     else begin
       incr runs;
       let ex = run_one ?fuel ?inject_seed:seed ?attach_extra prog in
@@ -1756,7 +1758,6 @@ type campaign_config = {
   max_insns : int;
   inject_seeds : int list;
   shrink_findings : bool;
-  shrink_budget : int;
   fuel : int;
   max_findings : int;
   corpus_dir : string option;
@@ -1771,7 +1772,6 @@ let default_campaign =
     max_insns = 32;
     inject_seeds = [ 1; 2 ];
     shrink_findings = true;
-    shrink_budget = 300;
     fuel = 12_000_000;
     max_findings = 5;
     corpus_dir = None;
@@ -1886,8 +1886,7 @@ let campaign cfg =
                (classification_name f.classification) f.prog.seed
                (insn_count f.prog));
           let f' =
-            shrink ~budget:cfg.shrink_budget ~fuel:cfg.fuel
-              ?attach_extra:cfg.attach_extra f
+            shrink ~fuel:cfg.fuel ?attach_extra:cfg.attach_extra f
           in
           cfg.log (Printf.sprintf "  ...shrunk to %d insns" (insn_count f'.prog));
           f')

@@ -134,8 +134,7 @@ type campaign_config = {
   runs : int; (** programs to generate *)
   max_insns : int;
   inject_seeds : int list; (** chaos seeds per program (plus a clean run) *)
-  shrink_findings : bool;
-  shrink_budget : int;
+  shrink_findings : bool; (** at most 300 lockstep re-runs per finding *)
   fuel : int;
   max_findings : int; (** stop the campaign after this many findings *)
   corpus_dir : string option;

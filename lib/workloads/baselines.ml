@@ -73,7 +73,6 @@ let native_config =
   {
     Ia32el.Config.default with
     Ia32el.Config.first_phase = Ia32el.Config.Interpret_first;
-    heat_threshold = 120;
     session_candidates = 1;
   }
 

@@ -931,7 +931,7 @@ let capsule_tests =
             | exception Ia32el.Bt_error.Error e ->
               check string "structured component" "capsule"
                 e.Ia32el.Bt_error.component)
-          [ "IA32EL-CAPSULE/3"; "IA32EL-CAPSULE/4" ];
+          [ "IA32EL-CAPSULE/3"; "IA32EL-CAPSULE/4"; "IA32EL-CAPSULE/5" ];
         Sys.remove file);
   ]
 
