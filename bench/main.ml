@@ -5,7 +5,9 @@
      bench/main.exe                 run everything
      bench/main.exe fig5            one experiment
      bench/main.exe --scale 2 all   bigger workloads
-     bench/main.exe --json          write BENCH_results.json (no text report)
+     bench/main.exe virtual         write BENCH_virtual.json
+     bench/main.exe perf            write BENCH_wallclock.json
+   An unknown command or flag exits 2 before anything runs.
 *)
 
 module B = Workloads.Baselines
@@ -220,124 +222,6 @@ let ablations ~scale () =
       sse_format_speculation = false };
   Printf.printf "\n"
 
-(* ---------------- machine-readable report (--json) ---------------- *)
-
-let json_file = "BENCH_results.json"
-
-let json_report ~scale () =
-  let open Obs.Metrics in
-  let rows, geomean = F.fig5 ~scale () in
-  let fig5_json =
-    Obj
-      [
-        ("geomean", Float geomean);
-        ( "rows",
-          List
-            (List.map
-               (fun (r : F.fig5_row) ->
-                 Obj
-                   [
-                     ("name", Str r.F.name);
-                     ("el_cycles", Int r.F.el_cycles);
-                     ("native_cycles", Int r.F.native_cycles);
-                     ("score", Float r.F.score);
-                     ( "paper",
-                       match r.F.paper with Some p -> Int p | None -> Null );
-                   ])
-               rows) );
-      ]
-  in
-  let dist (h, c, o, x, i) =
-    Obj
-      [
-        ("hot", Float h); ("cold", Float c); ("overhead", Float o);
-        ("other", Float x); ("idle", Float i);
-      ]
-  in
-  let fig8_json =
-    List
-      (List.map
-         (fun (r : F.fig8_row) ->
-           Obj
-             [
-               ("suite", Str r.F.suite); ("ratio", Float r.F.ratio);
-               ("paper", Float r.F.paper8);
-             ])
-         (F.fig8 ~scale ()))
-  in
-  let off, on_ = F.misalign_anecdote ~scale () in
-  let s = F.stats ~scale () in
-  let stats_json =
-    Obj
-      [
-        ("cold_block_insns", Float s.F.cold_block_insns);
-        ("hot_block_insns", Float s.F.hot_block_insns);
-        ("pct_blocks_heated", Float s.F.pct_blocks_heated);
-        ("hot_cold_overhead_ratio", Float s.F.hot_cold_overhead_ratio);
-        ("native_insns_per_commit", Float s.F.native_insns_per_commit);
-        ("hot_time_pct", Float s.F.hot_time_pct);
-        ("spec_checks", Int s.F.spec_checks);
-        ("spec_misses", Int s.F.spec_misses);
-        ("spec_success", Float s.F.spec_success);
-      ]
-  in
-  let workload_json w =
-    let r = B.run_el w ~scale in
-    let fields =
-      [ ("cycles", Int r.B.cycles) ]
-      @ (match r.B.distribution with
-        | Some d ->
-          [
-            ( "distribution",
-              Obj
-                [
-                  ("hot", Int d.Ia32el.Account.hot);
-                  ("cold", Int d.Ia32el.Account.cold);
-                  ("overhead", Int d.Ia32el.Account.overhead);
-                  ("other", Int d.Ia32el.Account.other);
-                  ("idle", Int d.Ia32el.Account.idle);
-                  ("total", Int d.Ia32el.Account.total);
-                ] );
-          ]
-        | None -> [])
-      @
-      match r.B.engine with
-      | Some e ->
-        [
-          ( "counters",
-            Obj
-              (List.map
-                 (fun (k, v) -> (k, Int v))
-                 (counters (Ia32el.Engine.metrics e))) );
-        ]
-      | None -> []
-    in
-    (w.Workloads.Common.name, Obj fields)
-  in
-  let report =
-    Obj
-      [
-        ("schema", Str "ia32el-bench/1");
-        ("scale", Int scale);
-        ("fig5", fig5_json);
-        ("fig6", dist (F.fig6 ~scale ()));
-        ("fig7", dist (F.fig7 ~scale ()));
-        ("fig8", fig8_json);
-        ("misalign", Obj [ ("off_cycles", Int off); ("on_cycles", Int on_) ]);
-        ("stats", stats_json);
-        ( "workloads",
-          Obj
-            (List.map workload_json
-               (Workloads.Spec_int.all
-               @ Workloads.Threads.all
-                   ~workers:Workloads.Threads.default_workers)) );
-      ]
-  in
-  let oc = open_out json_file in
-  output_string oc (json_to_string report);
-  close_out oc;
-  Printf.printf "wrote %s\n" json_file
-
 (* ---------------- deterministic virtual-cycle suite (virtual) ---------- *)
 
 let virtual_file = "BENCH_virtual.json"
@@ -376,9 +260,11 @@ let virtual_report ~scale () =
         | None -> []
       in
       Obs.Metrics.section m w.Workloads.Common.name fields)
-    (Workloads.Spec_int.all @ Workloads.Spec_fp.all
-    @ [ Workloads.Sysmark.office; Workloads.Sysmark.misalign_stress ]
-    @ Workloads.Threads.all ~workers:Workloads.Threads.default_workers);
+    (List.filter
+       (fun w ->
+         w.Workloads.Common.name
+         <> Workloads.Serve_echo.workload.Workloads.Common.name)
+       (Workloads.Catalog.all ~threads:Workloads.Threads.default_workers));
   let oc = open_out virtual_file in
   Obs.Metrics.write m oc;
   close_out oc;
@@ -387,12 +273,14 @@ let virtual_report ~scale () =
 (* ---------------- wall-clock perf harness (perf) ---------------- *)
 
 (* Unlike everything above (which reports *simulated* cycles), this
-   measures host wall-clock throughput of the simulator itself: the
-   machine core, the reference interpreter with and without its decode
-   cache, the lockstep tax and the fuzzer's program rate. Numbers are
-   host-dependent by nature; the JSON snapshot records them next to
-   pre-change baselines so a regression shows up as a ratio, not an
-   absolute. *)
+   measures host wall-clock cost of the simulator's layers one at a
+   time: machine dispatch, guest memory, the reference interpreter with
+   and without its decode cache, the lockstep tax, contended futexes,
+   the fork server's snapshot/revert split and a serve session's
+   per-request layers. Whole runs of the suite, the serving pool, the
+   fork server and persisted tcaches are bench/e2e's. Numbers are
+   host-dependent by nature: compare ratios and alternated runs, never
+   absolutes from another host. *)
 
 let wallclock_file = "BENCH_wallclock.json"
 
@@ -422,16 +310,6 @@ let seconds_per ~min_time f =
   done;
   !elapsed /. Float.of_int !iters
 
-(* Simulated machine slots retired per wall second under [config]. *)
-let machine_rate ~scale ~min_time config =
-  rate ~min_time (fun () ->
-      let r = B.run_el ~config Workloads.Spec_int.gzip ~scale in
-      match r.B.engine with
-      | Some e ->
-        Float.of_int
-          e.Ia32el.Engine.machine.Ipf.Machine.stats.Ipf.Machine.slots_retired
-      | None -> 0.0)
-
 (* Retired IA-32 instructions per wall second on the reference
    interpreter, decode cache on or off. *)
 let interp_rate ~scale ~min_time ~cache =
@@ -446,21 +324,6 @@ let interp_rate ~scale ~min_time ~cache =
         Ia32el.Refvehicle.run ~btlib:(module Btlib.Linuxsim) vos st
       in
       Float.of_int insns)
-
-let fuzz_rate ~min_time =
-  rate ~min_time (fun () ->
-      let cfg =
-        {
-          Harness.Fuzz.default_campaign with
-          Harness.Fuzz.seed = 7;
-          runs = 10;
-          inject_seeds = [];
-          shrink_findings = false;
-          corpus_dir = None;
-          log = ignore;
-        }
-      in
-      Float.of_int (Harness.Fuzz.campaign cfg).Harness.Fuzz.executions)
 
 (* Host cost of [Ipf.Exec]'s per-group dispatch. Two synthetic tcaches
    hold the same 192 independent adds (ending in a branch back to the
@@ -659,29 +522,6 @@ let guest_memory_json g =
         ("interp_step_ns", Float g.gm_step_ns);
       ])
 
-(* Fork-server inputs per wall second: one persistent session, inputs
-   served by snapshot / mutate / run / revert with warm translations.
-   Same work unit as [fuzz_rate] (lockstep-checked programs), so the
-   ratio against the committed lockstep_programs_per_s baseline is the
-   fork-server's acceptance multiple. *)
-let forkserver_rate ~min_time =
-  let module F = Harness.Fuzz in
-  let gen_rng = F.Rng.create 7 in
-  let prog = F.generate ~rng:gen_rng ~max_insns:32 7 in
-  let srv = F.server_start prog in
-  let mrng = F.Rng.create 11 in
-  rate ~min_time (fun () ->
-      let n = 16 in
-      for _ = 1 to n do
-        let muts =
-          List.init
-            (1 + F.Rng.int mrng 48)
-            (fun _ -> (F.Rng.int mrng F.mutation_span, F.Rng.int mrng 256))
-        in
-        ignore (F.server_run srv muts)
-      done;
-      Float.of_int n)
-
 (* Per-input layers of the fork server, in process: [bases] generated
    programs, each serving its base input and then [per_base] mutated
    ones the way [Fuzz.server_run] does: [Lockstep.snapshot] (push), the
@@ -789,169 +629,15 @@ let forkserver_split_json s =
         ("major_collections_per_1000_inputs", Float s.fsp_major_per_1000);
       ])
 
-(* Persistent-cache wall-clock rows: seconds per run cold (no cache),
-   warm (every translation installed from a recorded file) and from an
-   AOT-compiled file (static sweep + one training run). Also reports the
-   simulated-cycle view: the fraction of the run's cold-phase translation
-   cycles whose host-side work a warm start eliminates. *)
-let persist_rates ~scale ~min_time =
-  let w = Workloads.Spec_int.gzip in
-  let config = Ia32el.Config.default in
-  let image = w.Workloads.Common.build ~scale ~wide:false in
-  let image_hash = Persist.image_hash image in
-  let config_fp = Persist.config_fingerprint config in
-  let record_to path store =
-    (try Sys.remove path with Sys_error _ -> ());
-    (try Sys.remove (path ^ ".lock") with Sys_error _ -> ());
-    match Persist.save store ~path with
-    | [] -> ()
-    | d :: _ ->
-      Printf.eprintf "perf: tcache save failed: %s\n"
-        (Ia32el.Bt_error.to_string d);
-      exit 1
-  in
-  (* a warm-start file recorded by one full run *)
-  let warm_path = Filename.temp_file "ia32el-bench-warm" ".tc" in
-  let store = Persist.create_store ~image_hash ~config_fp in
-  ignore
-    (B.run_el ~config
-       ~attach:(fun e -> ignore (Persist.attach store e))
-       w ~scale);
-  record_to warm_path store;
-  (* an AOT file: static sweep plus one training run, as ia32el-compile
-     --train builds *)
-  let aot_path = Filename.temp_file "ia32el-bench-aot" ".tc" in
-  let aot_store = Persist.create_store ~image_hash ~config_fp in
-  (let mem = Ia32.Memory.create () in
-   let _st = Ia32.Asm.load image mem in
-   let eng =
-     Ia32el.Engine.create ~config ~btlib:(module Btlib.Linuxsim) mem
-   in
-   let se = Persist.attach aot_store eng in
-   let lo = image.Ia32.Asm.code_base in
-   let hi = lo + String.length image.Ia32.Asm.code in
-   ignore
-     (Persist.sweep se
-        ~roots:(image.Ia32.Asm.entry :: List.map snd image.Ia32.Asm.labels)
-        ~lo ~hi));
-  ignore
-    (B.run_el ~config
-       ~attach:(fun e -> ignore (Persist.attach aot_store e))
-       w ~scale);
-  record_to aot_path aot_store;
-  let cold_s = seconds_per ~min_time (fun () -> B.run_el ~config w ~scale) in
-  let eliminated_fraction = ref 0.0 in
-  let run_from path =
-    let st, _ = Persist.load ~path ~image_hash ~config_fp in
-    let sref = ref None in
-    let r =
-      B.run_el ~config
-        ~attach:(fun e -> sref := Some (Persist.attach ~readonly:true st e))
-        w ~scale
-    in
-    (match (!sref, r.B.engine) with
-    | Some se, Some eng ->
-      let s = Persist.stats se in
-      let total =
-        eng.Ia32el.Engine.acct.Ia32el.Account.cold_insns
-        * Ipf.Cost.default.Ipf.Cost.cold_translate_per_insn
-      in
-      if total > 0 then
-        eliminated_fraction :=
-          Float.of_int s.Persist.eliminated_cold_cycles /. Float.of_int total
-    | _ -> ());
-    r
-  in
-  let warm_s = seconds_per ~min_time (fun () -> run_from warm_path) in
-  let aot_s = seconds_per ~min_time (fun () -> run_from aot_path) in
-  List.iter
-    (fun p -> try Sys.remove p with Sys_error _ -> ())
-    [ warm_path; aot_path ];
-  (cold_s, warm_s, aot_s, !eliminated_fraction)
-
-(* Serving-pool wall-clock rows: open-loop load over forked workers
-   sharing one read-only AOT tcache (the ia32el-serve configuration).
-   The generator's arrival rate is calibrated from a short warm batch to
-   ~70% of pool capacity — enough queueing for the tail percentiles to
-   mean something without saturating into mass rejection. Every served
-   request must install all its translations from the shared store; a
-   single live retranslation fails the run. Also times the layer most of
-   a request's service is spent in: [Instance.create] of the guest. *)
-let serve_rates ~min_time =
-  let payload = "GET /index.html HTTP/1.0\r\nHost: ia32el\r\n\r\n" in
-  let workers = 4 in
-  let image =
-    Workloads.Serve_echo.workload.Workloads.Common.build ~scale:1 ~wide:false
-  in
-  let build_ms =
-    1e3 *. seconds_per ~min_time (fun () -> Ia32el.Instance.create image)
-  in
-  let tc = Filename.temp_file "ia32el-bench-serve" ".tc" in
-  (match Serve.compile_tcache ~path:tc ~scale:1 ~payload () with
-  | [] -> ()
-  | d :: _ ->
-    Printf.eprintf "perf: serve tcache save failed: %s\n"
-      (Ia32el.Bt_error.to_string d);
-    exit 1);
-  let p =
-    Serve.pool ~backend:Serve.Forked ~workers ~queue:(2 * workers) ~tcache:tc
-      ()
-  in
-  (* calibrate per-request service time under full worker concurrency —
-     so the derived rate tracks *effective* pool capacity whatever the
-     host core count. The first batch pays one-time costs (page cache,
-     COW after fork) and is discarded. *)
-  let cal_batch () =
-    Serve.run_batch p
-      (List.init workers (fun _ -> { Serve.payload; max_cycles = None }))
-  in
-  ignore (cal_batch ());
-  let cal = cal_batch () in
-  let cal_served =
-    List.filter_map (fun r -> r.Serve.result) cal.Serve.responses
-  in
-  let svc_s =
-    match cal_served with
-    | [] -> 0.05
-    | l ->
-      List.fold_left (fun a r -> a +. r.Serve.r_service_us) 0.0 l
-      /. Float.of_int (List.length l) /. 1e6
-  in
-  let svc_s = if svc_s <= 0.0 then 0.05 else svc_s in
-  let rate_hz = 0.7 *. Float.of_int workers /. svc_s in
-  let n =
-    max 16 (min 256 (int_of_float (rate_hz *. (4.0 *. min_time))))
-  in
-  let load, responses = Serve.run_open_loop p ~rate_hz ~n ~payload () in
-  let served = List.filter_map (fun r -> r.Serve.result) responses in
-  let hits =
-    List.fold_left (fun a r -> a + r.Serve.r_tc_hits) 0 served
-  in
-  let misses =
-    List.fold_left (fun a r -> a + r.Serve.r_tc_misses) 0 served
-  in
-  List.iter
-    (fun s -> try Sys.remove s with Sys_error _ -> ())
-    [ tc; tc ^ ".lock" ];
-  if misses > 0 || hits = 0 then begin
-    Printf.eprintf
-      "perf: serving pool not warm: %d live translations, %d AOT installs\n"
-      misses hits;
-    exit 1
-  end;
-  (load, rate_hz, workers, hits, build_ms)
-
 (* Per-request layers of one serving worker, in process, on the
-   serve-echo guest with a shared read-only AOT tcache: [requests]
-   requests served the way workers did before sessions (a fresh
-   instance per request, tcache attached to it) and the way they do now
-   (one session, rewound after every request). Host milliseconds per
-   request for the instance build, the run (metrics JSON included) and
-   the rewind; instances built and block programs compiled per request,
-   the latter from the second request on (the first compiles the same in
-   both). *)
+   serve-echo guest with a shared read-only AOT tcache: one session,
+   rewound after every request, serves [requests] requests. Host
+   milliseconds per request for the one instance build, the run
+   (metrics JSON included) and the rewind; block programs compiled per
+   request from the second request on (the first compiles every
+   program, later ones take them back by content). *)
 type serve_layers = {
-  sl_builds : float; (* Instance.create calls per request *)
+  sl_requests : int;
   sl_build_ms : float;
   sl_run_ms : float;
   sl_revert_ms : float;
@@ -976,95 +662,63 @@ let serve_session_rows ~requests =
     let t, r = wall f in
     (1e3 *. t, r)
   in
-  let serve inst =
-    ignore (Ia32el.Instance.run ~request:payload inst);
-    ignore (Obs.Metrics.to_string (Ia32el.Instance.metrics inst))
+  let build, (inst, pse, se) =
+    ms (fun () ->
+        let inst = Ia32el.Instance.create ~config image in
+        let pse = Persist.attach ~readonly:true store inst.Ia32el.Instance.eng in
+        (inst, pse, Ia32el.Instance.session inst))
   in
-  let measure ~built0 step =
-    let build = ref 0. and run = ref 0. and revert = ref 0. and compiles = ref 0 in
-    for k = 0 to requests - 1 do
-      let b, r, v, c = step () in
-      build := !build +. b;
-      run := !run +. r;
-      revert := !revert +. v;
-      if k > 0 then compiles := !compiles + c
-    done;
-    let per x = x /. Float.of_int requests in
-    {
-      sl_builds = per (Float.of_int (Ia32el.Instance.created () - built0));
-      sl_build_ms = per !build;
-      sl_run_ms = per !run;
-      sl_revert_ms = per !revert;
-      sl_compiles =
-        Float.of_int !compiles /. Float.of_int (max 1 (requests - 1));
-    }
+  let compiled () =
+    Ipf.Exec.compiled inst.Ia32el.Instance.eng.Ia32el.Engine.exec
   in
-  let compiled inst = Ipf.Exec.compiled inst.Ia32el.Instance.eng.Ia32el.Engine.exec in
-  let fresh =
-    measure ~built0:(Ia32el.Instance.created ()) (fun () ->
-        let b, inst =
-          ms (fun () ->
-              let inst = Ia32el.Instance.create ~config image in
-              ignore
-                (Persist.attach ~readonly:true store inst.Ia32el.Instance.eng);
-              inst)
-        in
-        let r, () = ms (fun () -> serve inst) in
-        (b, r, 0., compiled inst))
-  in
-  let session =
-    let built0 = Ia32el.Instance.created () in
-    let b, (inst, pse, se) =
+  let run = ref 0. and revert = ref 0. and compiles = ref 0 in
+  for k = 0 to requests - 1 do
+    let c0 = compiled () in
+    Persist.restart pse;
+    let r, () =
       ms (fun () ->
-          let inst = Ia32el.Instance.create ~config image in
-          let pse =
-            Persist.attach ~readonly:true store inst.Ia32el.Instance.eng
-          in
-          (inst, pse, Ia32el.Instance.session inst))
+          ignore (Ia32el.Instance.run ~request:payload inst);
+          ignore (Obs.Metrics.to_string (Ia32el.Instance.metrics inst)))
     in
-    let first = ref true in
-    measure ~built0 (fun () ->
-        let b = if !first then b else 0. in
-        first := false;
-        let c0 = compiled inst in
-        Persist.restart pse;
-        let r, () = ms (fun () -> serve inst) in
-        let c = compiled inst - c0 in
-        let v, () = ms (fun () -> Ia32el.Instance.rewind se) in
-        (b, r, v, c))
-  in
-  (fresh, session)
+    if k > 0 then compiles := !compiles + compiled () - c0;
+    let v, () = ms (fun () -> Ia32el.Instance.rewind se) in
+    run := !run +. r;
+    revert := !revert +. v
+  done;
+  let per x = x /. Float.of_int requests in
+  {
+    sl_requests = requests;
+    sl_build_ms = per build;
+    sl_run_ms = per !run;
+    sl_revert_ms = per !revert;
+    sl_compiles = Float.of_int !compiles /. Float.of_int (max 1 (requests - 1));
+  }
 
 let perf ~scale ~min_time () =
-  header "Wall-clock throughput of the simulator itself"
-    "host-dependent; committed snapshot makes fast-path regressions visible\n\
-     as ratios (decode cache on/off) and against pre-change baselines";
-  let config = Ia32el.Config.default in
-  let mach_pre = machine_rate ~scale ~min_time config in
+  header "Wall-clock cost of the simulator's layers, one at a time"
+    "host-dependent; each row times one layer through the library path,\n\
+     so a fast-path regression shows as that row's ns or ratio";
   let dispatch = exec_costs ~min_time in
   let gmem = guest_memory_costs ~min_time in
   let interp_cached = interp_rate ~scale ~min_time ~cache:true in
   let interp_uncached = interp_rate ~scale ~min_time ~cache:false in
+  (* the plain run also gives the machine core's slots per second *)
+  let slots = ref 0 in
   let el_s =
     seconds_per ~min_time (fun () ->
-        B.run_el Workloads.Spec_int.gzip ~scale)
+        let r = B.run_el Workloads.Spec_int.gzip ~scale in
+        Option.iter
+          (fun e ->
+            slots :=
+              e.Ia32el.Engine.machine.Ipf.Machine.stats.Ipf.Machine.slots_retired)
+          r.B.engine)
   in
+  let slots_per_s = Float.of_int !slots /. el_s in
   let lock_s =
     seconds_per ~min_time (fun () ->
         Harness.Resilience.run ~lockstep:true Workloads.Spec_int.gzip ~scale)
   in
-  let fuzz_ps = fuzz_rate ~min_time in
-  let forkserver_ps = forkserver_rate ~min_time in
   let fs_split = forkserver_split ~bases:32 ~per_base:50 in
-  let threads_w =
-    Workloads.Threads.producer_consumer
-      ~workers:Workloads.Threads.default_workers
-  in
-  let threads_cps =
-    rate ~min_time (fun () ->
-        let r = B.run_el threads_w ~scale in
-        Float.of_int r.B.cycles)
-  in
   (* contended futex: every consumer the scheduler allows (8) fighting
      over one 8-slot ring — the futex wait/wake and context-switch hot
      path, measured in simulated guest cycles retired per wall second *)
@@ -1080,18 +734,11 @@ let perf ~scale ~min_time () =
         | None -> ());
         Float.of_int r.B.cycles)
   in
-  let cold_s, warm_s, aot_s, elim_frac = persist_rates ~scale ~min_time in
-  let serve_load, serve_rate_hz, serve_workers, serve_hits, build_ms =
-    serve_rates ~min_time
-  in
-  let session_requests = 200 in
-  let fresh_layers, session_layers =
-    serve_session_rows ~requests:session_requests
-  in
+  let session = serve_session_rows ~requests:200 in
   let interp_speedup = interp_cached /. interp_uncached in
   let lock_factor = lock_s /. el_s in
   Printf.printf "machine core               : %8.2f Mslots/s\n"
-    (mach_pre /. 1e6);
+    (slots_per_s /. 1e6);
   print_exec_costs dispatch;
   print_guest_memory gmem;
   Printf.printf "interpreter, decode cache   : %8.2f Minsns/s\n"
@@ -1101,194 +748,43 @@ let perf ~scale ~min_time () =
   Printf.printf "  decode-cache speedup      : %8.2fx\n" interp_speedup;
   Printf.printf "lockstep overhead factor    : %8.2fx (%.3fs vs %.3fs)\n"
     lock_factor lock_s el_s;
-  Printf.printf "fuzz lockstep programs      : %8.2f prog/s\n" fuzz_ps;
-  Printf.printf "fork-server inputs          : %8.2f prog/s (%.2fx lockstep)\n"
-    forkserver_ps
-    (forkserver_ps /. fuzz_ps);
   print_forkserver_split fs_split;
-  Printf.printf "threaded workload (%s, %d guest threads): %.2f Mcycles/s\n"
-    threads_w.Workloads.Common.name
-    (Workloads.Threads.default_workers + 1)
-    (threads_cps /. 1e6);
   Printf.printf
     "contended futex (%s, 8 workers + producer): %.2f Mcycles/s, %d context \
      switches/run\n"
     futex_w.Workloads.Common.name
     (futex_cps /. 1e6)
     !futex_switches;
-  Printf.printf "persistent tcache, cold     : %8.3f s/run\n" cold_s;
-  Printf.printf "persistent tcache, warm     : %8.3f s/run (%.2fx cold)\n"
-    warm_s (cold_s /. warm_s);
-  Printf.printf "persistent tcache, AOT      : %8.3f s/run (%.2fx cold)\n"
-    aot_s (cold_s /. aot_s);
   Printf.printf
-    "  cold-phase translation cycles eliminated on warm start: %.1f%%\n"
-    (100.0 *. elim_frac);
-  Printf.printf
-    "serving pool (%d forked workers, shared read-only AOT tcache):\n"
-    serve_workers;
-  Printf.printf
-    "  throughput                : %8.2f guests/s (open-loop, offered %.2f/s)\n"
-    serve_load.Serve.guests_per_s serve_rate_hz;
-  Printf.printf
-    "  latency p50/p95/p99       : %.2f / %.2f / %.2f ms (mean %.2f)\n"
-    serve_load.Serve.lat_p50_ms serve_load.Serve.lat_p95_ms
-    serve_load.Serve.lat_p99_ms serve_load.Serve.lat_mean_ms;
-  Printf.printf "  instance build            : %8.3f ms\n" build_ms;
-  Printf.printf
-    "  served %d of %d offered, %d rejected; %d AOT installs, 0 live \
-     translations\n\n"
-    serve_load.Serve.served serve_load.Serve.offered
-    serve_load.Serve.load_rejected serve_hits;
-  let layers name l =
-    Printf.printf
-      "  %-7s per request       : %.3f builds, %.3f ms build, %.3f ms run, \
-       %.3f ms rewind, %.1f program compiles\n"
-      name l.sl_builds l.sl_build_ms l.sl_run_ms l.sl_revert_ms l.sl_compiles
-  in
-  Printf.printf "one worker, %d requests in process:\n" session_requests;
-  layers "fresh" fresh_layers;
-  layers "session" session_layers;
+    "serve session per request (%d requests): %.3f ms build, %.3f ms run, \
+     %.3f ms rewind, %.1f program compiles\n"
+    session.sl_requests session.sl_build_ms
+    session.sl_run_ms session.sl_revert_ms session.sl_compiles;
   let finite x = Float.is_finite x && x > 0.0 in
   if
     not
       (List.for_all finite
          [
-           mach_pre; dispatch.slot_ns; dispatch.words_per_compiled_slot;
+           slots_per_s; dispatch.slot_ns; dispatch.words_per_compiled_slot;
            gmem.gm_store_ns; gmem.gm_load_ns; gmem.gm_step_ns;
-           interp_cached; interp_uncached; lock_factor;
-           fuzz_ps; forkserver_ps; threads_cps; futex_cps; cold_s; warm_s;
-           aot_s; serve_load.Serve.guests_per_s; serve_load.Serve.lat_p50_ms;
-           serve_load.Serve.lat_p95_ms; serve_load.Serve.lat_p99_ms;
+           interp_cached; interp_uncached; lock_factor; fs_split.fsp_run_ms;
+           futex_cps; session.sl_run_ms;
          ])
   then begin
     Printf.eprintf "perf: non-finite or non-positive measurement\n";
-    exit 1
-  end;
-  if elim_frac < 0.8 then begin
-    Printf.eprintf
-      "perf: warm start eliminated only %.1f%% of cold-phase translation \
-       cycles (acceptance floor 80%%)\n"
-      (100.0 *. elim_frac);
     exit 1
   end;
   let open Obs.Metrics in
   let report =
     Obj
       [
-        ("schema", Str "ia32el-wallclock/6");
+        ("schema", Str "ia32el-wallclock/7");
         ("scale", Int scale);
         ("host_dependent", Str "true");
-        (* measured once before the hot-counter fast-path generation
-           landed, same host and methodology,
-           for the before/after record; current-tree A/B ratios above
-           are the live regression guard *)
-        ( "pre_change_baseline",
-          Obj
-            [
-              ("rev", Str "8bf175f");
-              ("machine_slots_per_s", Float 14614220.02588027);
-              ("interp_insns_per_s", Float 13503352.714911152);
-              (* one-program-per-session fuzz rate measured before the
-                 fork-server landed: the denominator of the >= 3x
-                 fork-server acceptance multiple *)
-              ("lockstep_programs_per_s", Float 131.35338357638003);
-              (* the serve row before fresh guest pages became
-                 demand-zero; its instance_build_ms is the median of
-                 three runs of this harness at that commit, on the host
-                 that measured the live row below *)
-              ( "serve",
-                Obj
-                  [
-                    ("rev", Str "58fb716");
-                    ("offered_rate_hz", Float 17.189588078873577);
-                    ("guests_per_s", Float 17.754152441410568);
-                    ("lat_p50_ms", Float 14.317989349365234);
-                    ("lat_p95_ms", Float 27.350187301635742);
-                    ("lat_p99_ms", Float 44.392108917236328);
-                    ("lat_mean_ms", Float 16.86708927154541);
-                    ("instance_build_ms", Float 4.805);
-                  ] );
-              (* the execution core before issue-group programs: the
-                 median of five runs of this harness at that commit,
-                 alternated with runs of the live row below on one host *)
-              ( "machine",
-                Obj
-                  [
-                    ("rev", Str "d1ac50b");
-                    ("predecode_slots_per_s", Float 16575303.439340279);
-                  ] );
-              (* the lockstep and fuzz rows before the reference side
-                 kept its reproducer window as decoded insns and
-                 compared memory a page at a time: medians of five runs
-                 of this harness (--min-time 1) at that commit,
-                 alternated with runs of the live rows below on one
-                 host *)
-              ( "lockstep",
-                Obj
-                  [
-                    ("rev", Str "916b9b3");
-                    ("plain_s_per_run", Float 0.085026227510892421);
-                    ("lockstep_s_per_run", Float 0.59463846683502197);
-                    ("overhead_factor", Float 6.8043563998138135);
-                    ("lockstep_programs_per_s", Float 213.06654302492478);
-                    ("forkserver_programs_per_s", Float 558.67414416527242);
-                  ] );
-              (* the fork-server row before warm reverts judged
-                 translations by content: the median of five runs of
-                 this row's measurement (--min-time 1) at that commit,
-                 alternated with runs of the live row below on one
-                 host. Its program writes no code, so the parent kept
-                 every translation too and the two agree. *)
-              ( "forkserver",
-                Obj
-                  [
-                    ("rev", Str "b32e4fb");
-                    ("forkserver_programs_per_s", Float 1920.667);
-                  ] );
-              (* the fork-server split before the lockstep compare
-                 looked only at dirty pages and epochs recycled their
-                 machine tables: medians of five runs of
-                 [forkserver_split] at that commit (the full scan
-                 examines every mapped page), alternated with runs of
-                 the live row below on one host *)
-              (* the execution core and guest memory before whole
-                 groups were charged from compile-time summaries and the
-                 dcache hit its last line without a search: medians of
-                 five runs of this harness at that commit, alternated
-                 with runs of the change on one host *)
-              ( "machine_dispatch",
-                Obj
-                  [
-                    ("rev", Str "4a66c12");
-                    ("group_ns", Float 15.07);
-                    ("slot_ns", Float 7.93);
-                    ("words_per_compiled_slot", Float 72.1);
-                  ] );
-              ( "guest_memory",
-                Obj
-                  [
-                    ("rev", Str "4a66c12");
-                    ("store4_ns", Float 79.8);
-                    ("load4_ns", Float 72.0);
-                    ("add_ns", Float 13.6);
-                    ("interp_step_ns", Float 60.0);
-                  ] );
-              ( "forkserver_split",
-                Obj
-                  [
-                    ("rev", Str "a887e06");
-                    ("push_ms", Float 0.104);
-                    ("run_ms", Float 0.522);
-                    ("revert_ms", Float 0.074);
-                    ("pages_compared_per_commit", Float 22.0);
-                    ("major_collections_per_1000_inputs", Float 87.);
-                  ] );
-            ] );
         ( "machine",
           Obj
             [
-              ("predecode_slots_per_s", Float mach_pre);
+              ("slots_per_s", Float slots_per_s);
               ("group_ns", Float dispatch.group_ns);
               ("slot_ns", Float dispatch.slot_ns);
               ("words_per_compiled_slot", Float dispatch.words_per_compiled_slot);
@@ -1308,22 +804,7 @@ let perf ~scale ~min_time () =
               ("lockstep_s_per_run", Float lock_s);
               ("overhead_factor", Float lock_factor);
             ] );
-        ( "fuzz",
-          Obj
-            [
-              ("lockstep_programs_per_s", Float fuzz_ps);
-              ("forkserver_programs_per_s", Float forkserver_ps);
-              ( "forkserver_speedup_vs_baseline",
-                Float (forkserver_ps /. 131.35338357638003) );
-              ("forkserver_split", forkserver_split_json fs_split);
-            ] );
-        ( "threads",
-          Obj
-            [
-              ("workload", Str threads_w.Workloads.Common.name);
-              ("guest_threads", Int (Workloads.Threads.default_workers + 1));
-              ("guest_cycles_per_s", Float threads_cps);
-            ] );
+        ("forkserver_split", forkserver_split_json fs_split);
         ( "futex_contended",
           Obj
             [
@@ -1332,55 +813,14 @@ let perf ~scale ~min_time () =
               ("guest_cycles_per_s", Float futex_cps);
               ("context_switches_per_run", Int !futex_switches);
             ] );
-        ( "persist",
+        ( "serve_session",
           Obj
             [
-              ("cold_s_per_run", Float cold_s);
-              ("warm_s_per_run", Float warm_s);
-              ("aot_s_per_run", Float aot_s);
-              ("warm_speedup", Float (cold_s /. warm_s));
-              ("aot_speedup", Float (cold_s /. aot_s));
-              ( "cold_translation_cycles_eliminated_fraction",
-                Float elim_frac );
-            ] );
-        ( "serve",
-          Obj
-            [
-              ("backend", Str "fork");
-              ("workers", Int serve_workers);
-              ("tcache", Str "aot-shared-readonly");
-              ("offered_rate_hz", Float serve_rate_hz);
-              ("offered", Int serve_load.Serve.offered);
-              ("served", Int serve_load.Serve.served);
-              ("rejected", Int serve_load.Serve.load_rejected);
-              ("guests_per_s", Float serve_load.Serve.guests_per_s);
-              ("lat_p50_ms", Float serve_load.Serve.lat_p50_ms);
-              ("lat_p95_ms", Float serve_load.Serve.lat_p95_ms);
-              ("lat_p99_ms", Float serve_load.Serve.lat_p99_ms);
-              ("lat_mean_ms", Float serve_load.Serve.lat_mean_ms);
-              ("tc_hits", Int serve_hits);
-              ("tc_misses", Int 0);
-              ("instance_build_ms", Float build_ms);
-              ( "per_request",
-                let layers l =
-                  Obj
-                    [
-                      ("instance_builds", Float l.sl_builds);
-                      ("instance_build_ms", Float l.sl_build_ms);
-                      ("run_ms", Float l.sl_run_ms);
-                      ("revert_ms", Float l.sl_revert_ms);
-                      ("group_compiles_after_first", Float l.sl_compiles);
-                    ]
-                in
-                (* one worker serving requests in process: a fresh
-                   instance per request, as workers did before sessions,
-                   against the rewound session they keep now *)
-                Obj
-                  [
-                    ("requests", Int session_requests);
-                    ("fresh_instance", layers fresh_layers);
-                    ("session", layers session_layers);
-                  ] );
+              ("requests", Int session.sl_requests);
+              ("instance_build_ms", Float session.sl_build_ms);
+              ("run_ms", Float session.sl_run_ms);
+              ("revert_ms", Float session.sl_revert_ms);
+              ("group_compiles_after_first", Float session.sl_compiles);
             ] );
       ]
   in
@@ -1392,16 +832,11 @@ let perf ~scale ~min_time () =
 (* ---------------- driver ---------------- *)
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
   let scale = ref 1 in
-  let json = ref false in
   let min_time = ref 0.3 in
   let rec parse = function
     | "--scale" :: n :: rest ->
       scale := int_of_string n;
-      parse rest
-    | "--json" :: rest ->
-      json := true;
       parse rest
     | "--min-time" :: t :: rest ->
       min_time := float_of_string t;
@@ -1409,41 +844,38 @@ let () =
     | x :: rest -> x :: parse rest
     | [] -> []
   in
-  let cmds = parse args in
+  let cmds = parse (List.tl (Array.to_list Sys.argv)) in
   let scale = !scale in
   let min_time = !min_time in
-  let all () =
-    table1 ();
-    fig5 ~scale ();
-    fig6 ~scale ();
-    fig7 ~scale ();
-    fig8 ~scale ();
-    misalign ~scale ();
-    stats ~scale ();
-    circuitry ~scale ();
-    ablations ~scale ()
+  let figures =
+    [
+      ("table1", table1);
+      ("fig5", fig5 ~scale);
+      ("fig6", fig6 ~scale);
+      ("fig7", fig7 ~scale);
+      ("fig8", fig8 ~scale);
+      ("misalign", misalign ~scale);
+      ("stats", stats ~scale);
+      ("circuitry", circuitry ~scale);
+      ("ablations", ablations ~scale);
+    ]
   in
-  (match cmds with
-  | [] | [ "all" ] -> if not !json then all ()
-  | cmds ->
-    List.iter
-      (function
-        | "table1" -> table1 ()
-        | "fig5" -> fig5 ~scale ()
-        | "fig6" -> fig6 ~scale ()
-        | "fig7" -> fig7 ~scale ()
-        | "fig8" -> fig8 ~scale ()
-        | "misalign" -> misalign ~scale ()
-        | "stats" -> stats ~scale ()
-        | "circuitry" -> circuitry ~scale ()
-        | "ablations" -> ablations ~scale ()
-        | "perf" -> perf ~scale ~min_time ()
-        | "forkserver" ->
-          print_forkserver_split (forkserver_split ~bases:32 ~per_base:50)
-        | "virtual" -> virtual_report ~scale ()
-        | "all" -> all ()
-        | other -> Printf.eprintf "unknown command %S\n" other)
-      cmds);
-  (* `perf` writes its own BENCH_wallclock.json; the figure report only
-     accompanies the figure commands *)
-  if !json && not (List.mem "perf" cmds) then json_report ~scale ()
+  let all () = List.iter (fun (_, f) -> f ()) figures in
+  let commands =
+    figures
+    @ [
+        ("perf", perf ~scale ~min_time);
+        ( "forkserver",
+          fun () ->
+            print_forkserver_split (forkserver_split ~bases:32 ~per_base:50) );
+        ("virtual", virtual_report ~scale);
+        ("all", all);
+      ]
+  in
+  (* an unknown word (a misspelt command or a flag this driver lacks)
+     fails before anything runs *)
+  match List.filter (fun c -> not (List.mem_assoc c commands)) cmds with
+  | [] -> if cmds = [] then all () else List.iter (fun c -> List.assoc c commands ()) cmds
+  | unknown ->
+    List.iter (Printf.eprintf "unknown command or flag %S\n") unknown;
+    exit 2

@@ -356,14 +356,11 @@ let run_batch ?(drain_between = true) p jobs =
    Forked backend only: open-loop needs real concurrency. *)
 
 type load_summary = {
-  offered : int;
   served : int;
   load_rejected : int;
-  guests_per_s : float;
   lat_p50_ms : float;
   lat_p95_ms : float;
   lat_p99_ms : float;
-  lat_mean_ms : float;
 }
 
 let percentile sorted p =
@@ -439,22 +436,14 @@ let run_open_loop p ~rate_hz ~n ~payload () =
      shutdown slots;
      raise e);
   shutdown slots;
-  let wall = Unix.gettimeofday () -. t0 in
   let lats = Array.of_list !latencies in
   Array.sort compare lats;
-  let mean =
-    if Array.length lats = 0 then 0.
-    else Array.fold_left ( +. ) 0. lats /. float_of_int (Array.length lats)
-  in
   ( {
-      offered = n;
       served = !served;
       load_rejected = !rejected;
-      guests_per_s = (if wall > 0. then float_of_int !served /. wall else 0.);
       lat_p50_ms = percentile lats 50.;
       lat_p95_ms = percentile lats 95.;
       lat_p99_ms = percentile lats 99.;
-      lat_mean_ms = mean;
     },
     Array.to_list responses )
 

@@ -96,15 +96,12 @@ val run_batch : ?drain_between:bool -> pool -> job list -> batch
 (** {1 Open-loop load} *)
 
 type load_summary = {
-  offered : int;
   served : int;
   load_rejected : int;
-  guests_per_s : float;
   lat_p50_ms : float;
       (** completion - due arrival time, queueing included *)
   lat_p95_ms : float;
   lat_p99_ms : float;
-  lat_mean_ms : float;
 }
 
 val run_open_loop :

@@ -45,8 +45,10 @@ let workload name =
 (* the three cheapest real workloads; gzip heats into the hot phase *)
 let matrix_workloads = [ "gzip"; "mgrid"; "art" ]
 
-(* wholesale translation-cache flushes of the engine [run_with] last ran *)
+(* wholesale translation-cache flushes and cold-translated IA-32
+   instructions of the engine [run_with] last ran *)
 let last_flushes = ref 0
+let last_cold_insns = ref 0
 
 (* One engine run of a workload with a persist session attached over
    [store]; returns (exit code, full metrics snapshot, session). *)
@@ -61,10 +63,24 @@ let run_with ~config ?(readonly = false) w store =
     match r.B.engine with
     | Some e ->
       last_flushes := e.E.acct.Ia32el.Account.cache_flushes;
+      last_cold_insns := e.E.acct.Ia32el.Account.cold_insns;
       Obs.Metrics.to_string (E.metrics e)
     | None -> Alcotest.fail "run_el returned no engine"
   in
   (r.B.exit_code, m, Option.get !sref)
+
+(* A warm start must eliminate at least 80% of the cold-phase
+   translation cycles the last run charged: the host-side cold
+   translation it skipped by installing stored entries. *)
+let check_warm_floor se =
+  let eliminated = (Persist.stats se).Persist.eliminated_cold_cycles in
+  let charged =
+    !last_cold_insns * Ipf.Cost.default.Ipf.Cost.cold_translate_per_insn
+  in
+  if 5 * eliminated < 4 * charged then
+    Alcotest.failf
+      "warm start eliminated %d of %d cold translation cycles (floor 80%%)"
+      eliminated charged
 
 let fresh_store ~config w =
   let image = w.C.build ~scale:1 ~wide:false in
@@ -133,7 +149,8 @@ let warm_case wname =
           check int "warm run misses nothing" 0 s.Persist.misses;
           check int "warm run rejects nothing" 0 s.Persist.rejects;
           check bool "cold translation cycles eliminated" true
-            (s.Persist.eliminated_cold_cycles > 0)))
+            (s.Persist.eliminated_cold_cycles > 0);
+          check_warm_floor se_w))
     configs
 
 (* ------------------------------------------------------------------ *)
@@ -171,7 +188,17 @@ let aot_case wname =
       check int "same exit code" code_c code_w;
       check string "bit-identical metrics after AOT" m_cold m_warm;
       check bool "AOT entries actually hit" true
-        ((Persist.stats se_w).Persist.hits > 0))
+        ((Persist.stats se_w).Persist.hits > 0);
+      (* that run recorded its live translations on top of the sweep, as
+         ia32el-compile --train's training run does; a read-only start
+         from the trained file must clear the warm-start floor *)
+      save_ok store2;
+      let store3, diags = Persist.load ~path:tmp ~image_hash ~config_fp in
+      check int "no load diagnostics after training" 0 (List.length diags);
+      let code_t, m_trained, se_t = run_with ~config ~readonly:true w store3 in
+      check int "same exit code after training" code_c code_t;
+      check string "bit-identical metrics after training" m_cold m_trained;
+      check_warm_floor se_t)
 
 (* ------------------------------------------------------------------ *)
 (* robustness ladder                                                   *)
